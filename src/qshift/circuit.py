@@ -18,10 +18,10 @@ sections by offsetting the second schedule one pipeline downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .gf2poly import LaurentPoly, ONE, ZERO, ParseError, parse_poly
-from .symplectic import Gate, SympMatrix, gate_matrix
+from .gf2poly import LaurentPoly, ParseError, parse_poly
+from .symplectic import Gate, SympMatrix, apply_gates
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
@@ -33,8 +33,10 @@ class Placement:
     kind: str
     a: tuple
     b: tuple | None = None
+    slots: tuple = field(init=False, repr=False, compare=False)  # (a,) or (a, b)
 
     def __post_init__(self):
+        object.__setattr__(self, "slots", (self.a,) if self.b is None else (self.a, self.b))
         if self.kind not in PLACEMENT_KINDS:
             raise ValueError(f"unknown placement kind {self.kind!r}")
         if self.kind in ("CNOT", "CPHASE"):
@@ -45,10 +47,6 @@ class Placement:
         for wire, stage in self.slots:
             if wire < 1 or stage < 0:
                 raise ValueError(f"bad slot ({wire}, {stage})")
-
-    @property
-    def slots(self) -> tuple:
-        return (self.a,) if self.b is None else (self.a, self.b)
 
     def moved_down(self, k: int = 1) -> "Placement":
         a = (self.a[0], self.a[1] - k)
@@ -135,10 +133,6 @@ class ShiftRegisterCircuit:
             if isinstance(sec, FiniteSection):
                 out.extend(sec.placements)
         return tuple(out)
-
-    @property
-    def latency(self) -> int:
-        return circuit_transfer(self)[1]
 
     @property
     def max_tap_degree(self) -> int:
@@ -334,23 +328,62 @@ def _bit_mul(a_rows, b_rows, k):
     return out
 
 
+def _match_commute(kind_p, kind_q, match) -> bool:
+    """Exact commutation of p and q, q's data located by ``match``.
+
+    p acts on local qubits 0, 1, ...; q's i-th datum is p's qubit
+    ``match[i]``, or a qubit of its own where ``match[i]`` is -1.
+    """
+    width = 1 if kind_p in ("H", "P") else 2
+    ids_q = []
+    k = width
+    for m in match:
+        if m < 0:
+            m, k = k, k + 1
+        ids_q.append(m)
+    mp = _local_matrix(kind_p, list(range(width)), k)
+    mq = _local_matrix(kind_q, ids_q, k)
+    return _bit_mul(mp, mq, k) == _bit_mul(mq, mp, k)
+
+
+# (kind p, kind q, match) -> commute?  ``match`` gives, for each datum of
+# q, the index of the equal datum of p or -1.  Commutation does not depend
+# on how the data are labeled, so this pattern decides it; there are a few
+# dozen patterns at most.
+_COMMUTE_MEMO: dict = {}
+
+
 def instances_commute(p: Placement, q: Placement, shift: int) -> bool:
     """Do p's cycle-0 instance and q's cycle-``shift`` instance commute?
 
     Slot (w, s) of p addresses the frame datum (w, -s); slot (w, t) of q
-    addresses (w, shift - t).  Disjoint data always commute; overlapping
-    instances are checked by exact bit-matrix commutation.
+    addresses (w, shift - t).  Disjoint data always commute.  For
+    overlapping instances the answer depends only on the two kinds and
+    on which data they share, so it is memoized on that pattern; each
+    pattern is decided once by exact bit-matrix commutation of the two
+    local matrices.
     """
     data_p = [(w, -s) for w, s in p.slots]
-    data_q = [(w, shift - t) for w, t in q.slots]
-    union = sorted(set(data_p) | set(data_q))
-    if len(union) == len(data_p) + len(data_q):
+    match = []
+    for w, t in q.slots:
+        d = (w, shift - t)
+        match.append(data_p.index(d) if d in data_p else -1)
+    if max(match) < 0:
         return True
-    idx = {d: i for i, d in enumerate(union)}
-    k = len(union)
-    mp = _local_matrix(p.kind, [idx[d] for d in data_p], k)
-    mq = _local_matrix(q.kind, [idx[d] for d in data_q], k)
-    return _bit_mul(mp, mq, k) == _bit_mul(mq, mp, k)
+    key = (p.kind, q.kind, tuple(match))
+    found = _COMMUTE_MEMO.get(key)
+    if found is None:
+        found = _COMMUTE_MEMO[key] = _match_commute(*key)
+    return found
+
+
+def _wire_users(placements) -> dict:
+    """wire -> ascending indices of the placements with a slot on it."""
+    users = {}
+    for k, p in enumerate(placements):
+        for wire in {w for w, _ in p.slots}:
+            users.setdefault(wire, []).append(k)
+    return users
 
 
 def check_schedule(section: FiniteSection) -> None:
@@ -360,49 +393,47 @@ def check_schedule(section: FiniteSection) -> None:
     per-placement transfers iff every pair (P before Q) whose instances
     overlap with Q executing at an earlier cycle commutes at that
     alignment.  Overlap at a negative alignment happens exactly when Q
-    references a shallower stage than P on a shared wire.
+    references a shallower stage than P on a shared wire, so only pairs
+    sharing a wire are examined.
     """
     pls = section.placements
-    for i in range(len(pls)):
-        for j in range(i + 1, len(pls)):
-            for (w1, s) in pls[i].slots:
-                for (w2, t) in pls[j].slots:
-                    if w1 == w2 and t < s:
-                        if not instances_commute(pls[i], pls[j], t - s):
-                            raise ValueError(
-                                "schedule has an acausal crossing between "
-                                f"{pls[i]} and {pls[j]}")
+    users = _wire_users(pls)
+    for i, p in enumerate(pls):
+        later = sorted({j for w, _ in p.slots for j in users[w] if j > i})
+        for j in later:
+            q = pls[j]
+            for (w1, s) in p.slots:
+                for (w2, t) in q.slots:
+                    if w1 == w2 and t < s and not instances_commute(p, q, t - s):
+                        raise ValueError(
+                            "schedule has an acausal crossing between "
+                            f"{p} and {q}")
 
 
 # ---------------------------------------------------------------------------
 # Symbolic transfer
 
 
-def _placement_gate(p: Placement, n: int) -> SympMatrix:
+def _placement_gate(p: Placement) -> Gate:
     if p.kind in ("H", "P"):
-        return gate_matrix(Gate(p.kind, (p.a[0],)), n)
+        return Gate(p.kind, (p.a[0],))
     (wa, sa), (wb, sb) = p.a, p.b
-    mono = LaurentPoly.monomial(sa - sb)
     if wa == wb:  # same-wire phase coupling across stages
-        return gate_matrix(Gate("CPHASE1", (wa,), LaurentPoly.monomial(abs(sa - sb))), n)
-    return gate_matrix(Gate(p.kind, (wa, wb), mono), n)
+        return Gate("CPHASE1", (wa,), LaurentPoly.monomial(abs(sa - sb)))
+    return Gate(p.kind, (wa, wb), LaurentPoly.monomial(sa - sb))
 
 
-def _section_transfer(sec, n: int) -> SympMatrix:
+def _section_gates(sec) -> list:
+    """Gates whose ordered product is the section's transfer."""
     if isinstance(sec, FeedbackNode):
         kind = "INF_Z" if sec.kind == "Z" else "INF_X"
-        return gate_matrix(Gate(kind, (sec.wire,), sec.poly), n)
+        return [Gate(kind, (sec.wire,), sec.poly)]
     check_schedule(sec)
-    t = SympMatrix.identity(n)
-    for p in sec.placements:
-        t = t @ _placement_gate(p, n)
+    gates = [_placement_gate(p) for p in sec.placements]
     # per-wire output delay applied on the output side
-    rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for w in range(n):
-        mono = LaurentPoly.monomial(sec.depths[w]) if sec.depths[w] else ONE
-        rows[w][w] = mono
-        rows[n + w][n + w] = mono
-    return t @ SympMatrix(n, rows)
+    gates.extend(Gate("DELAY", (w,), LaurentPoly.monomial(d))
+                 for w, d in enumerate(sec.depths, start=1) if d)
+    return gates
 
 
 def circuit_transfer(c: ShiftRegisterCircuit):
@@ -415,7 +446,7 @@ def circuit_transfer(c: ShiftRegisterCircuit):
     """
     t = SympMatrix.identity(c.n)
     for sec in c.sections:
-        t = t @ _section_transfer(sec, c.n)
+        t = apply_gates(t, _section_gates(sec))
     if t.is_polynomial:
         lat = t.latency_shift()
     else:

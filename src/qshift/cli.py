@@ -92,7 +92,11 @@ def _compare_matrices(observed: SympMatrix, expected: SympMatrix,
             if found is not None:
                 break
         shift = found or 0
-    window = horizon - max(shift, 0)
+    # observed * D^shift is exact through horizon + shift; expected is exact
+    window = horizon + min(shift, 0)
+    if window < 0:
+        raise ValueError(f"horizon {horizon} is too short to compare modulo "
+                         f"D^{shift}; pass a larger --horizon")
     for i in range(size):
         for j in range(size):
             a = entry_series(entry_shift(observed.entry(i, j), shift), window)

@@ -27,8 +27,8 @@ from .symplectic import (
     Gate,
     StabilizerMatrix,
     SympMatrix,
+    apply_gates,
     dual_containing,
-    gate_matrix,
     parse_gate,
 )
 from .circuit import (
@@ -36,6 +36,7 @@ from .circuit import (
     Placement,
     ShiftRegisterCircuit,
     _canonical_sections,
+    _wire_users,
     build_from_gate,
     cascade,
     check_schedule,
@@ -420,16 +421,34 @@ def memory_bound_css(plan: EncoderPlan) -> int:
 # Memory reduction
 
 
-def _movable(placements, idx):
+def _slot_users(placements) -> dict:
+    """slot -> indices of the placements that reference it."""
+    users = {}
+    for k, p in enumerate(placements):
+        for slot in p.slots:
+            users.setdefault(slot, []).append(k)
+    return users
+
+
+def _movable(placements, idx, users):
+    """Can placement ``idx`` move one stage earlier?
+
+    The move crosses p against every earlier placement in the same
+    cycle and every later one a cycle before (alignment -1).  Those
+    instances overlap only when an earlier q has one of p's slots or a
+    later q has a slot one stage below one of them; ``users`` (see
+    ``_slot_users``) finds exactly those.
+    """
     p = placements[idx]
     if any(stage == 0 for _, stage in p.slots):
         return False
-    for q_idx, q in enumerate(placements):
-        if q_idx == idx:
-            continue
-        shift = 0 if q_idx < idx else -1
-        if not instances_commute(p, q, shift):
-            return False
+    for wire, stage in p.slots:
+        for k in users.get((wire, stage), ()):
+            if k < idx and not instances_commute(p, placements[k], 0):
+                return False
+        for k in users.get((wire, stage - 1), ()):
+            if k > idx and not instances_commute(p, placements[k], -1):
+                return False
     return True
 
 
@@ -450,13 +469,18 @@ def _cancel_identical_pair(placements):
     acting on the same slots in the same cycle annihilate when each gate
     scheduled between them commutes with them at zero alignment.
     """
-    for a in range(len(placements)):
-        for b in range(a + 1, len(placements)):
-            if placements[a] != placements[b]:
+    users = _slot_users(placements)
+    copies = {}
+    for k, p in enumerate(placements):
+        copies.setdefault(p, []).append(k)
+    for a, p in enumerate(placements):
+        for b in copies[p]:
+            if b <= a:
                 continue
-            if all(instances_commute(placements[a], placements[q], 0)
-                   for q in range(a + 1, b)):
-                return [p for i, p in enumerate(placements) if i not in (a, b)]
+            # instances at zero alignment overlap only on a shared slot
+            if all(instances_commute(p, placements[q], 0)
+                   for slot in p.slots for q in users[slot] if a < q < b):
+                return [x for i, x in enumerate(placements) if i not in (a, b)]
     return None
 
 
@@ -472,14 +496,14 @@ def _reschedule(placements, n: int):
     """
     bases = [0] * len(placements)
     shifted = [p.moved_down(min(s for _, s in p.slots)) for p in placements]
-    for q in range(len(placements)):
-        for p_idx in range(q):
-            pq, pp = shifted[q], shifted[p_idx]
-            for (wp, sp) in pp.slots:
-                for (wq, sq) in pq.slots:
-                    if wp != wq:
-                        continue
-                    if instances_commute(pp, pq, sq - sp):
+    users = _wire_users(shifted)
+    for q, pq in enumerate(shifted):
+        for (wq, sq) in pq.slots:
+            for p_idx in users[wq]:
+                if p_idx >= q:
+                    break
+                for (wp, sp) in shifted[p_idx].slots:
+                    if wp != wq or instances_commute(shifted[p_idx], pq, sq - sp):
                         continue
                     need = bases[p_idx] + sp - sq
                     if need > bases[q]:
@@ -498,9 +522,15 @@ def _reduce_section(sec: FiniteSection) -> FiniteSection:
     changed = True
     while changed:
         changed = False
+        users = _slot_users(placements)
         for idx in range(len(placements)):
-            while _movable(placements, idx):
-                placements[idx] = placements[idx].moved_down()
+            while _movable(placements, idx, users):
+                p = placements[idx]
+                for slot in p.slots:
+                    users[slot].remove(idx)
+                placements[idx] = p = p.moved_down()
+                for slot in p.slots:
+                    users.setdefault(slot, []).append(idx)
                 changed = True
         cancelled = _cancel_identical_pair(placements)
         while cancelled is not None:
@@ -528,8 +558,11 @@ def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
     Greedy fixed point: a placement moves one stage earlier whenever its
     instances commute with every gate instance the move crosses; when no
     slot references the last frame of any wire, the frame is removed
-    (a global unit of delay).  Gates occurring after a feedback block
-    are frozen, so only the leading finite section is reduced.
+    (a global unit of delay).  Only instances that share a datum are
+    checked (placements indexed by slot and by wire), and each check is
+    a lookup in ``instances_commute``'s memo.  Gates occurring after a
+    feedback block are frozen, so only the leading finite section is
+    reduced.
     """
     sections = list(c.sections)
     if sections and isinstance(sections[0], FiniteSection):
@@ -541,9 +574,6 @@ def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
 # Sequence compilation and reports
 
 
-ElementaryOpSequence = list  # ordered Gate list
-
-
 def _cascade_all(ops, n: int) -> ShiftRegisterCircuit:
     c = identity_circuit(n)
     for gate in ops:
@@ -552,8 +582,10 @@ def _cascade_all(ops, n: int) -> ShiftRegisterCircuit:
 
 
 def _gates_commute(a: Gate, b: Gate, n: int) -> bool:
-    ga, gb = gate_matrix(a, n), gate_matrix(b, n)
-    return ga @ gb == gb @ ga
+    if not set(a.wires) & set(b.wires):
+        return True  # each gate matrix differs from I only on its own wires
+    ident = SympMatrix.identity(n)
+    return apply_gates(ident, (a, b)) == apply_gates(ident, (b, a))
 
 
 def _gate_is_identity(g: Gate) -> bool:
@@ -561,25 +593,30 @@ def _gate_is_identity(g: Gate) -> bool:
 
 
 def _merge_gates(a: Gate, b: Gate):
-    """Combine two commuting same-shape gates into one, or None."""
+    """The gates of the product of two same-shape gates, or None.
+
+    The product is one gate, or none at all (``[]``) when it is the
+    identity.
+    """
     if a.kind != b.kind:
         return None
     if a.kind == "CNOT" and a.wires == b.wires:
-        return Gate("CNOT", a.wires, a.poly + b.poly)
-    if a.kind == "CPHASE":
-        if a.wires == b.wires:
-            return Gate("CPHASE", a.wires, a.poly + b.poly)
-        if a.wires == b.wires[::-1]:  # CPHASE(j,i)(f) == CPHASE(i,j)(f(D^-1))
-            return Gate("CPHASE", a.wires, a.poly + b.poly.subst_inv())
+        merged = Gate("CNOT", a.wires, a.poly + b.poly)
+    elif a.kind == "CPHASE" and a.wires == b.wires:
+        merged = Gate("CPHASE", a.wires, a.poly + b.poly)
+    elif a.kind == "CPHASE" and a.wires == b.wires[::-1]:
+        # CPHASE(j,i)(f) == CPHASE(i,j)(f(D^-1))
+        merged = Gate("CPHASE", a.wires, a.poly + b.poly.subst_inv())
+    elif a.kind == "CPHASE1" and a.wires == b.wires:
+        merged = Gate("CPHASE1", a.wires, a.poly + b.poly)
+    elif a.kind == "DELAY" and a.wires == b.wires:
+        merged = Gate("DELAY", a.wires,
+                      LaurentPoly.monomial(a.delay_amount + b.delay_amount))
+    elif a.kind in ("H", "P") and a.wires == b.wires:
+        return []  # both are involutions
+    else:
         return None
-    if a.kind == "CPHASE1" and a.wires == b.wires:
-        return Gate("CPHASE1", a.wires, a.poly + b.poly)
-    if a.kind == "DELAY" and a.wires == b.wires:
-        return Gate("DELAY", a.wires,
-                    LaurentPoly.monomial(a.delay_amount + b.delay_amount))
-    if a.kind in ("H", "P") and a.wires == b.wires:
-        return Gate("CNOT", (1, 2), ZERO)  # placeholder meaning "identity"
-    return None
+    return [] if _gate_is_identity(merged) else [merged]
 
 
 def _simplify_ops(ops, n: int):
@@ -599,15 +636,14 @@ def _simplify_ops(ops, n: int):
                     continue
                 between = ops[a + 1:b]
                 if all(_gates_commute(ops[b], q, n) for q in between):
-                    spot = a
+                    spot = a  # b moves back to a
                 elif all(_gates_commute(ops[a], q, n) for q in between):
-                    spot = b
+                    spot = b - 1  # a moves forward to b
                 else:
                     continue
                 ops.pop(b)
                 ops.pop(a)
-                if not _gate_is_identity(merged):
-                    ops.insert(spot if spot == a else b - 1, merged)
+                ops[spot:spot] = merged
                 changed = True
                 break
             if changed:
@@ -635,17 +671,16 @@ def _edge_taps(order, edges):
     return placements
 
 
-def _cnot_dag_candidate(ops, n: int):
+def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
     """One-gate-per-entry factorization of a CNOT-only product.
 
     Applies when the X block is identity plus off-diagonal entries whose
     wire graph is acyclic.  Gate orderings that reproduce the product
     exactly (cross terms may cancel) are searched and the one with the
-    cheapest rescheduled pipeline wins.
+    cheapest rescheduled pipeline wins.  ``total`` is the transfer of ``ops``.
     """
     if not ops or not all(g.kind == "CNOT" for g in ops):
         return None
-    total = sequence_transfer(ops, n)
     x = total.x_block()
     edges = {}
     for i in range(n):
@@ -747,17 +782,17 @@ def _laurent_div(b: LaurentPoly, a: LaurentPoly) -> LaurentPoly:
     return q.shift(sb - sa)
 
 
-def _cnot_euclid_candidate(ops, n: int):
+def _cnot_euclid_candidate(ops, n: int, total: SympMatrix):
     """Refactor a CNOT-only product by column elimination of its X block.
 
     Column transvections (each one a CNOT gate) reduce the block to the
     identity bottom-up; residual monomial diagonals are traded pairwise
     through transvection triples plus swaps.  Returns None when the
-    block is not unimodular over the Laurent ring.
+    block is not unimodular over the Laurent ring.  ``total`` is the
+    transfer of ``ops``.
     """
     if not ops or any(g.kind != "CNOT" for g in ops):
         return None
-    total = sequence_transfer(ops, n)
     work = total.x_block()
     rec = []
 
@@ -837,7 +872,8 @@ def compile_sequence(ops, n: int) -> ShiftRegisterCircuit:
     simplified = _simplify_ops(list(unswapped), n)
     if simplified not in variants:
         variants.append(simplified)
-    for cand in (_cnot_dag_candidate(ops, n), _cnot_euclid_candidate(ops, n)):
+    for cand in (_cnot_dag_candidate(ops, n, total),
+                 _cnot_euclid_candidate(ops, n, total)):
         if cand is not None and cand not in variants:
             variants.append(cand)
     # alternative decompositions must reproduce the exact product
@@ -847,11 +883,12 @@ def compile_sequence(ops, n: int) -> ShiftRegisterCircuit:
 
 
 def sequence_transfer(ops, n: int) -> SympMatrix:
-    """Ordered product of the closed-form matrices of a gate list."""
-    t = SympMatrix.identity(n)
-    for gate in ops:
-        t = t @ gate_matrix(gate, n)
-    return t
+    """Ordered product of the closed-form matrices of a gate list.
+
+    Gates are applied one at a time to the columns they change
+    (``apply_gates``), not by dense matrix products.
+    """
+    return apply_gates(SympMatrix.identity(n), ops)
 
 
 def constraint_lengths(s: StabilizerMatrix):

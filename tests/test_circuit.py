@@ -1,10 +1,14 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, ParseError, parse_poly as pp
 from qshift.symplectic import Gate, SympMatrix, gate_matrix
+from qshift import circuit as circuit_mod
 from qshift.circuit import (
+    PLACEMENT_KINDS,
     FeedbackNode,
     FiniteSection,
     Placement,
@@ -14,6 +18,7 @@ from qshift.circuit import (
     build_cphase1_circuit,
     build_cphase2_circuit,
     build_delay_circuit,
+    build_from_gate,
     build_inf_x_circuit,
     build_inf_z_circuit,
     build_single,
@@ -22,7 +27,9 @@ from qshift.circuit import (
     circuit_to_text,
     circuit_transfer,
     identity_circuit,
+    instances_commute,
 )
+from qshift.synthesis import sequence_transfer
 
 
 def test_placement_validation():
@@ -226,12 +233,98 @@ def test_cascade_transfer_is_product():
             continue
         circ = identity_circuit(n)
         product = SympMatrix.identity(n)
-        from qshift.circuit import build_from_gate
         for g in gates:
             circ = cascade(circ, build_from_gate(g, n))
             product = product @ gate_matrix(g, n)
         t, _ = circuit_transfer(circ)
         assert t.equal_mod_monomial(product) is not None
+
+
+def _reference_commute(p, q, shift):
+    """instances_commute without the memo: build both local bit matrices."""
+    data_p = [(w, -s) for w, s in p.slots]
+    data_q = [(w, shift - t) for w, t in q.slots]
+    union = sorted(set(data_p) | set(data_q))
+    idx = {d: i for i, d in enumerate(union)}
+    k = len(union)
+    mp = circuit_mod._local_matrix(p.kind, [idx[d] for d in data_p], k)
+    mq = circuit_mod._local_matrix(q.kind, [idx[d] for d in data_q], k)
+    return circuit_mod._bit_mul(mp, mq, k) == circuit_mod._bit_mul(mq, mp, k)
+
+
+def _small_placements():
+    """Every placement on wires 1..2 with stages 0..2."""
+    slots = [(w, s) for w in (1, 2) for s in range(3)]
+    for kind in PLACEMENT_KINDS:
+        if kind in ("H", "P"):
+            for a in slots:
+                yield Placement(kind, a)
+        else:
+            for a, b in itertools.permutations(slots, 2):
+                yield Placement(kind, a, b)
+
+
+def test_instances_commute_memo_matches_reference():
+    pls = list(_small_placements())
+    circuit_mod._COMMUTE_MEMO.clear()
+    for _ in range(2):  # first pass fills the memo, second reads it back
+        for p, q in itertools.product(pls, repeat=2):
+            for shift in range(-2, 3):
+                assert instances_commute(p, q, shift) == _reference_commute(p, q, shift), \
+                    (p, q, shift)
+    # one entry per overlap pattern, at most 6 per pair of kinds
+    assert 0 < len(circuit_mod._COMMUTE_MEMO) <= 6 * len(PLACEMENT_KINDS) ** 2
+
+
+def _dense_fold(gates, n):
+    t = SympMatrix.identity(n)
+    for g in gates:
+        t = t @ gate_matrix(g, n)
+    return t
+
+
+@st.composite
+def mixed_gate_lists(draw):
+    """(n, gates) over every gate kind, feedback blocks included."""
+    n = draw(st.integers(2, 4))
+    wire = st.integers(1, n)
+    taps = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(LaurentPoly)
+    gates = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(
+            ("CNOT", "CPHASE", "CPHASE1", "H", "P", "DELAY", "INF_Z", "INF_X")))
+        i = draw(wire)
+        if kind in ("CNOT", "CPHASE"):
+            j = draw(wire.filter(lambda w: w != i))
+            gates.append(Gate(kind, (i, j), draw(taps)))
+        elif kind == "CPHASE1":
+            lags = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+            gates.append(Gate(kind, (i,), LaurentPoly(lags)))
+        elif kind == "DELAY":
+            gates.append(Gate(kind, (i,), LaurentPoly.monomial(draw(st.integers(0, 3)))))
+        elif kind in ("INF_Z", "INF_X"):
+            rest = draw(st.sets(st.integers(1, 3), min_size=1))
+            gates.append(Gate(kind, (i,), LaurentPoly({0} | rest)))
+        else:
+            gates.append(Gate(kind, (i,)))
+    return n, gates
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_gate_lists())
+def test_sparse_transfers_equal_dense_products(case):
+    n, gates = case
+    assert sequence_transfer(gates, n) == _dense_fold(gates, n)
+    circ = identity_circuit(n)
+    for g in gates:
+        circ = cascade(circ, build_from_gate(g, n))
+    # the circuit's transfer, recomputed with dense products of its sections
+    dense = SympMatrix.identity(n)
+    for sec in circ.sections:
+        dense = dense @ _dense_fold(circuit_mod._section_gates(sec), n)
+    lat = dense.latency_shift() if dense.is_polynomial else dense.min_delay()
+    assert circuit_transfer(circ) == (dense.shifted(-lat), lat)
+    assert dense.equal_mod_monomial(_dense_fold(gates, n)) is not None
 
 
 def test_acausal_schedule_rejected():

@@ -112,6 +112,53 @@ def test_verify_infinite_depth(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+FEEDBACK_ADVANCE_CIRCUIT = """\
+n 2
+frames 2
+latency 0
+section depths=1,1
+gate CNOT s=1 a=1@0 b=2@1 f=D^-1
+ffb Z wire=2 f=1+D
+"""
+
+# the gate product of CNOT 1 2 D^-1 then INFZ 2 1+D, one advance ahead of
+# the latency-normalized impulse response
+FEEDBACK_ADVANCE_MATRIX = "n 2\n1 0 0 0\nD D/1+D 0 0\n0 0 1 D^-1+1\n0 0 0 1+D\n"
+
+
+@pytest.mark.parametrize("horizon", [None, "7"])
+def test_verify_feedback_with_granted_advance(tmp_path, capsys, horizon):
+    circ = tmp_path / "fb.circuit"
+    circ.write_text(FEEDBACK_ADVANCE_CIRCUIT)
+    exp = tmp_path / "fb.matrix"
+    exp.write_text(FEEDBACK_ADVANCE_MATRIX)
+    argv = ["verify", str(circ), str(exp)]
+    if horizon:
+        argv += ["--horizon", horizon]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "pass" in out and "modulo D^-1" in out
+
+
+def test_verify_feedback_advance_still_detects_wrong_entry(tmp_path, capsys):
+    circ = tmp_path / "fb.circuit"
+    circ.write_text(FEEDBACK_ADVANCE_CIRCUIT)
+    exp = tmp_path / "fb.matrix"
+    exp.write_text(FEEDBACK_ADVANCE_MATRIX.replace("D/1+D", "D/1+D+D^2"))
+    assert main(["verify", str(circ), str(exp)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_horizon_shorter_than_granted_advance(tmp_path, capsys):
+    circ = tmp_path / "fb.circuit"
+    circ.write_text(FEEDBACK_ADVANCE_CIRCUIT)
+    exp = tmp_path / "fb.matrix"
+    # entry (0, 0) grants D^-8, which leaves no exact window below horizon 3
+    exp.write_text(FEEDBACK_ADVANCE_MATRIX.replace("\n1 0 0 0\n", "\nD^-8 0 0 0\n"))
+    assert main(["verify", str(circ), str(exp), "--horizon", "3"]) == 2
+    assert "--horizon" in capsys.readouterr().err
+
+
 def test_simulate_identity_echo(tmp_path, capsys):
     circ = tmp_path / "id.circuit"
     circ.write_text("n 2\n")

@@ -4,7 +4,16 @@ import pytest
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, parse_poly as pp
 from qshift.symplectic import Gate, StabilizerMatrix, SympMatrix, gate_matrix, row_space_equiv
-from qshift.circuit import build_from_gate, cascade, circuit_transfer, identity_circuit
+from qshift import synthesis
+from qshift.circuit import (
+    PLACEMENT_KINDS,
+    Placement,
+    build_from_gate,
+    cascade,
+    circuit_transfer,
+    identity_circuit,
+    instances_commute,
+)
 from qshift.simulator import impulse_response, recommended_horizon
 from qshift.synthesis import (
     CatastrophicCode,
@@ -367,3 +376,70 @@ def test_typeII_memory_bound():
     b_layer = gate_matrix(Gate("CNOT", (2, 1), pp("1+D")), 2)
     assert typeII_memory_bound([ONE, pp("1+D^2")], l_layer, b_layer) == 4
     assert typeII_memory_bound([ONE], ident, ident) == 0
+
+
+# The reducer's scans visit only placements that share a datum with the one
+# in question; these references visit every pair, as the scans once did.
+
+def _movable_full_scan(pls, idx):
+    p = pls[idx]
+    if any(stage == 0 for _, stage in p.slots):
+        return False
+    return all(instances_commute(p, q, 0 if k < idx else -1)
+               for k, q in enumerate(pls) if k != idx)
+
+
+def _cancel_full_scan(pls):
+    for a in range(len(pls)):
+        for b in range(a + 1, len(pls)):
+            if pls[a] == pls[b] and all(instances_commute(pls[a], pls[q], 0)
+                                        for q in range(a + 1, b)):
+                return [p for i, p in enumerate(pls) if i not in (a, b)]
+    return None
+
+
+def _reschedule_bases_full_scan(pls):
+    bases = [0] * len(pls)
+    shifted = [p.moved_down(min(s for _, s in p.slots)) for p in pls]
+    for q in range(len(pls)):
+        for k in range(q):
+            for (wp, sp) in shifted[k].slots:
+                for (wq, sq) in shifted[q].slots:
+                    if wp == wq and not instances_commute(shifted[k], shifted[q], sq - sp):
+                        bases[q] = max(bases[q], bases[k] + sp - sq)
+    return [p.moved_down(-b) for p, b in zip(shifted, bases)]
+
+
+def _random_placements(rng, count):
+    out = []
+    while len(out) < count:
+        kind = rng.choice(PLACEMENT_KINDS)
+        a = (rng.randint(1, 3), rng.randint(0, 3))
+        if kind in ("H", "P"):
+            out.append(Placement(kind, a))
+            continue
+        b = (rng.randint(1, 3), rng.randint(0, 3))
+        if b != a:
+            out.append(Placement(kind, a, b))
+    return out
+
+
+def test_indexed_reduction_scans_match_full_scans():
+    rng = random.Random(2024)
+    for _ in range(400):
+        pls = _random_placements(rng, rng.randint(2, 9))
+        if rng.random() < 0.5:  # plant copies for the cancellation scan
+            pls.insert(rng.randint(0, len(pls)), rng.choice(pls))
+        users = synthesis._slot_users(pls)
+        for idx in range(len(pls)):
+            assert synthesis._movable(pls, idx, users) == _movable_full_scan(pls, idx)
+        assert synthesis._cancel_identical_pair(pls) == _cancel_full_scan(pls)
+        sec = synthesis._reschedule(pls, 3)
+        assert list(sec.placements) == _reschedule_bases_full_scan(pls)
+
+
+def test_merged_involutions_leave_no_gate():
+    ops = [Gate("H", (1,)), Gate("CNOT", (2, 3), pp("D")), Gate("H", (1,)),
+           Gate("P", (2,)), Gate("P", (2,))]
+    assert synthesis._simplify_ops(ops, 3) == [Gate("CNOT", (2, 3), pp("D"))]
+    assert synthesis._simplify_ops([Gate("CNOT", (1, 2), pp("D"))] * 2, 2) == []
