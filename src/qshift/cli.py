@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .gf2poly import ParseError, entry_is_zero, entry_series, entry_shift, entry_str
+from .gf2poly import ParseError, series_expand
 from .symplectic import StabilizerMatrix, SympMatrix
 from .circuit import ShiftRegisterCircuit, circuit_from_text, circuit_to_text
 from .simulator import PauliStream, impulse_response, recommended_horizon, run
@@ -86,7 +86,7 @@ def _compare_matrices(observed: SympMatrix, expected: SympMatrix,
         for i in range(size):
             for j in range(size):
                 a, b = observed.entry(i, j), expected.entry(i, j)
-                if not entry_is_zero(a) and not entry_is_zero(b):
+                if a and b:
                     found = b.delay - a.delay
                     break
             if found is not None:
@@ -99,12 +99,12 @@ def _compare_matrices(observed: SympMatrix, expected: SympMatrix,
                          f"D^{shift}; pass a larger --horizon")
     for i in range(size):
         for j in range(size):
-            a = entry_series(entry_shift(observed.entry(i, j), shift), window)
-            b = entry_series(expected.entry(i, j), window)
+            a = series_expand(observed.entry(i, j).shift(shift), window)
+            b = series_expand(expected.entry(i, j), window)
             if a != b:
                 return False, (f"entry ({i}, {j}): got "
-                               f"{entry_str(observed.entry(i, j))}, expected "
-                               f"{entry_str(expected.entry(i, j))}"
+                               f"{observed.entry(i, j)}, expected "
+                               f"{expected.entry(i, j)}"
                                + (f" (granted shift D^{shift})" if shift else ""))
     return True, f"agrees through exponent {window}" + (
         f" modulo D^{shift}" if shift else "")

@@ -375,10 +375,6 @@ def series_expand(r, horizon: int) -> LaurentPoly:
 # Transfer-entry helpers: matrix code treats entries uniformly as either
 # LaurentPoly or RationalTransfer.
 
-def entry_is_zero(e) -> bool:
-    return not e
-
-
 def entry_add(a, b):
     if isinstance(a, LaurentPoly) and isinstance(b, LaurentPoly):
         return a + b
@@ -391,28 +387,8 @@ def entry_mul(a, b):
     return _coerce(a) * _coerce(b)
 
 
-def entry_subst_inv(e):
-    return e.subst_inv()
-
-
-def entry_shift(e, k: int):
-    return e.shift(k)
-
-
-def entry_delay(e) -> int:
-    return e.delay
-
-
-def entry_str(e) -> str:
-    return str(e)
-
-
 def entry_parse(token: str):
     if "/" in token:
         num, _, den = token.partition("/")
         return ratio(parse_poly(num), parse_poly(den))
     return parse_poly(token)
-
-
-def entry_series(e, horizon: int) -> LaurentPoly:
-    return series_expand(e, horizon)

@@ -5,7 +5,8 @@ update rules (CNOT a->b: x_b ^= x_a, z_a ^= z_b; CPHASE: z_a ^= x_b,
 z_b ^= x_a; H swaps z and x; P: z ^= x; feedback blocks run their fixed
 recursions).  It shares no algebra with the symbolic transfer
 computation, so impulse responses provide an independent check of every
-closed-form matrix.
+closed-form matrix.  Every rule is an XOR or a swap, so one int can
+carry many independent frames as its bits (lanes).
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from .symplectic import SympMatrix
 
 @dataclass
 class SimState:
-    """Mutable per-section memory bits; reset state is the identity Pauli."""
+    """Mutable per-section memory bits; reset state is the identity Pauli.
 
-    clock: int = 0
+    A finite section keeps, per wire, its cells as [z, x] pairs, newest
+    first; a feedback node keeps its ``m`` cells as [z, x] pairs.
+    """
+
     parts: list = field(default_factory=list)
 
 
@@ -33,34 +37,31 @@ def reset_state(c: ShiftRegisterCircuit) -> SimState:
         else:
             m = sec.m
             parts.append([[0, 0] for _ in range(m)])  # cells hold [z, x]
-    return SimState(0, parts)
+    return SimState(parts)
 
 
 def _step_finite(sec: FiniteSection, cells, frame):
-    n = len(sec.depths)
-    slots = [[list(frame[w])] + [list(cell) for cell in cells[w]] for w in range(n)]
+    # Each wire's cells rotate in place: the input enters as slot 0, and
+    # slot ``depth`` leaves the wire once the placements have run.
+    for regs, (z, x) in zip(cells, frame):
+        regs.insert(0, [z, x])
     for p in sec.placements:
         wa, sa = p.a
-        a = slots[wa - 1][sa]
+        a = cells[wa - 1][sa]
         if p.kind == "H":
             a[0], a[1] = a[1], a[0]
         elif p.kind == "P":
             a[0] ^= a[1]
         else:
             wb, sb = p.b
-            b = slots[wb - 1][sb]
+            b = cells[wb - 1][sb]
             if p.kind == "CNOT":
                 b[1] ^= a[1]
                 a[0] ^= b[0]
             else:  # CPHASE
                 a[0] ^= b[1]
                 b[0] ^= a[1]
-    out = []
-    for w in range(n):
-        d = sec.depths[w]
-        out.append((slots[w][d][0], slots[w][d][1]))
-        cells[w] = slots[w][:d]
-    return out
+    return [tuple(regs.pop()) for regs in cells]
 
 
 def _step_feedback(sec: FeedbackNode, cells, frame):
@@ -101,19 +102,23 @@ def _step_feedback(sec: FeedbackNode, cells, frame):
 def step(c: ShiftRegisterCircuit, state: SimState, frame_in):
     """Advance one cycle; returns (state, frame_out).
 
-    ``frame_in`` is a length-n sequence of (z, x) bit pairs; the frame
-    flows through every section within the cycle.  ``state`` is updated
-    in place and returned for convenience.
+    ``frame_in`` is a length-n sequence of (z, x) pairs.  Each z/x value
+    is a lane mask, a non-negative int; bit k is lane k, and lanes are
+    independent Pauli frames that share the pass (a 0/1 frame is the
+    one-lane case).  The frame flows through every section within the
+    cycle.  ``state`` is updated in place and returned for convenience.
     """
     if len(frame_in) != c.n:
         raise ValueError(f"frame width {len(frame_in)} != {c.n}")
-    frame = [(int(z) & 1, int(x) & 1) for z, x in frame_in]
+    frame = [(int(z), int(x)) for z, x in frame_in]
+    for z, x in frame:
+        if z < 0 or x < 0:
+            raise ValueError(f"negative lane mask in frame {frame}")
     for sec, cells in zip(c.sections, state.parts):
         if isinstance(sec, FiniteSection):
             frame = _step_finite(sec, cells, frame)
         else:
             frame = _step_feedback(sec, cells, frame)
-    state.clock += 1
     return state, frame
 
 
@@ -255,34 +260,43 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
     """Empirical transfer matrix from per-wire Z and X unit impulses.
 
     Returns (latency, matrix) where the observed absolute response equals
-    matrix * D^latency, truncated at the horizon.  For finite-depth
-    circuits a quiet settling window past the horizon is required;
-    activity there raises ``horizon insufficient``.
+    matrix * D^latency, truncated at the horizon.  All 2n impulses run in
+    one pass as bit lanes of the frame: lane k carries Z on wire k+1 for
+    k < n and X on wire k-n+1 for k >= n, and row k of the matrix is
+    decoded from the set bits of lane k.  For finite-depth circuits a
+    quiet settling window past the horizon is required; activity there
+    raises ``horizon insufficient`` at the first late cycle of the lowest
+    late lane, i.e. of the first late impulse in Z1..Zn, X1..Xn order.
     """
     n = c.n
     extra = 0 if c.has_feedback else _settle_margin(c)
-    rows = []
-    for kind in ("Z", "X"):
-        for wire in range(1, n + 1):
-            stream = PauliStream.impulse(n, wire, kind)
-            state = reset_state(c)
-            out_z = [set() for _ in range(n)]
-            out_x = [set() for _ in range(n)]
-            for t in range(horizon + extra + 1):
-                _, frame = step(c, state, stream.frame(t))
-                if t > horizon:
-                    if any(z or x for z, x in frame):
-                        raise ValueError(
-                            f"horizon insufficient: output active at cycle {t}")
-                    continue
-                for w, (z, x) in enumerate(frame):
-                    if z:
-                        out_z[w].add(t)
-                    if x:
-                        out_x[w].add(t)
-            rows.append([LaurentPoly(s) for s in out_z] +
-                        [LaurentPoly(s) for s in out_x])
-    absolute = SympMatrix(n, rows)
+    state = reset_state(c)
+    impulses = [(1 << w, 1 << (n + w)) for w in range(n)]
+    quiet = [(0, 0)] * n
+    supports = [[set() for _ in range(2 * n)] for _ in range(2 * n)]  # [lane][column]
+    late = 0
+    late_at = None
+    for t in range(horizon + extra + 1):
+        _, frame = step(c, state, impulses if t == 0 else quiet)
+        if t > horizon:
+            active = 0
+            for z, x in frame:
+                active |= z | x
+            new = active & ~late
+            if new:
+                late |= new
+                if new & (late & -late):  # the lowest late lane is new
+                    late_at = t
+            continue
+        for w, (z, x) in enumerate(frame):
+            for col, mask in ((w, z), (n + w, x)):
+                while mask:
+                    low = mask & -mask
+                    supports[low.bit_length() - 1][col].add(t)
+                    mask ^= low
+    if late:
+        raise ValueError(f"horizon insufficient: output active at cycle {late_at}")
+    absolute = SympMatrix(n, [[LaurentPoly(s) for s in row] for row in supports])
     lat = absolute.min_delay() if c.has_feedback else absolute.latency_shift()
     return lat, absolute.shifted(-lat)
 

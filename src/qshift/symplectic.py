@@ -25,13 +25,8 @@ from .gf2poly import (
     ParseError,
     RationalTransfer,
     entry_add,
-    entry_delay,
-    entry_is_zero,
     entry_mul,
     entry_parse,
-    entry_shift,
-    entry_str,
-    entry_subst_inv,
     parse_poly,
     ratio,
 )
@@ -199,7 +194,7 @@ class SympMatrix:
                 for k in range(size):
                     a = self._rows[i][k]
                     b = other._rows[k][j]
-                    if entry_is_zero(a) or entry_is_zero(b):
+                    if not a or not b:
                         continue
                     acc = entry_add(acc, entry_mul(a, b))
                 row.append(acc)
@@ -209,13 +204,13 @@ class SympMatrix:
     def transpose_subst_inv(self) -> "SympMatrix":
         """Substitute D -> D^-1 entrywise, then transpose."""
         size = 2 * self.n
-        return SympMatrix(self.n, [[entry_subst_inv(self._rows[j][i])
+        return SympMatrix(self.n, [[self._rows[j][i].subst_inv()
                                     for j in range(size)] for i in range(size)])
 
     def shifted(self, c: int) -> "SympMatrix":
         if c == 0:
             return self
-        return SympMatrix(self.n, [[entry_shift(e, c) for e in row]
+        return SympMatrix(self.n, [[e.shift(c) for e in row]
                                    for row in self._rows])
 
     def is_symplectic(self) -> bool:
@@ -255,7 +250,7 @@ class SympMatrix:
 
     def min_delay(self) -> int:
         """Smallest series exponent over nonzero entries (rational-aware)."""
-        vals = [entry_delay(e) for row in self._rows for e in row if not entry_is_zero(e)]
+        vals = [e.delay for row in self._rows for e in row if e]
         if not vals:
             return 0
         return min(vals)
@@ -276,21 +271,21 @@ class SympMatrix:
         c = None
         for ra, rb in zip(self._rows, other._rows):
             for a, b in zip(ra, rb):
-                za, zb = entry_is_zero(a), entry_is_zero(b)
+                za, zb = not a, not b
                 if za != zb:
                     return None
                 if za:
                     continue
                 if c is None:
-                    c = entry_delay(a) - entry_delay(b)
-                if a != entry_shift(b, c):
+                    c = a.delay - b.delay
+                if a != b.shift(c):
                     return None
         return 0 if c is None else c
 
     def to_text(self) -> str:
         lines = [f"n {self.n}"]
         for row in self._rows:
-            lines.append(" ".join(entry_str(e) for e in row))
+            lines.append(" ".join(str(e) for e in row))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -315,7 +310,7 @@ class SympMatrix:
 
     def __str__(self) -> str:
         n = self.n
-        cells = [[entry_str(e) for e in row] for row in self._rows]
+        cells = [[str(e) for e in row] for row in self._rows]
         width = max(len(c) for row in cells for c in row)
         out = []
         for i, row in enumerate(cells):
@@ -474,7 +469,7 @@ class StabilizerMatrix:
             for j in range(size):
                 acc = ZERO
                 for k in range(size):
-                    if entry_is_zero(r[k]) or entry_is_zero(m.rows[k][j]):
+                    if not r[k] or not m.rows[k][j]:
                         continue
                     acc = entry_add(acc, entry_mul(r[k], m.rows[k][j]))
                 out.append(acc)
@@ -545,7 +540,7 @@ class StabilizerMatrix:
 
     def __str__(self) -> str:
         n = self.n
-        cells = [[entry_str(e) for e in row] for row in self._rows]
+        cells = [[str(e) for e in row] for row in self._rows]
         width = max((len(c) for row in cells for c in row), default=1)
         out = []
         for row in cells:
@@ -583,7 +578,7 @@ def _solve_combination(basis_rows, target):
     for col in range(m):
         sel = None
         for r in range(row_at, width):
-            if not entry_is_zero(aug[r][col]):
+            if aug[r][col]:
                 sel = r
                 break
         if sel is None:
@@ -597,7 +592,7 @@ def _solve_combination(basis_rows, target):
             inv = ratio(piv.den, piv.num)
         aug[row_at] = [entry_mul(e, inv) for e in aug[row_at]]
         for r in range(width):
-            if r != row_at and not entry_is_zero(aug[r][col]):
+            if r != row_at and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [entry_add(a, entry_mul(factor, b))
                           for a, b in zip(aug[r], aug[row_at])]
@@ -605,7 +600,7 @@ def _solve_combination(basis_rows, target):
         row_at += 1
     # consistency: rows without pivots must have zero RHS
     for r in range(row_at, width):
-        if not entry_is_zero(aug[r][m]):
+        if aug[r][m]:
             return None
     coeffs = [ZERO] * m
     for r, c in pivots:

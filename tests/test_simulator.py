@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, ParseError, parse_poly as pp, series_expand
-from qshift.symplectic import Gate, gate_matrix
+from qshift.symplectic import Gate, SympMatrix, gate_matrix
 from qshift.circuit import (
     build_cnot_circuit,
     build_cphase1_circuit,
     build_cphase2_circuit,
+    build_delay_circuit,
+    build_from_gate,
     build_inf_x_circuit,
     build_inf_z_circuit,
     build_single,
@@ -24,6 +27,8 @@ from qshift.simulator import (
     step,
     symplectic_product,
 )
+
+from test_circuit import mixed_gate_lists
 
 
 def one_delay_cnot(n=2):
@@ -56,6 +61,13 @@ def test_step_all_zero_fixed_point():
 def test_step_width_mismatch():
     with pytest.raises(ValueError):
         step(one_delay_cnot(), reset_state(one_delay_cnot()), [(0, 0)])
+
+
+def test_step_rejects_negative_lane_mask():
+    c = one_delay_cnot()
+    for frame in ([(-1, 0), (0, 0)], [(0, 0), (0, -4)]):
+        with pytest.raises(ValueError):
+            step(c, reset_state(c), frame)
 
 
 def test_run_identity_echo():
@@ -155,6 +167,60 @@ def test_impulse_response_horizon_insufficient():
     c = build_cnot_circuit(1, 2, pp("D^6"), 2)
     with pytest.raises(ValueError):
         impulse_response(c, 4)
+
+
+def test_horizon_insufficient_names_first_late_impulse():
+    # Past horizon 2 the Z1 impulse is first active at cycle 6, the later
+    # Z2 and X2 impulses already at cycle 4: the message reports Z1's cycle.
+    c = cascade(build_cnot_circuit(1, 2, pp("D^4"), 2), build_delay_circuit(1, 2, 2))
+    with pytest.raises(ValueError) as exc:
+        impulse_response(c, 2)
+    assert str(exc.value) == "horizon insufficient: output active at cycle 6"
+
+
+def _single_lane_response(c, horizon):
+    """impulse_response rebuilt from 2n one-impulse runs."""
+    n = c.n
+    rows = []
+    for kind in ("Z", "X"):
+        for wire in range(1, n + 1):
+            out = run(c, PauliStream.impulse(n, wire, kind), horizon)
+            rows.append(list(out.zs) + list(out.xs))
+    absolute = SympMatrix(n, rows)
+    lat = absolute.min_delay() if c.has_feedback else absolute.latency_shift()
+    return lat, absolute.shifted(-lat)
+
+
+def _circuit(n, gates):
+    circ = identity_circuit(n)
+    for g in gates:
+        circ = cascade(circ, build_from_gate(g, n))
+    return circ
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_gate_lists())
+def test_lane_packed_response_equals_single_lane_runs(case):
+    circ = _circuit(*case)
+    horizon = recommended_horizon(circ)
+    assert impulse_response(circ, horizon) == _single_lane_response(circ, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_gate_lists(), st.data())
+def test_multi_lane_step_equals_lane_wise_steps(case, data):
+    n, gates = case
+    circ = _circuit(n, gates)
+    lanes = data.draw(st.integers(1, 6))
+    mask = st.integers(0, (1 << lanes) - 1)
+    packed = reset_state(circ)
+    single = [reset_state(circ) for _ in range(lanes)]
+    for _ in range(data.draw(st.integers(1, 12))):
+        frame = [(data.draw(mask), data.draw(mask)) for _ in range(n)]
+        _, out = step(circ, packed, frame)
+        for k, state in enumerate(single):
+            _, bits = step(circ, state, [(z >> k & 1, x >> k & 1) for z, x in frame])
+            assert bits == [(z >> k & 1, x >> k & 1) for z, x in out]
 
 
 def test_impulse_response_inf_truncated_series():
