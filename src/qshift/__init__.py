@@ -70,7 +70,6 @@ from .synthesis import (
     constraint_lengths,
     css_encoder,
     format_sequence,
-    memory_bound_css,
     parse_sequence,
     reduce_memory,
     sequence_transfer,

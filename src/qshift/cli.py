@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 from .gf2poly import ParseError, series_expand
 from .symplectic import StabilizerMatrix, SympMatrix
-from .circuit import ShiftRegisterCircuit, circuit_from_text, circuit_to_text
+from .circuit import (
+    FiniteSection,
+    ShiftRegisterCircuit,
+    check_schedule,
+    circuit_from_text,
+    circuit_to_text,
+)
 from .simulator import PauliStream, impulse_response, recommended_horizon, run
 from .synthesis import (
     SynthesisError,
@@ -160,6 +166,9 @@ def cmd_simulate(args) -> RunReport:
 def cmd_reduce(args) -> RunReport:
     report = RunReport(command=f"reduce {args.circuit}")
     circuit = _load_circuit(args.circuit, report)
+    for sec in circuit.sections:
+        if isinstance(sec, FiniteSection):
+            check_schedule(sec)  # the reducer assumes a causal schedule
     reduced = reduce_memory(circuit)
     text = circuit_to_text(reduced)
     report.outputs.append(("memory frames", f"{circuit.m} -> {reduced.m}"))
@@ -252,9 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once; parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         report = args.fn(args)

@@ -134,6 +134,21 @@ def parse_gate(line: str) -> Gate:
         raise ParseError(f"bad gate line {line!r}: {exc}") from exc
 
 
+def row_times(row, rows) -> list:
+    """The row vector ``row`` times the matrix whose rows are ``rows``.
+
+    Entries may be polynomial or rational.  Terms with a zero factor are
+    skipped, and each entry of the result sums its terms in row order.
+    """
+    out = [ZERO] * (len(rows[0]) if rows else 0)
+    for a, b_row in zip(row, rows):
+        if a:
+            for j, b in enumerate(b_row):
+                if b:
+                    out[j] = entry_add(out[j], entry_mul(a, b))
+    return out
+
+
 class SympMatrix:
     """2n x 2n polynomial (or rational) matrix acting by postmultiplication."""
 
@@ -185,21 +200,7 @@ class SympMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        size = 2 * self.n
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                acc = ZERO
-                for k in range(size):
-                    a = self._rows[i][k]
-                    b = other._rows[k][j]
-                    if not a or not b:
-                        continue
-                    acc = entry_add(acc, entry_mul(a, b))
-                row.append(acc)
-            rows.append(row)
-        return SympMatrix(self.n, rows)
+        return SympMatrix(self.n, [row_times(r, other._rows) for r in self._rows])
 
     def transpose_subst_inv(self) -> "SympMatrix":
         """Substitute D -> D^-1 entrywise, then transpose."""
@@ -462,19 +463,7 @@ class StabilizerMatrix:
         """Postmultiply every generator row by ``m``."""
         if m.n != self.n:
             raise ValueError("dimension mismatch")
-        size = 2 * self.n
-        new_rows = []
-        for r in self._rows:
-            out = []
-            for j in range(size):
-                acc = ZERO
-                for k in range(size):
-                    if not r[k] or not m.rows[k][j]:
-                        continue
-                    acc = entry_add(acc, entry_mul(r[k], m.rows[k][j]))
-                out.append(acc)
-            new_rows.append(out)
-        return StabilizerMatrix(self.n, new_rows)
+        return StabilizerMatrix(self.n, [row_times(r, m.rows) for r in self._rows])
 
     def commutation_ok(self) -> bool:
         """Shift-invariant commutation for every row pair (self included)."""

@@ -4,10 +4,9 @@ memory reduction by commuting gates through memory, and memory bounds.
 The encoder turns a dual-containing CSS check-matrix pair into a
 sequence of CNOT-type elementary operations (column operations on the X
 side, conjugate column operations on the Z side) and compiles each into
-a delay-line block.  Reduction relocates gates to earlier pipeline
-stages wherever they commute with everything they cross, cancels
-identical gate pairs, reschedules uniform pipelines exactly, and deletes
-memory frames that no gate touches; compilation additionally tries
+a delay-line block.  Reduction schedules every gate at its earliest
+legal pipeline stage in one pass, cancels identical gate pairs, and
+deletes memory frames that no gate touches; compilation additionally tries
 equivalent re-decompositions of the same product and keeps the circuit
 with the fewest frames.
 """
@@ -30,6 +29,7 @@ from .symplectic import (
     apply_gates,
     dual_containing,
     parse_gate,
+    row_times,
 )
 from .circuit import (
     FiniteSection,
@@ -66,20 +66,7 @@ def _pmat_identity(k):
 
 
 def _pmat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = ZERO
-            for k in range(inner):
-                if a[i][k] and b[k][j]:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [row_times(r, b) for r in a]
 
 
 def _pmat_transpose(a):
@@ -118,17 +105,6 @@ class ElemOp:
     dst: int
     f: LaurentPoly | None = None
 
-    def matrix(self, dim: int):
-        m = _pmat_identity(dim)
-        if self.kind == "add":
-            m[self.src][self.dst] = self.f
-        else:
-            m[self.src][self.src] = ZERO
-            m[self.dst][self.dst] = ZERO
-            m[self.src][self.dst] = ONE
-            m[self.dst][self.src] = ONE
-        return m
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -156,10 +132,13 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d)
 
     def b_inverse(self):
-        dim = len(self.b)
-        out = _pmat_identity(dim)
+        out = _pmat_identity(len(self.b))
         for op in self.col_ops:
-            out = _pmat_mul(out, op.matrix(dim))
+            for row in out:
+                if op.kind == "swap":
+                    row[op.src], row[op.dst] = row[op.dst], row[op.src]
+                elif row[op.src]:
+                    row[op.dst] = row[op.dst] + op.f * row[op.src]
         return out
 
 
@@ -412,11 +391,6 @@ def unencoded_stabilizer(n: int, s_x: int, s_z: int) -> StabilizerMatrix:
     return StabilizerMatrix.from_css(hx, hz)
 
 
-def memory_bound_css(plan: EncoderPlan) -> int:
-    """Frames of memory needed, bounded by the encoding matrix absolute degree."""
-    return plan.memory_bound
-
-
 # ---------------------------------------------------------------------------
 # Memory reduction
 
@@ -428,38 +402,6 @@ def _slot_users(placements) -> dict:
         for slot in p.slots:
             users.setdefault(slot, []).append(k)
     return users
-
-
-def _movable(placements, idx, users):
-    """Can placement ``idx`` move one stage earlier?
-
-    The move crosses p against every earlier placement in the same
-    cycle and every later one a cycle before (alignment -1).  Those
-    instances overlap only when an earlier q has one of p's slots or a
-    later q has a slot one stage below one of them; ``users`` (see
-    ``_slot_users``) finds exactly those.
-    """
-    p = placements[idx]
-    if any(stage == 0 for _, stage in p.slots):
-        return False
-    for wire, stage in p.slots:
-        for k in users.get((wire, stage), ()):
-            if k < idx and not instances_commute(p, placements[k], 0):
-                return False
-        for k in users.get((wire, stage - 1), ()):
-            if k > idx and not instances_commute(p, placements[k], -1):
-                return False
-    return True
-
-
-def _can_shrink(depths, placements):
-    if not depths or any(d < 1 for d in depths):
-        return False
-    for p in placements:
-        for wire, stage in p.slots:
-            if stage > depths[wire - 1] - 1:
-                return False
-    return True
 
 
 def _cancel_identical_pair(placements):
@@ -484,15 +426,16 @@ def _cancel_identical_pair(placements):
     return None
 
 
-def _reschedule(placements, n: int):
-    """Componentwise-minimal stage assignment for a fixed product order.
+def _earliest_stages(placements):
+    """Earliest legal stage of every placement, product order fixed.
 
     Every placement keeps its internal stage offsets (the tap exponent);
     an ordered pair sharing a wire is constrained to read-before-write
     order at that wire exactly when the instances aligned there fail to
-    commute.  The constraint graph points forward in product order, so a
-    single forward pass yields the minimal (hence max-minimizing)
-    schedule.  Returns a uniform-depth section.
+    commute, which is the condition ``check_schedule`` tests.  The
+    constraints point forward in product order, so one forward pass
+    (a longest path) places each placement at its least stage, and so
+    every stage at its least value over all legal schedules.
     """
     bases = [0] * len(placements)
     shifted = [p.moved_down(min(s for _, s in p.slots)) for p in placements]
@@ -508,61 +451,43 @@ def _reschedule(placements, n: int):
                     need = bases[p_idx] + sp - sq
                     if need > bases[q]:
                         bases[q] = need
-    new_placements = [shifted[k].moved_down(-bases[k]) for k in range(len(placements))]
-    depth = 0
-    for p in new_placements:
-        for _, s in p.slots:
-            depth = max(depth, s)
-    return FiniteSection((depth,) * n, tuple(new_placements))
+    return [p.moved_down(-b) for p, b in zip(shifted, bases)]
 
 
 def _reduce_section(sec: FiniteSection) -> FiniteSection:
-    depths = list(sec.depths)
     placements = list(sec.placements)
-    changed = True
-    while changed:
-        changed = False
-        users = _slot_users(placements)
-        for idx in range(len(placements)):
-            while _movable(placements, idx, users):
-                p = placements[idx]
-                for slot in p.slots:
-                    users[slot].remove(idx)
-                placements[idx] = p = p.moved_down()
-                for slot in p.slots:
-                    users.setdefault(slot, []).append(idx)
-                changed = True
-        cancelled = _cancel_identical_pair(placements)
-        while cancelled is not None:
-            placements = cancelled
-            changed = True
-            cancelled = _cancel_identical_pair(placements)
-        while _can_shrink(depths, placements):
-            depths = [d - 1 for d in depths]
-            changed = True
-    best = FiniteSection(tuple(depths), tuple(placements))
-    if len(set(depths)) <= 1:  # uniform pipelines can be rescheduled exactly
-        cand = _reschedule(placements, len(depths))
-        if cand.m < best.m:
-            try:
-                check_schedule(cand)
-            except ValueError:
-                return best
-            best = cand
-    return best
+    cancelled = True
+    while cancelled:
+        placements = _earliest_stages(placements)
+        cancelled = False
+        pair = _cancel_identical_pair(placements)
+        while pair is not None:
+            placements, cancelled = pair, True
+            pair = _cancel_identical_pair(placements)
+    # drop the trailing frames no slot references, the same number on every wire
+    highest = [0] * len(sec.depths)
+    for p in placements:
+        for wire, stage in p.slots:
+            highest[wire - 1] = max(highest[wire - 1], stage)
+    k = min((d - h for d, h in zip(sec.depths, highest)), default=0)
+    reduced = FiniteSection(tuple(d - k for d in sec.depths), tuple(placements))
+    check_schedule(reduced)
+    return reduced
 
 
 def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
     """Commute gates toward the input and delete untouched trailing frames.
 
-    Greedy fixed point: a placement moves one stage earlier whenever its
-    instances commute with every gate instance the move crosses; when no
-    slot references the last frame of any wire, the frame is removed
-    (a global unit of delay).  Only instances that share a datum are
-    checked (placements indexed by slot and by wire), and each check is
-    a lookup in ``instances_commute``'s memo.  Gates occurring after a
-    feedback block are frozen, so only the leading finite section is
-    reduced.
+    Every placement moves to its earliest legal stage
+    (``_earliest_stages``); identical pairs with only commuting gates
+    between them cancel, and the two steps repeat until nothing
+    cancels.  Then every wire drops the same number of trailing frames,
+    as many as no slot of any wire reaches (a global delay).  Only
+    instances that share a datum are checked (placements indexed by
+    slot and by wire), and each check is a lookup in
+    ``instances_commute``'s memo.  The input schedule must be causal
+    (``check_schedule``).  Gates occurring after a feedback block are
+    frozen, so only the leading finite section is reduced.
     """
     sections = list(c.sections)
     if sections and isinstance(sections[0], FiniteSection):
@@ -676,8 +601,9 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
 
     Applies when the X block is identity plus off-diagonal entries whose
     wire graph is acyclic.  Gate orderings that reproduce the product
-    exactly (cross terms may cancel) are searched and the one with the
-    cheapest rescheduled pipeline wins.  ``total`` is the transfer of ``ops``.
+    exactly (cross terms may cancel) are searched and the one whose
+    earliest-stage schedule reaches the lowest stage wins.  ``total`` is
+    the transfer of ``ops``.
     """
     if not ops or not all(g.kind == "CNOT" for g in ops):
         return None
@@ -722,9 +648,10 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
     for order in orderings:
         if not _edge_product_matches(order, edges, x, n):
             continue
-        sec = _reschedule(_edge_taps(order, edges), n)
-        if best is None or sec.m < best[0]:
-            best = (sec.m, order)
+        placed = _earliest_stages(_edge_taps(order, edges))
+        m = max((s for p in placed for _, s in p.slots), default=0)
+        if best is None or m < best[0]:
+            best = (m, order)
     if best is None:
         return None
     return [Gate("CNOT", (i + 1, j + 1), edges[(i, j)]) for i, j in best[1]]
@@ -789,7 +716,7 @@ def _cnot_euclid_candidate(ops, n: int, total: SympMatrix):
     identity bottom-up; residual monomial diagonals are traded pairwise
     through transvection triples plus swaps.  Returns None when the
     block is not unimodular over the Laurent ring.  ``total`` is the
-    transfer of ``ops``.
+    transfer of ``ops``; ``compile_sequence`` checks the result against it.
     """
     if not ops or any(g.kind != "CNOT" for g in ops):
         return None
@@ -847,10 +774,7 @@ def _cnot_euclid_candidate(ops, n: int, total: SympMatrix):
     if any(work[i][j] != (ONE if i == j else ZERO)
            for i in range(n) for j in range(n)):
         return None
-    cand = [Gate("CNOT", (src + 1, dst + 1), f) for (src, dst, f) in reversed(rec)]
-    if sequence_transfer(cand, n) != total:
-        return None
-    return cand
+    return [Gate("CNOT", (src + 1, dst + 1), f) for (src, dst, f) in reversed(rec)]
 
 
 def compile_sequence(ops, n: int) -> ShiftRegisterCircuit:

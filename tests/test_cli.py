@@ -194,6 +194,19 @@ def test_reduce_command(tmp_path, capsys):
     assert "memory frames: 3 -> 2" in report
 
 
+def test_reduce_rejects_acausal_schedule(tmp_path, capsys):
+    # the later CNOT meets the earlier one on wire 1 one stage shallower,
+    # where the two do not commute, so the section is not the product of
+    # its gates and the reducer would change its transfer
+    path = tmp_path / "acausal.circuit"
+    path.write_text("n 2\nsection depths=1,1\n"
+                    "gate CNOT a=1@1 b=2@1\ngate CNOT a=2@0 b=1@0\n")
+    assert main(["reduce", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "acausal crossing" in captured.err
+    assert captured.out == ""
+
+
 def test_memory_command_fgg(tmp_path, capsys):
     seq = tmp_path / "fgg.seq"
     seq.write_text(FGG_SEQUENCE)

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, parse_poly as pp
 from qshift.symplectic import Gate, StabilizerMatrix, SympMatrix, gate_matrix, row_space_equiv
 from qshift import synthesis
 from qshift.circuit import (
     PLACEMENT_KINDS,
+    FiniteSection,
     Placement,
+    ShiftRegisterCircuit,
     build_from_gate,
     cascade,
     circuit_transfer,
@@ -22,7 +25,6 @@ from qshift.synthesis import (
     constraint_lengths,
     css_encoder,
     format_sequence,
-    memory_bound_css,
     parse_sequence,
     reduce_memory,
     sequence_transfer,
@@ -147,7 +149,6 @@ def test_css_encoder_example_plan():
     hx, hz = css_example()
     plan = css_encoder(hx, hz)
     assert plan.memory_bound == 1
-    assert memory_bound_css(plan) == 1
     # every op is CNOT-type
     assert all(g.kind == "CNOT" for g in plan.ops)
     # the overall matrix matches the explicit encoding matrix
@@ -381,14 +382,6 @@ def test_typeII_memory_bound():
 # The reducer's scans visit only placements that share a datum with the one
 # in question; these references visit every pair, as the scans once did.
 
-def _movable_full_scan(pls, idx):
-    p = pls[idx]
-    if any(stage == 0 for _, stage in p.slots):
-        return False
-    return all(instances_commute(p, q, 0 if k < idx else -1)
-               for k, q in enumerate(pls) if k != idx)
-
-
 def _cancel_full_scan(pls):
     for a in range(len(pls)):
         for b in range(a + 1, len(pls)):
@@ -398,7 +391,7 @@ def _cancel_full_scan(pls):
     return None
 
 
-def _reschedule_bases_full_scan(pls):
+def _earliest_stages_full_scan(pls):
     bases = [0] * len(pls)
     shifted = [p.moved_down(min(s for _, s in p.slots)) for p in pls]
     for q in range(len(pls)):
@@ -430,12 +423,8 @@ def test_indexed_reduction_scans_match_full_scans():
         pls = _random_placements(rng, rng.randint(2, 9))
         if rng.random() < 0.5:  # plant copies for the cancellation scan
             pls.insert(rng.randint(0, len(pls)), rng.choice(pls))
-        users = synthesis._slot_users(pls)
-        for idx in range(len(pls)):
-            assert synthesis._movable(pls, idx, users) == _movable_full_scan(pls, idx)
         assert synthesis._cancel_identical_pair(pls) == _cancel_full_scan(pls)
-        sec = synthesis._reschedule(pls, 3)
-        assert list(sec.placements) == _reschedule_bases_full_scan(pls)
+        assert synthesis._earliest_stages(pls) == _earliest_stages_full_scan(pls)
 
 
 def test_merged_involutions_leave_no_gate():
@@ -443,3 +432,82 @@ def test_merged_involutions_leave_no_gate():
            Gate("P", (2,)), Gate("P", (2,))]
     assert synthesis._simplify_ops(ops, 3) == [Gate("CNOT", (2, 3), pp("D"))]
     assert synthesis._simplify_ops([Gate("CNOT", (1, 2), pp("D"))] * 2, 2) == []
+
+
+def _greedy_reduce_section(sec):
+    """The reducer as a greedy loop, the reference for the one-pass scheduler.
+
+    A placement moves one stage earlier while its instances commute with
+    every instance the move crosses (earlier placements in the same
+    cycle, later ones a cycle before); identical pairs cancel; every
+    wire drops its last frame while no slot references it.  The three
+    steps repeat to a fixed point.
+    """
+    def movable(pls, idx):
+        p = pls[idx]
+        if any(stage == 0 for _, stage in p.slots):
+            return False
+        return all(instances_commute(p, q, 0 if k < idx else -1)
+                   for k, q in enumerate(pls) if k != idx)
+
+    depths = list(sec.depths)
+    pls = list(sec.placements)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(pls)):
+            while movable(pls, idx):
+                pls[idx] = pls[idx].moved_down()
+                changed = True
+        cancelled = _cancel_full_scan(pls)
+        while cancelled is not None:
+            pls, changed = cancelled, True
+            cancelled = _cancel_full_scan(pls)
+        while depths and all(d >= 1 for d in depths) and all(
+                stage < depths[w - 1] for p in pls for w, stage in p.slots):
+            depths = [d - 1 for d in depths]
+            changed = True
+    return FiniteSection(tuple(depths), tuple(pls))
+
+
+@st.composite
+def finite_gate_lists(draw):
+    """(n, gates) over every finite gate kind, few wires and short taps.
+
+    Few wires and many gates make the identical pairs, blocked moves and
+    moves unblocked by a cancellation that the reducer has to get right.
+    """
+    n = draw(st.integers(2, 3))
+    wire = st.integers(1, n)
+    taps = st.lists(st.integers(-2, 2), min_size=1, max_size=2).map(LaurentPoly)
+    gates = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("CNOT", "CPHASE", "CPHASE1", "H", "P", "DELAY")))
+        i = draw(wire)
+        if kind in ("CNOT", "CPHASE"):
+            j = draw(wire.filter(lambda w: w != i))
+            gates.append(Gate(kind, (i, j), draw(taps)))
+        elif kind == "CPHASE1":
+            gates.append(Gate(kind, (i,), LaurentPoly.monomial(draw(st.integers(1, 2)))))
+        elif kind == "DELAY":
+            gates.append(Gate(kind, (i,), LaurentPoly.monomial(draw(st.integers(0, 2)))))
+        else:
+            gates.append(Gate(kind, (i,)))
+    return n, gates
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_gate_lists())
+def test_reduce_memory_equals_greedy_move_loop(case):
+    # DELAY gates give non-uniform depths, which no benchmark workload has
+    n, gates = case
+    circ = identity_circuit(n)
+    for g in gates:
+        circ = cascade(circ, build_from_gate(g, n))
+    reduced = reduce_memory(circ)
+    expected = [_greedy_reduce_section(sec) for sec in circ.sections]
+    assert reduced == ShiftRegisterCircuit(
+        n, tuple(sec for sec in expected if not sec.is_trivial))
+    t0, _ = circuit_transfer(circ)
+    t1, _ = circuit_transfer(reduced)
+    assert t0.equal_mod_monomial(t1) is not None
