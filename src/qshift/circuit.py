@@ -92,6 +92,8 @@ class FeedbackNode:
     def __post_init__(self):
         if self.kind not in ("Z", "X"):
             raise ValueError("feedback kind must be 'Z' or 'X'")
+        if self.wire < 1:
+            raise ValueError(f"bad feedback wire {self.wire}; wires are numbered from 1")
         f = self.poly
         if not f or f.delay != 0 or f.deg < 1:
             raise ValueError("feedback polynomial must have delay 0 and degree >= 1")
@@ -487,11 +489,14 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
     sections = []
     depths = None
     placements = []
+    section_line = None
+    finite = []  # (line of the section header, section)
 
     def flush():
         nonlocal depths, placements
         if depths is not None:
             sections.append(FiniteSection(tuple(depths), tuple(placements)))
+            finite.append((section_line, sections[-1]))
             depths, placements = None, []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -510,6 +515,7 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
                     raise ParseError("section line needs depths=")
                 depths = [int(v) for v in rest[len("depths="):].split(",")]
                 placements = []
+                section_line = lineno
             elif head == "gate":
                 if depths is None:
                     raise ParseError("gate line outside a section")
@@ -541,6 +547,11 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
     if n is None:
         raise ParseError("missing 'n <wires>' header")
     c = ShiftRegisterCircuit(n, tuple(sections))
+    for lineno, sec in finite:  # circuit_to_text writes only causal schedules
+        try:
+            check_schedule(sec)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
     if "frames" in declared and declared["frames"] != c.m:
         raise ParseError(f"declared frames {declared['frames']} but circuit has {c.m}")
     return c

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 from .gf2poly import ParseError, series_expand
 from .symplectic import StabilizerMatrix, SympMatrix
-from .circuit import (
-    FiniteSection,
-    ShiftRegisterCircuit,
-    check_schedule,
-    circuit_from_text,
-    circuit_to_text,
-)
+from .circuit import ShiftRegisterCircuit, circuit_from_text, circuit_to_text
 from .simulator import PauliStream, impulse_response, recommended_horizon, run
 from .synthesis import (
     SynthesisError,
@@ -166,9 +160,6 @@ def cmd_simulate(args) -> RunReport:
 def cmd_reduce(args) -> RunReport:
     report = RunReport(command=f"reduce {args.circuit}")
     circuit = _load_circuit(args.circuit, report)
-    for sec in circuit.sections:
-        if isinstance(sec, FiniteSection):
-            check_schedule(sec)  # the reducer assumes a causal schedule
     reduced = reduce_memory(circuit)
     text = circuit_to_text(reduced)
     report.outputs.append(("memory frames", f"{circuit.m} -> {reduced.m}"))

@@ -372,22 +372,8 @@ def series_expand(r, horizon: int) -> LaurentPoly:
     return (num * inv).truncated(horizon)
 
 
-# Transfer-entry helpers: matrix code treats entries uniformly as either
-# LaurentPoly or RationalTransfer.
-
-def entry_add(a, b):
-    if isinstance(a, LaurentPoly) and isinstance(b, LaurentPoly):
-        return a + b
-    return _coerce(a) + _coerce(b)
-
-
-def entry_mul(a, b):
-    if isinstance(a, LaurentPoly) and isinstance(b, LaurentPoly):
-        return a * b
-    return _coerce(a) * _coerce(b)
-
-
 def entry_parse(token: str):
+    """Parse a transfer entry: a polynomial, or ``num/den`` for a rational one."""
     if "/" in token:
         num, _, den = token.partition("/")
         return ratio(parse_poly(num), parse_poly(den))

@@ -24,8 +24,6 @@ from .gf2poly import (
     LaurentPoly,
     ParseError,
     RationalTransfer,
-    entry_add,
-    entry_mul,
     entry_parse,
     parse_poly,
     ratio,
@@ -145,7 +143,7 @@ def row_times(row, rows) -> list:
         if a:
             for j, b in enumerate(b_row):
                 if b:
-                    out[j] = entry_add(out[j], entry_mul(a, b))
+                    out[j] = out[j] + a * b
     return out
 
 
@@ -291,22 +289,35 @@ class SympMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "SympMatrix":
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines())
+        lines = [(lineno, ln) for lineno, ln in
+                 ((k, raw.strip()) for k, raw in enumerate(text.splitlines(), start=1))
                  if ln and not ln.startswith("#")]
-        if not lines or not lines[0].startswith("n "):
+        if not lines:
             raise ParseError("matrix file must start with 'n <qubits>'")
+        lineno, head = lines[0]
+        if not head.startswith("n "):
+            raise ParseError(f"line {lineno}: matrix file must start with 'n <qubits>'")
         try:
-            n = int(lines[0].split()[1])
+            n = int(head.split()[1])
         except (IndexError, ValueError) as exc:
-            raise ParseError("bad matrix header") from exc
+            raise ParseError(f"line {lineno}: bad matrix header") from exc
         if len(lines) != 1 + 2 * n:
-            raise ParseError(f"expected {2 * n} matrix rows, found {len(lines) - 1}")
+            # the first surplus row, else the last line read
+            lineno = lines[min(len(lines) - 1, max(1 + 2 * n, 0))][0]
+            raise ParseError(
+                f"line {lineno}: expected {2 * n} matrix rows, found {len(lines) - 1}")
         rows = []
-        for ln in lines[1:]:
+        for lineno, ln in lines[1:]:
             toks = ln.split()
             if len(toks) != 2 * n:
-                raise ParseError(f"expected {2 * n} entries per row: {ln!r}")
-            rows.append([entry_parse(t) for t in toks])
+                raise ParseError(f"line {lineno}: expected {2 * n} entries per row: {ln!r}")
+            row = []
+            for col, tok in enumerate(toks, start=1):
+                try:
+                    row.append(entry_parse(tok))
+                except (ValueError, ZeroDivisionError) as exc:  # ParseError, 1/0
+                    raise ParseError(f"line {lineno}, column {col}: {exc}") from exc
+            rows.append(row)
         return cls(n, rows)
 
     def __str__(self) -> str:
@@ -393,8 +404,8 @@ def apply_gates(t: SympMatrix, gates) -> SympMatrix:
                 for k, g in col:
                     a = row[k]
                     if a:
-                        term = a if g is ONE else entry_mul(a, g)
-                        acc = term if acc is None else entry_add(acc, term)
+                        term = a if g is ONE else a * g
+                        acc = term if acc is None else acc + term
                 new.append(ZERO if acc is None else acc)
             for (c, _), e in zip(cols, new):
                 row[c] = e
@@ -468,15 +479,8 @@ class StabilizerMatrix:
     def commutation_ok(self) -> bool:
         """Shift-invariant commutation for every row pair (self included)."""
         n = self.n
-        for a in self._rows:
-            for b in self._rows:
-                acc = ZERO
-                for w in range(n):
-                    acc = acc + a[w] * b[n + w].subst_inv()
-                    acc = acc + a[n + w] * b[w].subst_inv()
-                if acc:
-                    return False
-        return True
+        swapped = [r[n:] + r[:n] for r in self._rows]  # b . L for each row b
+        return not any(any(row) for row in pairing(self._rows, swapped))
 
     def to_text(self) -> str:
         if self._css is None:
@@ -539,16 +543,18 @@ class StabilizerMatrix:
         return "\n".join(out)
 
 
+def pairing(a_rows, b_rows) -> list:
+    """The shift-invariant pairing a(D) . b^T(D^-1) of two row lists.
+
+    Entry (i, j) is the sum over k of a_i[k] * b_j[k](D^-1).
+    """
+    return [[sum((x * y.subst_inv() for x, y in zip(ra, rb) if x and y), ZERO)
+             for rb in b_rows] for ra in a_rows]
+
+
 def dual_containing(hx, hz) -> bool:
     """True iff hx(D) . hz^T(D^-1) = 0."""
-    for rx in hx:
-        for rz in hz:
-            acc = ZERO
-            for a, b in zip(rx, rz):
-                acc = acc + a * b.subst_inv()
-            if acc:
-                return False
-    return True
+    return not any(any(row) for row in pairing(hx, hz))
 
 
 def _solve_combination(basis_rows, target):
@@ -579,12 +585,11 @@ def _solve_combination(basis_rows, target):
             inv = ratio(ONE, piv)
         else:
             inv = ratio(piv.den, piv.num)
-        aug[row_at] = [entry_mul(e, inv) for e in aug[row_at]]
+        aug[row_at] = [e * inv for e in aug[row_at]]
         for r in range(width):
             if r != row_at and aug[r][col]:
                 factor = aug[r][col]
-                aug[r] = [entry_add(a, entry_mul(factor, b))
-                          for a, b in zip(aug[r], aug[row_at])]
+                aug[r] = [a + factor * b for a, b in zip(aug[r], aug[row_at])]
         pivots.append((row_at, col))
         row_at += 1
     # consistency: rows without pivots must have zero RHS

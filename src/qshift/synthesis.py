@@ -28,8 +28,8 @@ from .symplectic import (
     SympMatrix,
     apply_gates,
     dual_containing,
+    pairing,
     parse_gate,
-    row_times,
 )
 from .circuit import (
     FiniteSection,
@@ -65,33 +65,6 @@ def _pmat_identity(k):
     return [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
 
 
-def _pmat_mul(a, b):
-    return [row_times(r, b) for r in a]
-
-
-def _pmat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def _pmat_subst_inv(a):
-    return [[e.subst_inv() for e in row] for row in a]
-
-
-def _pmat_block_diag(a, b):
-    ka, kb = len(a), len(b)
-    out = []
-    for i in range(ka):
-        out.append(list(a[i]) + [ZERO] * kb)
-    for i in range(kb):
-        out.append([ZERO] * ka + list(b[i]))
-    return out
-
-
-def _pmat_eq(a, b):
-    return len(a) == len(b) and all(
-        ra == rb for ra, rb in ((tuple(x), tuple(y)) for x, y in zip(a, b)))
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form over GF(2)[D]
 
@@ -110,16 +83,15 @@ class ElemOp:
 class SmithDecomposition:
     """a . s . b == original matrix shifted by D^monomial_shift.
 
-    ``a`` and ``b`` are unimodular accumulations of the recorded
-    elementary operations; ``b`` equals the recorded column operations
-    multiplied in reverse order, so applying ``col_ops`` in recorded
-    order realizes b^-1.
+    ``a`` and ``b`` are unimodular accumulations of the row and column
+    operations; ``b`` equals the recorded column operations multiplied
+    in reverse order, so applying ``col_ops`` in recorded order realizes
+    b^-1.
     """
 
     a: tuple
     s: tuple
     b: tuple
-    row_ops: tuple
     col_ops: tuple
     monomial_shift: int = 0
 
@@ -162,20 +134,17 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
     a = _pmat_identity(nr)
     b = _pmat_identity(nc)
-    row_ops = []
     col_ops = []
 
     def row_add(dst, src, f):
         rows[dst] = [rows[dst][j] + f * rows[src][j] for j in range(nc)]
         for r in range(nr):
             a[r][src] = a[r][src] + f * a[r][dst]
-        row_ops.append(ElemOp("add", src, dst, f))
 
     def row_swap(i, j):
         rows[i], rows[j] = rows[j], rows[i]
         for r in a:
             r[i], r[j] = r[j], r[i]
-        row_ops.append(ElemOp("swap", i, j))
 
     def col_add(dst, src, f):
         for r in rows:
@@ -248,7 +217,6 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         tuple(tuple(r) for r in a),
         tuple(tuple(r) for r in rows),
         tuple(tuple(r) for r in b),
-        tuple(row_ops),
         tuple(col_ops),
         shift,
     )
@@ -260,7 +228,11 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
 @dataclass(frozen=True)
 class EncoderPlan:
-    """Encoding gate sequence with its overall transformation matrix."""
+    """Encoding gate sequence with its overall transformation matrix.
+
+    ``b_overall`` is the ordered product of the closed-form matrices of
+    ``ops``, and ``memory_bound`` its absolute degree.
+    """
 
     n: int
     ops: tuple
@@ -311,6 +283,7 @@ def css_encoder(hx, hz) -> EncoderPlan:
     operations (reversed, they decode the code back to fresh ancillas);
     the returned plan's gates, applied in order to the unencoded
     stabilizer, produce a stabilizer row-space equivalent to the code.
+    The plan's encoding matrix is the ordered product of those gates.
     """
     hx = [list(r) for r in hx]
     hz = [list(r) for r in hz]
@@ -337,42 +310,22 @@ def css_encoder(hx, hz) -> EncoderPlan:
                 "X check matrix is catastrophic (Smith diagonal not all 1)")
         for op in sm_x.col_ops:
             decode_ops.extend(_x_col_op_gates(op, 0))
-        b2 = [list(r) for r in sm_x.b]
+        h_til = sm_x.b[s_x:]  # rows below the X check image
     else:
-        b2 = _pmat_identity(n)
+        h_til = _pmat_identity(n)
 
     if s_z:
-        h_til = [b2[r] for r in range(s_x, n)]  # rows below the X check image
-        hhat = _pmat_mul(hz, _pmat_subst_inv(_pmat_transpose(h_til)))
-        hhat = [_normalize_row(r) for r in hhat]
+        hhat = [_normalize_row(r) for r in pairing(hz, h_til)]
         sm_h = smith_normal_form(hhat)
         if sm_h.rank != s_z or any(d != ONE for d in sm_h.diagonal):
             raise CatastrophicCode(
                 "Z check matrix is catastrophic (Smith diagonal not all 1)")
         for op in sm_h.col_ops:
             decode_ops.extend(_z_col_op_gates(op, s_x))
-        b3 = [list(r) for r in sm_h.b]
-        b3_inv = sm_h.b_inverse()
-    else:
-        b3 = _pmat_identity(n - s_x)
-        b3_inv = _pmat_identity(n - s_x)
 
     # every CNOT-type elementary gate is self-inverse over GF(2)
     encode_ops = tuple(reversed(decode_ops))
-
-    if s_x:
-        b2_inv = sm_x.b_inverse()
-    else:
-        b2_inv = _pmat_identity(n)
-    e_x = _pmat_mul(
-        _pmat_block_diag(_pmat_identity(s_x),
-                         _pmat_subst_inv(_pmat_transpose(b3_inv))),
-        b2)
-    e_z = _pmat_mul(
-        _pmat_block_diag(_pmat_identity(s_x), b3),
-        _pmat_subst_inv(_pmat_transpose(b2_inv)))
-    b_overall = SympMatrix.block_diag_zx(e_z, e_x)
-
+    b_overall = sequence_transfer(encode_ops, n)
     return EncoderPlan(
         n=n,
         ops=encode_ops,
@@ -584,7 +537,7 @@ def _edge_product_matches(order, edges, target, n):
         for r in range(n):
             if work[r][i]:
                 work[r][j] = work[r][j] + f * work[r][i]
-    return _pmat_eq(work, target)
+    return work == target
 
 
 def _edge_taps(order, edges):

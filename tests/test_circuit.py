@@ -46,6 +46,8 @@ def test_section_validation():
         FiniteSection((1, 1), (Placement("CNOT", (1, 2), (2, 0)),))
     with pytest.raises(ValueError):
         FeedbackNode("Z", 1, ONE)
+    with pytest.raises(ValueError):
+        FeedbackNode("Z", 0, pp("1+D"))
 
 
 def test_cnot_circuit_plain():

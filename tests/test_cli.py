@@ -194,16 +194,50 @@ def test_reduce_command(tmp_path, capsys):
     assert "memory frames: 3 -> 2" in report
 
 
+# the later CNOT meets the earlier one on wire 1 one stage shallower,
+# where the two do not commute, so the section is not the product of its
+# gates: the reducer would change its transfer, and the simulator would
+# run another circuit than the symbolic transfer describes
+ACAUSAL_CIRCUIT = ("n 2\nsection depths=1,1\n"
+                   "gate CNOT a=1@1 b=2@1\ngate CNOT a=2@0 b=1@0\n")
+
+
 def test_reduce_rejects_acausal_schedule(tmp_path, capsys):
-    # the later CNOT meets the earlier one on wire 1 one stage shallower,
-    # where the two do not commute, so the section is not the product of
-    # its gates and the reducer would change its transfer
     path = tmp_path / "acausal.circuit"
-    path.write_text("n 2\nsection depths=1,1\n"
-                    "gate CNOT a=1@1 b=2@1\ngate CNOT a=2@0 b=1@0\n")
+    path.write_text(ACAUSAL_CIRCUIT)
     assert main(["reduce", str(path)]) == 2
     captured = capsys.readouterr()
     assert "acausal crossing" in captured.err
+    assert captured.out == ""
+
+
+def _verify_and_simulate(tmp_path, circuit_text):
+    """Exit codes of verify and simulate on a two-wire circuit file."""
+    circ = tmp_path / "bad.circuit"
+    circ.write_text(circuit_text)
+    exp = tmp_path / "id.matrix"
+    exp.write_text("n 2\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    stream = tmp_path / "in.stream"
+    stream.write_text("n 2\nn=0 z=10 x=01\n")
+    return (main(["verify", str(circ), str(exp), "--horizon", "8"]),
+            main(["simulate", str(circ), str(stream), "--horizon", "8"]))
+
+
+def test_verify_and_simulate_reject_acausal_schedule(tmp_path, capsys):
+    assert _verify_and_simulate(tmp_path, ACAUSAL_CIRCUIT) == (2, 2)
+    captured = capsys.readouterr()
+    assert captured.err.count("line 2: schedule has an acausal crossing") == 2
+    assert captured.out == ""
+
+
+def test_feedback_on_wire_zero_rejected(tmp_path, capsys):
+    # wire 0 would index wire -1, the last wire, in the simulator
+    text = "n 2\nffb Z wire=0 f=1+D\n"
+    assert _verify_and_simulate(tmp_path, text) == (2, 2)
+    path = tmp_path / "bad.circuit"
+    assert main(["reduce", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("line 2:") == 3 and "wire 0" in captured.err
     assert captured.out == ""
 
 

@@ -10,6 +10,7 @@ from qshift.symplectic import (
     dual_containing,
     gate_matrix,
     lam,
+    pairing,
     parse_gate,
     row_space_equiv,
 )
@@ -267,6 +268,17 @@ def test_dual_containing():
     assert dual_containing([[ONE, ZERO]], [[ZERO, ONE]])
 
 
+def test_pairing():
+    # entry (i, j) = sum_k a_i[k] * b_j[k](D^-1), worked by hand:
+    # (0,0) 1*D^-1 + D*1, (0,1) 1*1 + D*D^-2, (1,0) D*D^-1 + (1+D)*1,
+    # (1,1) D*1 + (1+D)*D^-2
+    a = [[ONE, pp("D")], [pp("D"), pp("1+D")]]
+    b = [[pp("D"), ONE], [ONE, pp("D^2")]]
+    assert pairing(a, b) == [[pp("D^-1+D"), pp("1+D^-1")],
+                             [pp("D"), pp("D^-2+D^-1+D")]]
+    assert pairing(a, []) == [[], []]
+
+
 def test_stabilizer_text_round_trip():
     text = "n 3\ncss\nX: 1 D 1+D\nZ: D 1 1+D\n"
     stab = StabilizerMatrix.from_text(text)
@@ -285,6 +297,21 @@ def test_matrix_text_round_trip():
     assert again == m
     inf = gate_matrix(Gate("INF_Z", (1,), pp("1+D")), 2)
     assert SympMatrix.from_text(inf.to_text()) == inf
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# identity\nn 1\n1 0\n0 Q\n", "line 4, column 2: bad polynomial term 'Q'"),
+    ("n 1\n1 0\n1/0 1\n", "line 3, column 1: zero denominator"),
+    ("\nn x\n1 0\n0 1\n", "line 2: bad matrix header"),
+    ("1 0\n0 1\n", "line 1: matrix file must start with 'n <qubits>'"),
+    ("n 1\n1 0\n", "line 2: expected 2 matrix rows, found 1"),
+    ("n 1\n1 0\n0 1\n\n1 1\n", "line 5: expected 2 matrix rows, found 3"),
+    ("n 1\n1 0 0\n0 1\n", "line 2: expected 2 entries per row"),
+])
+def test_matrix_text_errors_are_located(text, message):
+    with pytest.raises(ParseError) as exc:
+        SympMatrix.from_text(text)
+    assert str(exc.value).startswith(message)
 
 
 def test_equal_mod_monomial():

@@ -203,6 +203,7 @@ def test_css_encoder_rejects_laurent_input():
 def test_css_encoder_random_plans():
     rng = random.Random(2718)
     tested = 0
+    kinds = set()  # (no X checks, no Z checks) of each tested code
     while tested < 40:
         n = rng.randint(2, 4)
         s_x = rng.randint(0, n - 1)
@@ -246,6 +247,15 @@ def test_css_encoder_random_plans():
             replay = replay.apply(gate_matrix(g, n))
         assert row_space_equiv(replay, plan.target)
         assert plan.circuit().m <= plan.memory_bound
+        # the encoding matrix is the dense product of the gates, in order
+        prod = SympMatrix.identity(n)
+        for g in plan.ops:
+            prod = prod @ gate_matrix(g, n)
+        assert plan.b_overall == prod
+        assert plan.memory_bound == prod.abs_deg()
+        kinds.add((len(hx) == 0, len(hz) == 0))
+    # codes without X checks and codes without Z checks were both drawn
+    assert {(True, False), (False, True)} <= kinds
 
 
 def test_reduce_memory_in_between_chain():
