@@ -54,23 +54,27 @@ class Placement:
         return Placement(self.kind, a, b)
 
 
+def _check_slots(p: Placement, depths) -> None:
+    """Raise unless every slot of ``p`` lies on a wire and within its depth."""
+    for wire, stage in p.slots:
+        if wire > len(depths):
+            raise ValueError(f"placement references wire {wire} of {len(depths)}")
+        if stage > depths[wire - 1]:
+            raise ValueError(
+                f"placement references stage {stage} beyond depth "
+                f"{depths[wire - 1]} on wire {wire}")
+
+
 @dataclass(frozen=True)
 class FiniteSection:
     depths: tuple
     placements: tuple
 
     def __post_init__(self):
-        n = len(self.depths)
         if any(d < 0 for d in self.depths):
             raise ValueError("negative pipeline depth")
         for p in self.placements:
-            for wire, stage in p.slots:
-                if wire > n:
-                    raise ValueError(f"placement references wire {wire} of {n}")
-                if stage > self.depths[wire - 1]:
-                    raise ValueError(
-                        f"placement references stage {stage} beyond depth "
-                        f"{self.depths[wire - 1]} on wire {wire}")
+            _check_slots(p, self.depths)
 
     @property
     def m(self) -> int:
@@ -154,31 +158,37 @@ def identity_circuit(n: int) -> ShiftRegisterCircuit:
 
 
 def _canonical_sections(sections):
-    """Merge adjacent finite sections and drop trivial ones."""
+    """Merge runs of adjacent finite sections and drop trivial ones."""
     out = []
     for sec in sections:
         if isinstance(sec, FiniteSection):
             if sec.is_trivial:
                 continue
-            if out and isinstance(out[-1], FiniteSection):
-                out[-1] = _merge_finite(out[-1], sec)
+            if out and isinstance(out[-1], list):
+                out[-1].append(sec)
                 continue
+            sec = [sec]
         out.append(sec)
-    return tuple(out)
+    return tuple(_merge_finite(sec) if isinstance(sec, list) else sec for sec in out)
 
 
-def _merge_finite(f1: FiniteSection, f2: FiniteSection) -> FiniteSection:
-    offsets = f1.depths
-    depths = tuple(a + b for a, b in zip(f1.depths, f2.depths))
+def _merge_finite(run) -> FiniteSection:
+    """One section for a run of finite sections, each one pipeline downstream."""
+    if len(run) == 1:
+        return run[0]
+    offsets = run[0].depths
+    placements = list(run[0].placements)
 
     def shift_slot(slot):
         wire, stage = slot
         return (wire, stage + offsets[wire - 1])
 
-    shifted = tuple(
-        Placement(p.kind, shift_slot(p.a), None if p.b is None else shift_slot(p.b))
-        for p in f2.placements)
-    return FiniteSection(depths, f1.placements + shifted)
+    for sec in run[1:]:
+        placements.extend(
+            Placement(p.kind, shift_slot(p.a), None if p.b is None else shift_slot(p.b))
+            for p in sec.placements)
+        offsets = tuple(a + b for a, b in zip(offsets, sec.depths))
+    return FiniteSection(offsets, tuple(placements))
 
 
 def cascade(c1: ShiftRegisterCircuit, c2: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
@@ -514,6 +524,8 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
                 if not rest.startswith("depths="):
                     raise ParseError("section line needs depths=")
                 depths = [int(v) for v in rest[len("depths="):].split(",")]
+                if any(d < 0 for d in depths):
+                    raise ParseError("negative pipeline depth")
                 placements = []
                 section_line = lineno
             elif head == "gate":
@@ -530,6 +542,7 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
                 if "f" in kv and b is not None:
                     if parse_poly(kv["f"]) != LaurentPoly.monomial(a[1] - b[1]):
                         raise ParseError("tap polynomial disagrees with slots")
+                _check_slots(p, depths)
                 placements.append(p)
             elif head == "ffb":
                 flush()
@@ -537,6 +550,8 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
                 kind = fields[0]
                 kv = dict(f.split("=", 1) for f in fields[1:])
                 sections.append(FeedbackNode(kind, int(kv["wire"]), parse_poly(kv["f"])))
+                if n is not None and sections[-1].wire > n:
+                    raise ParseError(f"feedback wire {sections[-1].wire} of {n}")
             else:
                 raise ParseError(f"unrecognized line {line!r}")
         except ParseError as exc:
@@ -546,12 +561,14 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
     flush()
     if n is None:
         raise ParseError("missing 'n <wires>' header")
-    c = ShiftRegisterCircuit(n, tuple(sections))
     for lineno, sec in finite:  # circuit_to_text writes only causal schedules
         try:
+            if len(sec.depths) != n:
+                raise ValueError(f"section has {len(sec.depths)} depths for {n} wires")
             check_schedule(sec)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+    c = ShiftRegisterCircuit(n, tuple(sections))
     if "frames" in declared and declared["frames"] != c.m:
         raise ParseError(f"declared frames {declared['frames']} but circuit has {c.m}")
     return c

@@ -8,12 +8,14 @@ a delay-line block.  Reduction schedules every gate at its earliest
 legal pipeline stage in one pass, cancels identical gate pairs, and
 deletes memory frames that no gate touches; compilation additionally tries
 equivalent re-decompositions of the same product and keeps the circuit
-with the fewest frames.
+with the fewest frames.  A tap-span floor on the reduced memory lets it
+skip candidates that cannot beat the best one so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .gf2poly import (
     LaurentPoly,
@@ -38,9 +40,7 @@ from .circuit import (
     _canonical_sections,
     _wire_users,
     build_from_gate,
-    cascade,
     check_schedule,
-    identity_circuit,
     instances_commute,
 )
 
@@ -241,7 +241,7 @@ class EncoderPlan:
     target: StabilizerMatrix
 
     def circuit(self) -> ShiftRegisterCircuit:
-        return compile_sequence(self.ops, self.n)
+        return compile_sequence(list(self.ops), self.n, transfer=self.b_overall)
 
 
 def _x_col_op_gates(op: ElemOp, offset: int):
@@ -428,6 +428,28 @@ def _reduce_section(sec: FiniteSection) -> FiniteSection:
     return reduced
 
 
+def _span_floor(c: ShiftRegisterCircuit) -> int:
+    """Lower bound on ``reduce_memory(c).m``, read off the placements.
+
+    Scheduling moves a placement whole, so it keeps the span between its
+    two stages, and cancellation drops only pairs of equal placements.
+    A shape (kind and slots relative to its lowest stage) that occurs an
+    odd number of times therefore leaves a survivor, and the reduced
+    section holds its span.  Sections after the first are not reduced.
+    """
+    sections = c.sections
+    if not sections or not isinstance(sections[0], FiniteSection):
+        return c.m
+    odd = set()
+    for p in sections[0].placements:
+        if p.b is not None:
+            (wa, sa), (wb, sb) = p.a, p.b
+            low = min(sa, sb)
+            odd ^= {(p.kind, wa, sa - low, wb, sb - low)}
+    floor = max((sa + sb for _, _, sa, _, sb in odd), default=0)
+    return floor + sum(sec.m for sec in sections[1:])
+
+
 def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
     """Commute gates toward the input and delete untouched trailing frames.
 
@@ -453,10 +475,9 @@ def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
 
 
 def _cascade_all(ops, n: int) -> ShiftRegisterCircuit:
-    c = identity_circuit(n)
-    for gate in ops:
-        c = cascade(c, build_from_gate(gate, n))
-    return c
+    """``cascade`` of the primitive circuits of ``ops``, merged in one pass."""
+    sections = [sec for gate in ops for sec in build_from_gate(gate, n).sections]
+    return ShiftRegisterCircuit(n, _canonical_sections(sections))
 
 
 def _gates_commute(a: Gate, b: Gate, n: int) -> bool:
@@ -549,14 +570,17 @@ def _edge_taps(order, edges):
     return placements
 
 
-def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
+def _cnot_dag_candidate(ops, n: int, total: SympMatrix, below: int | None = None):
     """One-gate-per-entry factorization of a CNOT-only product.
 
     Applies when the X block is identity plus off-diagonal entries whose
     wire graph is acyclic.  Gate orderings that reproduce the product
-    exactly (cross terms may cancel) are searched and the one whose
-    earliest-stage schedule reaches the lowest stage wins.  ``total`` is
-    the transfer of ``ops``.
+    exactly (cross terms may cancel) are searched and the first one whose
+    earliest-stage schedule reaches the lowest stage wins; the search
+    stops at an ordering that reaches the largest tap exponent |e|, since
+    a placement of tap D^e spans |e| stages.  With ``below`` given, only
+    a schedule whose highest stage is below it counts (None if there is
+    none).  ``total`` is the transfer of ``ops``.
     """
     if not ops or not all(g.kind == "CNOT" for g in ops):
         return None
@@ -570,6 +594,9 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
                 edges[(i, j)] = x[i][j]
     if not edges:
         return []
+    floor = max(abs(e) for f in edges.values() for e in f.support)
+    if below is not None and floor >= below:
+        return None
     succ = {i: set() for i in range(n)}
     indeg = {i: 0 for i in range(n)}
     for (i, j) in edges:
@@ -588,8 +615,7 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
     if len(pos) != n:
         return None  # cyclic wire couplings
     if len(edges) <= 5:
-        from itertools import permutations
-        orderings = list(permutations(edges))
+        orderings = permutations(edges)
     else:
         orderings = [
             tuple(sorted(edges, key=lambda e: (-pos[e[0]], pos[e[1]]))),
@@ -597,17 +623,19 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
             tuple(sorted(edges, key=lambda e: (pos[e[1]], pos[e[0]]))),
             tuple(sorted(edges, key=lambda e: (-pos[e[1]], -pos[e[0]]))),
         ]
-    best = None
+    best_m, best = below, None
     for order in orderings:
         if not _edge_product_matches(order, edges, x, n):
             continue
         placed = _earliest_stages(_edge_taps(order, edges))
         m = max((s for p in placed for _, s in p.slots), default=0)
-        if best is None or m < best[0]:
-            best = (m, order)
+        if best_m is None or m < best_m:
+            best_m, best = m, order
+            if m == floor:
+                break
     if best is None:
         return None
-    return [Gate("CNOT", (i + 1, j + 1), edges[(i, j)]) for i, j in best[1]]
+    return [Gate("CNOT", (i + 1, j + 1), edges[(i, j)]) for i, j in best]
 
 
 def _relabel_gate(g: Gate, a: int, b: int) -> Gate:
@@ -730,33 +758,47 @@ def _cnot_euclid_candidate(ops, n: int, total: SympMatrix):
     return [Gate("CNOT", (src + 1, dst + 1), f) for (src, dst, f) in reversed(rec)]
 
 
-def compile_sequence(ops, n: int) -> ShiftRegisterCircuit:
+def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
+                     ) -> ShiftRegisterCircuit:
     """Compile a gate sequence into a memory-reduced circuit.
 
-    The cascade of the gates as given is reduced by commuting gates
-    through memory; equivalent decompositions of the same transformation
-    (merged gate pairs, direct or column-eliminated factorizations of a
-    CNOT-only product) are compiled as well and the circuit with the
-    fewest memory frames wins.  All candidates implement the same
-    transfer up to a global delay monomial.
+    Candidates, in order: the gates as given, swap blocks pushed to the
+    tail, merged gate pairs, and for a CNOT-only product its one gate per
+    entry (DAG) and column-eliminated (Euclid) factorizations.  Each is
+    cascaded and reduced (``reduce_memory``), and the first candidate
+    with the fewest memory frames wins.  A candidate whose span floor
+    (``_span_floor``) already reaches the best m so far cannot win and
+    is not reduced, and the DAG search is bounded by the best m of the
+    candidates before it.  A candidate other than the gates as given
+    replaces the best only if its gate product equals ``transfer``, the
+    product of ``ops`` (computed when not given), so every candidate
+    implements the same transfer up to a global delay monomial.
     """
     ops = list(ops)
-    total = sequence_transfer(ops, n)
-    variants = [ops]
+    total = sequence_transfer(ops, n) if transfer is None else transfer
+    variants = []
+    best = None
+
+    def consider(v):
+        nonlocal best
+        if v is None or v in variants:
+            return
+        variants.append(v)
+        c = _cascade_all(v, n)
+        if best is not None and _span_floor(c) >= best.m:
+            return
+        reduced = reduce_memory(c)
+        if best is None or (reduced.m < best.m and sequence_transfer(v, n) == total):
+            best = reduced
+
+    consider(ops)
     unswapped = _push_swaps_back(ops, n)
-    if unswapped != ops:
-        variants.append(unswapped)
-    simplified = _simplify_ops(list(unswapped), n)
-    if simplified not in variants:
-        variants.append(simplified)
-    for cand in (_cnot_dag_candidate(ops, n, total),
-                 _cnot_euclid_candidate(ops, n, total)):
-        if cand is not None and cand not in variants:
-            variants.append(cand)
-    # alternative decompositions must reproduce the exact product
-    variants = [v for v in variants if v is ops or sequence_transfer(v, n) == total]
-    candidates = [reduce_memory(_cascade_all(v, n)) for v in variants]
-    return min(candidates, key=lambda c: c.m)
+    consider(unswapped)
+    consider(_simplify_ops(list(unswapped), n))
+    # a DAG schedule's highest stage is the m of its reduced cascade
+    consider(_cnot_dag_candidate(ops, n, total, below=best.m))
+    consider(_cnot_euclid_candidate(ops, n, total))
+    return best
 
 
 def sequence_transfer(ops, n: int) -> SympMatrix:

@@ -361,3 +361,20 @@ def test_circuit_text_errors():
     with pytest.raises(ParseError):
         circuit_from_text("n 2\nsection depths=1,1\n"
                           "gate CNOT s=1 a=1@1 b=2@0 f=D^3\n")
+
+
+def test_section_errors_are_located():
+    # each gate line is checked against its section when it is read, so a
+    # bad placement names its own line, not the next header or none at all
+    bad_gate = "n 2\nsection depths=1\ngate CNOT a=1@0 b=2@0\n"
+    for text in (bad_gate, bad_gate + "section depths=0,0\n"):
+        with pytest.raises(ParseError, match=r"^line 3: .*placement references wire 2 of 1"):
+            circuit_from_text(text)
+    with pytest.raises(ParseError, match=r"^line 3: .*stage 1 beyond depth 0 on wire 2"):
+        circuit_from_text("n 2\nsection depths=1,0\ngate CNOT a=1@0 b=2@1\n")
+    with pytest.raises(ParseError, match=r"^line 2: negative pipeline depth"):
+        circuit_from_text("n 2\nsection depths=-1,0\n")
+    with pytest.raises(ParseError, match=r"^line 3: section has 1 depths for 2 wires"):
+        circuit_from_text("n 2\nffb Z wire=1 f=1+D\nsection depths=1\n")
+    with pytest.raises(ParseError, match=r"^line 2: feedback wire 3 of 2"):
+        circuit_from_text("n 2\nffb Z wire=3 f=1+D\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from qshift.synthesis import (
     typeII_memory_bound,
     unencoded_stabilizer,
 )
+from test_circuit import mixed_gate_lists
 
 FGG_SEQUENCE = """\
 H 1
@@ -200,6 +202,36 @@ def test_css_encoder_rejects_laurent_input():
         css_encoder([[pp("D^-1"), ONE]], [])
 
 
+def _random_css_code(rng, n, s_x, s_z, max_gates, max_exp):
+    """(hx, hz) of fresh ancillas under random delay-free CNOTs, each row
+    shifted to delay 0; None when a row mixes Z and X."""
+    stab = unencoded_stabilizer(n, s_x, s_z)
+    for _ in range(rng.randint(1, max_gates)):
+        i = rng.randint(1, n)
+        j = rng.randint(1, n)
+        while j == i:
+            j = rng.randint(1, n)
+        f = LaurentPoly([rng.randint(0, max_exp) for _ in range(rng.randint(1, 2))])
+        if not f:
+            continue
+        stab = stab.apply(gate_matrix(Gate("CNOT", (i, j), f), n))
+    hx, hz = [], []
+    for row in stab.rows:
+        z, x = row[:n], row[n:]
+        if any(x) and not any(z):
+            hx.append(list(x))
+        elif any(z) and not any(x):
+            hz.append(list(z))
+        else:
+            return None
+
+    def norm(r):
+        d = min((e.delay for e in r if e), default=0)
+        return [e.shift(-d) for e in r] if d else r
+
+    return [norm(r) for r in hx], [norm(r) for r in hz]
+
+
 def test_css_encoder_random_plans():
     rng = random.Random(2718)
     tested = 0
@@ -208,35 +240,10 @@ def test_css_encoder_random_plans():
         n = rng.randint(2, 4)
         s_x = rng.randint(0, n - 1)
         s_z = rng.randint(0 if s_x else 1, n - s_x)
-        stab = unencoded_stabilizer(n, s_x, s_z)
-        for _ in range(rng.randint(1, 4)):
-            i = rng.randint(1, n)
-            j = rng.randint(1, n)
-            while j == i:
-                j = rng.randint(1, n)
-            f = LaurentPoly([rng.randint(0, 2) for _ in range(rng.randint(1, 2))])
-            if not f:
-                continue
-            stab = stab.apply(gate_matrix(Gate("CNOT", (i, j), f), n))
-        hx, hz = [], []
-        ok = True
-        for row in stab.rows:
-            z, x = row[:n], row[n:]
-            if any(x) and not any(z):
-                hx.append(list(x))
-            elif any(z) and not any(x):
-                hz.append(list(z))
-            else:
-                ok = False
-        if not ok:
+        code = _random_css_code(rng, n, s_x, s_z, 4, 2)
+        if code is None:
             continue
-
-        def norm(r):
-            d = min((e.delay for e in r if e), default=0)
-            return [e.shift(-d) for e in r] if d else r
-
-        hx = [norm(r) for r in hx]
-        hz = [norm(r) for r in hz]
+        hx, hz = code
         try:
             plan = css_encoder(hx, hz)
         except (CatastrophicCode, NotDualContaining):
@@ -521,3 +528,179 @@ def test_reduce_memory_equals_greedy_move_loop(case):
     t0, _ = circuit_transfer(circ)
     t1, _ = circuit_transfer(reduced)
     assert t0.equal_mod_monomial(t1) is not None
+
+
+def test_compile_keeps_simplified_variant():
+    # the merged-pairs variant is the only one that reaches m = 5 here;
+    # without it compile_sequence returns m = 6
+    ops = parse_sequence(
+        "CNOT 1 2 1+D^2+D^3\nH 2\nCPHASE 1 2 D^-2\nCNOT 1 2 D^-1+1+D^3\n"
+        "H 1\nCNOT 2 1 D^-1+1+D\nCPHASE 1 2 1\nCNOT 2 1 D^-1+1+D\n")
+    circ = compile_sequence(ops, 2)
+    assert circ.m == 5
+    t, _ = circuit_transfer(circ)
+    assert t.equal_mod_monomial(sequence_transfer(ops, 2)) is not None
+
+
+def _cascade_gates(gates, n):
+    circ = identity_circuit(n)
+    for g in gates:
+        circ = cascade(circ, build_from_gate(g, n))
+    return circ
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(finite_gate_lists(), mixed_gate_lists()))
+def test_span_floor_bounds_reduced_memory(case):
+    n, gates = case
+    circ = _cascade_gates(gates, n)
+    assert synthesis._span_floor(circ) <= reduce_memory(circ).m
+
+
+# The compile search as it was before its lower bounds: every ordering of
+# the DAG edges is scheduled and every variant is transfer-checked and
+# reduced; the first with the lowest m wins.
+
+def _dag_exhaustive(ops, n, total):
+    if not ops or not all(g.kind == "CNOT" for g in ops):
+        return None
+    x = total.x_block()
+    edges = {}
+    for i in range(n):
+        if x[i][i] != ONE:
+            return None
+        for j in range(n):
+            if i != j and x[i][j]:
+                edges[(i, j)] = x[i][j]
+    if not edges:
+        return []
+    succ = {i: {j for (a, j) in edges if a == i} for i in range(n)}
+    indeg = {j: sum(j in s for s in succ.values()) for j in range(n)}
+    queue = sorted(i for i in range(n) if indeg[i] == 0)
+    pos = {}
+    while queue:
+        v = queue.pop(0)
+        pos[v] = len(pos)
+        for w in sorted(succ[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    if len(pos) != n:
+        return None
+    if len(edges) <= 5:
+        orderings = list(itertools.permutations(edges))
+    else:
+        orderings = [
+            tuple(sorted(edges, key=lambda e: (-pos[e[0]], pos[e[1]]))),
+            tuple(sorted(edges, key=lambda e: (pos[e[0]], pos[e[1]]))),
+            tuple(sorted(edges, key=lambda e: (pos[e[1]], pos[e[0]]))),
+            tuple(sorted(edges, key=lambda e: (-pos[e[1]], -pos[e[0]]))),
+        ]
+    best = None
+    for order in orderings:
+        if not synthesis._edge_product_matches(order, edges, x, n):
+            continue
+        placed = synthesis._earliest_stages(synthesis._edge_taps(order, edges))
+        m = max((s for p in placed for _, s in p.slots), default=0)
+        if best is None or m < best[0]:
+            best = (m, order)
+    if best is None:
+        return None
+    return [Gate("CNOT", (i + 1, j + 1), edges[(i, j)]) for i, j in best[1]], best[0]
+
+
+def _compile_exhaustive(ops, n):
+    ops = list(ops)
+    total = sequence_transfer(ops, n)
+    variants = [ops]
+    unswapped = synthesis._push_swaps_back(ops, n)
+    if unswapped != ops:
+        variants.append(unswapped)
+    simplified = synthesis._simplify_ops(list(unswapped), n)
+    if simplified not in variants:
+        variants.append(simplified)
+    dag = _dag_exhaustive(ops, n, total)
+    for cand in (dag and dag[0], synthesis._cnot_euclid_candidate(ops, n, total)):
+        if cand is not None and cand not in variants:
+            variants.append(cand)
+    variants = [v for v in variants if v is ops or sequence_transfer(v, n) == total]
+    return min((reduce_memory(_cascade_gates(v, n)) for v in variants), key=lambda c: c.m)
+
+
+@st.composite
+def cnot_gate_lists(draw):
+    """(n, gates): CNOT-only lists with signed taps, the DAG and Euclid input."""
+    n = draw(st.integers(2, 4))
+    wire = st.integers(1, n)
+    taps = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(LaurentPoly)
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(wire)
+        gates.append(Gate("CNOT", (i, draw(wire.filter(lambda w: w != i))), draw(taps)))
+    return n, gates
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(cnot_gate_lists(), finite_gate_lists(), mixed_gate_lists()))
+def test_compile_sequence_equals_exhaustive_selection(case):
+    n, gates = case
+    assert compile_sequence(gates, n) == _compile_exhaustive(gates, n)
+
+
+def test_dag_candidate_equals_exhaustive_orderings():
+    # acyclic products: every edge runs forward in a random wire order,
+    # several edges on one pair, so cross terms and cancellations occur
+    rng = random.Random(6061)
+    above_floor = cases = 0
+    while cases < 400:
+        n = rng.randint(2, 4)
+        order = rng.sample(range(1, n + 1), n)
+        ops = []
+        for _ in range(rng.randint(1, 7)):
+            a, b = sorted(rng.sample(range(n), 2))
+            f = LaurentPoly(rng.sample(range(-3, 4), rng.randint(1, 3)))
+            ops.append(Gate("CNOT", (order[a], order[b]), f))
+        total = sequence_transfer(ops, n)
+        expected = _dag_exhaustive(ops, n, total)
+        if not expected:
+            continue
+        cases += 1
+        floor = max(abs(e) for g in expected[0] for e in g.poly.support)
+        above_floor += expected[1] > floor
+        assert synthesis._cnot_dag_candidate(ops, n, total) == expected[0]
+        # with a bound, only a schedule below it counts
+        m = expected[1]
+        assert synthesis._cnot_dag_candidate(ops, n, total, below=m + 1) == expected[0]
+        assert synthesis._cnot_dag_candidate(ops, n, total, below=m) is None
+    assert above_floor >= 25
+
+
+def test_encoder_circuits_equal_exhaustive_selection():
+    # encoder gate lists are where later variants win most often
+    rng = random.Random(8080)
+    tested = 0
+    while tested < 150:
+        n = rng.randint(3, 5)
+        s_x = rng.randint(1, n - 2)
+        code = _random_css_code(rng, n, s_x, rng.randint(1, n - 1 - s_x), 4, 3)
+        if code is None:
+            continue
+        try:
+            plan = css_encoder(*code)
+        except (CatastrophicCode, NotDualContaining):
+            continue
+        tested += 1
+        assert plan.circuit() == _compile_exhaustive(plan.ops, n)
+
+
+def test_compile_takes_dag_variant_below_the_others():
+    # the DAG factorization is the only variant that reaches m = 5 here; the
+    # DAG search runs with the best m of the variants before it as its bound
+    ops = parse_sequence("CNOT 4 2 D^-2\nCNOT 2 1 D^-3+D^-1+1\n"
+                         "CNOT 3 2 D^-4+D^2+D^4\nCNOT 4 1 D\n")
+    total = sequence_transfer(ops, 4)
+    dag = synthesis._cnot_dag_candidate(ops, 4, total)
+    circ = compile_sequence(ops, 4)
+    assert circ.m == 5
+    assert circ == reduce_memory(_cascade_gates(dag, 4)) == _compile_exhaustive(ops, 4)
+    assert synthesis._cnot_dag_candidate(ops, 4, total, below=6) == dag
