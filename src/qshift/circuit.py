@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gf2poly import LaurentPoly, ParseError, parse_poly
-from .symplectic import Gate, SympMatrix, apply_gates
+from .gf2poly import LaurentPoly, ParseError, content_lines, parse_poly
+from .symplectic import Gate, SympMatrix, apply_gates, gates_commute
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
@@ -202,17 +202,16 @@ def cascade(c1: ShiftRegisterCircuit, c2: ShiftRegisterCircuit) -> ShiftRegister
 # Primitive constructors
 
 
+def tap_placements(kind: str, i: int, j: int, f: LaurentPoly) -> list:
+    """One placement per tap D^e of f, from slot (i, max(e, 0)) to (j, max(-e, 0))."""
+    return [Placement(kind, (i, max(e, 0)), (j, max(-e, 0))) for e in sorted(f.support)]
+
+
 def _tap_section(kind: str, i: int, j: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
     if not f:
         return identity_circuit(n)
-    m = f.abs_deg
-    placements = []
-    for e in sorted(f.support):
-        src = (i, max(e, 0))
-        tgt = (j, max(-e, 0))
-        placements.append(Placement(kind, src, tgt))
-    return ShiftRegisterCircuit(
-        n, ((FiniteSection((m,) * n, tuple(placements)),) if m or placements else ()))
+    section = FiniteSection((f.abs_deg,) * n, tuple(tap_placements(kind, i, j, f)))
+    return ShiftRegisterCircuit(n, (section,))
 
 
 def build_cnot_circuit(i: int, j: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
@@ -309,53 +308,25 @@ def _check_pair(i, j, n):
 # Instance commutation and schedule soundness
 
 
-def _local_matrix(kind, qubit_ids, k):
-    """2k x 2k bit matrix of an instantaneous gate, (z|x) layout, bitmask rows."""
-    rows = [1 << c for c in range(2 * k)]
-    if kind == "CNOT":
-        a, b = qubit_ids
-        rows[k + a] ^= 1 << (k + b)  # x_b += x_a
-        rows[b] ^= 1 << a            # z_a += z_b
-    elif kind == "CPHASE":
-        a, b = qubit_ids
-        rows[k + a] ^= 1 << b        # z_b += x_a
-        rows[k + b] ^= 1 << a        # z_a += x_b
-    elif kind == "P":
-        (a,) = qubit_ids
-        rows[k + a] ^= 1 << a
-    elif kind == "H":
-        (a,) = qubit_ids
-        rows[a], rows[k + a] = 1 << (k + a), 1 << a
-    return rows
-
-
-def _bit_mul(a_rows, b_rows, k):
-    out = []
-    for r in a_rows:
-        acc = 0
-        for c in range(2 * k):
-            if (r >> c) & 1:
-                acc ^= b_rows[c]
-        out.append(acc)
-    return out
-
-
 def _match_commute(kind_p, kind_q, match) -> bool:
     """Exact commutation of p and q, q's data located by ``match``.
 
-    p acts on local qubits 0, 1, ...; q's i-th datum is p's qubit
-    ``match[i]``, or a qubit of its own where ``match[i]`` is -1.
+    p acts on data 1, 2, ...; q's i-th datum is p's datum
+    ``match[i] + 1``, or a datum of its own where ``match[i]`` is -1.
+    Each datum becomes a wire of its own at stage 0, so both placements
+    are gates with tap 1, and ``gates_commute`` compares their
+    closed-form matrices.
     """
     width = 1 if kind_p in ("H", "P") else 2
-    ids_q = []
+    wires_q = []
     k = width
     for m in match:
         if m < 0:
             m, k = k, k + 1
-        ids_q.append(m)
-    mp = _local_matrix(kind_p, list(range(width)), k)
-    mq = _local_matrix(kind_q, ids_q, k)
-    return _bit_mul(mp, mq, k) == _bit_mul(mq, mp, k)
+        wires_q.append(m + 1)
+    gp = _placement_gate(Placement(kind_p, *((w, 0) for w in range(1, width + 1))))
+    gq = _placement_gate(Placement(kind_q, *((w, 0) for w in wires_q)))
+    return gates_commute(gp, gq, k)
 
 
 # (kind p, kind q, match) -> commute?  ``match`` gives, for each datum of
@@ -372,8 +343,8 @@ def instances_commute(p: Placement, q: Placement, shift: int) -> bool:
     addresses (w, shift - t).  Disjoint data always commute.  For
     overlapping instances the answer depends only on the two kinds and
     on which data they share, so it is memoized on that pattern; each
-    pattern is decided once by exact bit-matrix commutation of the two
-    local matrices.
+    pattern is decided once by comparing the two orders of the gates'
+    closed-form matrices (``_match_commute``).
     """
     data_p = [(w, -s) for w, s in p.slots]
     match = []
@@ -509,10 +480,7 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
             finite.append((section_line, sections[-1]))
             depths, placements = None, []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         try:
             head, _, rest = line.partition(" ")
             if head == "n":

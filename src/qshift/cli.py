@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .gf2poly import ParseError, series_expand
+from .gf2poly import ParseError, content_lines, series_expand
 from .symplectic import StabilizerMatrix, SympMatrix
 from .circuit import ShiftRegisterCircuit, circuit_from_text, circuit_to_text
 from .simulator import PauliStream, impulse_response, recommended_horizon, run
@@ -175,12 +175,7 @@ def cmd_reduce(args) -> RunReport:
 
 
 def _looks_like_code(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        return line.startswith("n ")
-    return False
+    return next((line for _, line in content_lines(text)), "").startswith("n ")
 
 
 def cmd_memory(args) -> RunReport:

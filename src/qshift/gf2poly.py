@@ -14,6 +14,8 @@ entries of feedback circuits and expand to formal power series with
 Textual syntax, shared by every file format in the package: terms joined
 by ``+``, each term one of ``1``, ``D``, ``D^k``, ``D^-k``.  Whitespace
 is ignored and duplicate terms cancel, e.g. ``1+D+D^2`` or ``D^-1+1``.
+Every text format skips blank lines and ``#`` comments the same way
+(:func:`content_lines`).
 """
 
 from __future__ import annotations
@@ -163,6 +165,14 @@ ONE = LaurentPoly((0,))
 D = LaurentPoly((1,))
 
 
+def content_lines(text: str):
+    """(line number, stripped line) for each line that is not blank or a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_poly(text: str) -> LaurentPoly:
     """Parse the textual polynomial syntax (whitespace-insensitive)."""
     compact = "".join(text.split())
@@ -308,9 +318,6 @@ class RationalTransfer:
 
     def subst_inv(self):
         return ratio(self._num.subst_inv(), self._den.subst_inv())
-
-    def series(self, horizon: int) -> LaurentPoly:
-        return series_expand(self, horizon)
 
     def __str__(self) -> str:
         return f"{self._num}/{self._den}"

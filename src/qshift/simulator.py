@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gf2poly import LaurentPoly, ParseError, ZERO
+from .gf2poly import LaurentPoly, ParseError, ZERO, content_lines
 from .circuit import FeedbackNode, FiniteSection, ShiftRegisterCircuit
 from .symplectic import SympMatrix
 
@@ -178,10 +178,7 @@ class PauliStream:
     def from_text(cls, text: str) -> "PauliStream":
         n = None
         zs = xs = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(text):
             if line.startswith("n "):
                 try:
                     n = int(line.split()[1])

@@ -11,7 +11,9 @@ Closed-form matrices for every elementary gate are produced by
 condition  m . L . m^T(D^-1) = L  with L = [[0, I], [I, 0]].  The same
 closed forms, kept as the few columns each gate changes
 (:func:`gate_columns`), let :func:`apply_gates` multiply a transfer by
-a gate sequence without dense matrix products.
+a gate sequence without dense matrix products, and :func:`gates_commute`
+decide whether two gates commute; the circuit layer decides placement
+commutation with it too.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .gf2poly import (
     LaurentPoly,
     ParseError,
     RationalTransfer,
+    content_lines,
     entry_parse,
     parse_poly,
     ratio,
@@ -289,9 +292,7 @@ class SympMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "SympMatrix":
-        lines = [(lineno, ln) for lineno, ln in
-                 ((k, raw.strip()) for k, raw in enumerate(text.splitlines(), start=1))
-                 if ln and not ln.startswith("#")]
+        lines = list(content_lines(text))
         if not lines:
             raise ParseError("matrix file must start with 'n <qubits>'")
         lineno, head = lines[0]
@@ -412,6 +413,14 @@ def apply_gates(t: SympMatrix, gates) -> SympMatrix:
     return SympMatrix(n, rows)
 
 
+def gates_commute(a: Gate, b: Gate, n: int) -> bool:
+    """Do the closed-form matrices of two gates on ``n`` wires commute?"""
+    if not set(a.wires) & set(b.wires):
+        return True  # each gate matrix differs from I only on its own wires
+    ident = SympMatrix.identity(n)
+    return apply_gates(ident, (a, b)) == apply_gates(ident, (b, a))
+
+
 class StabilizerMatrix:
     """(n-k) generator rows, each a 2n-vector of Laurent polynomials."""
 
@@ -497,10 +506,7 @@ class StabilizerMatrix:
     def from_text(cls, text: str) -> "StabilizerMatrix":
         n = None
         hx, hz = [], []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(text):
             if line.startswith("n "):
                 try:
                     n = int(line.split()[1])
@@ -522,6 +528,8 @@ class StabilizerMatrix:
                     except ParseError as exc:
                         raise ParseError(
                             f"line {lineno}, column {col}: {exc}") from exc
+                if not any(row):  # it generates nothing
+                    raise ParseError(f"line {lineno}: zero generator row")
                 (hx if line[0] == "X" else hz).append(row)
                 continue
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")

@@ -22,6 +22,7 @@ from .gf2poly import (
     ONE,
     ZERO,
     ParseError,
+    content_lines,
     poly_divmod,
 )
 from .symplectic import (
@@ -30,18 +31,19 @@ from .symplectic import (
     SympMatrix,
     apply_gates,
     dual_containing,
+    gates_commute,
     pairing,
     parse_gate,
 )
 from .circuit import (
     FiniteSection,
-    Placement,
     ShiftRegisterCircuit,
     _canonical_sections,
     _wire_users,
     build_from_gate,
     check_schedule,
     instances_commute,
+    tap_placements,
 )
 
 
@@ -287,6 +289,8 @@ def css_encoder(hx, hz) -> EncoderPlan:
     """
     hx = [list(r) for r in hx]
     hz = [list(r) for r in hz]
+    if not hx and not hz:
+        raise SynthesisError("no check rows")
     widths = {len(r) for r in hx + hz}
     if len(widths) != 1:
         raise SynthesisError("check matrix rows disagree on width")
@@ -480,13 +484,6 @@ def _cascade_all(ops, n: int) -> ShiftRegisterCircuit:
     return ShiftRegisterCircuit(n, _canonical_sections(sections))
 
 
-def _gates_commute(a: Gate, b: Gate, n: int) -> bool:
-    if not set(a.wires) & set(b.wires):
-        return True  # each gate matrix differs from I only on its own wires
-    ident = SympMatrix.identity(n)
-    return apply_gates(ident, (a, b)) == apply_gates(ident, (b, a))
-
-
 def _gate_is_identity(g: Gate) -> bool:
     return g.kind in ("CNOT", "CPHASE", "CPHASE1", "DELAY") and not g.poly
 
@@ -534,9 +531,9 @@ def _simplify_ops(ops, n: int):
                 if merged is None:
                     continue
                 between = ops[a + 1:b]
-                if all(_gates_commute(ops[b], q, n) for q in between):
+                if all(gates_commute(ops[b], q, n) for q in between):
                     spot = a  # b moves back to a
-                elif all(_gates_commute(ops[a], q, n) for q in between):
+                elif all(gates_commute(ops[a], q, n) for q in between):
                     spot = b - 1  # a moves forward to b
                 else:
                     continue
@@ -559,15 +556,6 @@ def _edge_product_matches(order, edges, target, n):
             if work[r][i]:
                 work[r][j] = work[r][j] + f * work[r][i]
     return work == target
-
-
-def _edge_taps(order, edges):
-    placements = []
-    for (i, j) in order:
-        for e in sorted(edges[(i, j)].support):
-            placements.append(Placement("CNOT", (i + 1, max(e, 0)),
-                                        (j + 1, max(-e, 0))))
-    return placements
 
 
 def _cnot_dag_candidate(ops, n: int, total: SympMatrix, below: int | None = None):
@@ -627,7 +615,9 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix, below: int | None = None
     for order in orderings:
         if not _edge_product_matches(order, edges, x, n):
             continue
-        placed = _earliest_stages(_edge_taps(order, edges))
+        taps = [p for (i, j) in order
+                for p in tap_placements("CNOT", i + 1, j + 1, edges[(i, j)])]
+        placed = _earliest_stages(taps)
         m = max((s for p in placed for _, s in p.slots), default=0)
         if best_m is None or m < best_m:
             best_m, best = m, order
@@ -830,10 +820,7 @@ def typeII_memory_bound(gamma2_diag, l_matrix: SympMatrix, b_matrix: SympMatrix)
 
 def parse_sequence(text: str):
     ops = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         try:
             ops.append(parse_gate(line))
         except (ParseError, ValueError) as exc:

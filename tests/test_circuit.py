@@ -242,16 +242,48 @@ def test_cascade_transfer_is_product():
         assert t.equal_mod_monomial(product) is not None
 
 
+def _local_matrix(kind, qubit_ids, k):
+    """2k x 2k bit matrix of an instantaneous gate, (z|x) layout, bitmask rows."""
+    rows = [1 << c for c in range(2 * k)]
+    if kind == "CNOT":
+        a, b = qubit_ids
+        rows[k + a] ^= 1 << (k + b)  # x_b += x_a
+        rows[b] ^= 1 << a            # z_a += z_b
+    elif kind == "CPHASE":
+        a, b = qubit_ids
+        rows[k + a] ^= 1 << b        # z_b += x_a
+        rows[k + b] ^= 1 << a        # z_a += x_b
+    elif kind == "P":
+        (a,) = qubit_ids
+        rows[k + a] ^= 1 << a
+    elif kind == "H":
+        (a,) = qubit_ids
+        rows[a], rows[k + a] = 1 << (k + a), 1 << a
+    return rows
+
+
+def _bit_mul(a_rows, b_rows, k):
+    out = []
+    for r in a_rows:
+        acc = 0
+        for c in range(2 * k):
+            if (r >> c) & 1:
+                acc ^= b_rows[c]
+        out.append(acc)
+    return out
+
+
 def _reference_commute(p, q, shift):
-    """instances_commute without the memo: build both local bit matrices."""
+    """instances_commute without the memo or the gate algebra: build both
+    local bit matrices by hand and compare the two products."""
     data_p = [(w, -s) for w, s in p.slots]
     data_q = [(w, shift - t) for w, t in q.slots]
     union = sorted(set(data_p) | set(data_q))
     idx = {d: i for i, d in enumerate(union)}
     k = len(union)
-    mp = circuit_mod._local_matrix(p.kind, [idx[d] for d in data_p], k)
-    mq = circuit_mod._local_matrix(q.kind, [idx[d] for d in data_q], k)
-    return circuit_mod._bit_mul(mp, mq, k) == circuit_mod._bit_mul(mq, mp, k)
+    mp = _local_matrix(p.kind, [idx[d] for d in data_p], k)
+    mq = _local_matrix(q.kind, [idx[d] for d in data_q], k)
+    return _bit_mul(mp, mq, k) == _bit_mul(mq, mp, k)
 
 
 def _small_placements():

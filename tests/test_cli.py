@@ -68,6 +68,13 @@ def test_synth_non_dual_containing(tmp_path, capsys):
     assert "dual-containing" in capsys.readouterr().err
 
 
+def test_synth_rejects_zero_generator(tmp_path, capsys):
+    bad = tmp_path / "bad.code"
+    bad.write_text("n 2\nX: 1 0\nZ: 0 0\n")
+    assert main(["synth", str(bad)]) == 2
+    assert "line 3: zero generator row" in capsys.readouterr().err
+
+
 def test_synth_catastrophic(tmp_path, capsys):
     bad = tmp_path / "bad.code"
     bad.write_text("n 2\nX: D 0\nZ: 0 D\n")

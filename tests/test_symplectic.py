@@ -291,6 +291,14 @@ def test_stabilizer_text_round_trip():
         StabilizerMatrix.from_text("X: 1\n")
 
 
+def test_stabilizer_text_rejects_zero_row():
+    # a zero row generates nothing; keeping it silently drops a generator
+    for text, line in (("n 2\nX: 1 0\nZ: 0 0\n", 3), ("n 1\nX: 0\n", 2)):
+        with pytest.raises(ParseError) as exc:
+            StabilizerMatrix.from_text(text)
+        assert str(exc.value) == f"line {line}: zero generator row"
+
+
 def test_matrix_text_round_trip():
     m = cnot(3, 2, "1+D^-1", 3) @ cnot(1, 2, "D", 3)
     again = SympMatrix.from_text(m.to_text())

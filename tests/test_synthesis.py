@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, parse_poly as pp
 from qshift.symplectic import Gate, StabilizerMatrix, SympMatrix, gate_matrix, row_space_equiv
@@ -22,6 +22,7 @@ from qshift.simulator import impulse_response, recommended_horizon
 from qshift.synthesis import (
     CatastrophicCode,
     NotDualContaining,
+    SynthesisError,
     compile_sequence,
     constraint_lengths,
     css_encoder,
@@ -195,6 +196,15 @@ def test_css_encoder_rejects_catastrophic():
     # X check D has Smith diagonal D, not a unit
     with pytest.raises(CatastrophicCode):
         css_encoder([[pp("D"), ZERO]], [[ZERO, pp("D")]])
+
+
+def test_css_encoder_rejects_no_check_rows():
+    with pytest.raises(SynthesisError, match="^no check rows$"):
+        css_encoder([], [])
+    # all-zero generators leave no CSS part
+    stab = StabilizerMatrix(2, [[ZERO] * 4])
+    with pytest.raises(SynthesisError, match="^no check rows$"):
+        css_encoder(*stab.css_parts)
 
 
 def test_css_encoder_rejects_laurent_input():
@@ -561,6 +571,15 @@ def test_span_floor_bounds_reduced_memory(case):
 # the DAG edges is scheduled and every variant is transfer-checked and
 # reduced; the first with the lowest m wins.
 
+def _edge_taps(order, edges):
+    placements = []
+    for (i, j) in order:
+        for e in sorted(edges[(i, j)].support):
+            placements.append(Placement("CNOT", (i + 1, max(e, 0)),
+                                        (j + 1, max(-e, 0))))
+    return placements
+
+
 def _dag_exhaustive(ops, n, total):
     if not ops or not all(g.kind == "CNOT" for g in ops):
         return None
@@ -600,7 +619,7 @@ def _dag_exhaustive(ops, n, total):
     for order in orderings:
         if not synthesis._edge_product_matches(order, edges, x, n):
             continue
-        placed = synthesis._earliest_stages(synthesis._edge_taps(order, edges))
+        placed = synthesis._earliest_stages(_edge_taps(order, edges))
         m = max((s for p in placed for _, s in p.slots), default=0)
         if best is None or m < best[0]:
             best = (m, order)
@@ -642,6 +661,14 @@ def cnot_gate_lists(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(cnot_gate_lists(), finite_gate_lists(), mixed_gate_lists()))
+# Cancelling cross terms let a later product-matching DAG ordering schedule
+# lower than the first one: m 5 here, 7 from the first matching ordering
+@example((5, parse_sequence("CNOT 1 2 D+D^5\nCNOT 4 2 D^2\n"
+                            "CNOT 5 4 D+D^5\nCNOT 5 1 D^2\n")))
+# six edges: m 6 only from the second sorted ordering, 8 from the first
+@example((6, parse_sequence("CNOT 1 5 D^-2+D\nCNOT 6 5 D^2+D^4\nCNOT 2 5 D^-1+D^4\n"
+                            "CNOT 3 2 D^-3+D^-1+D^2+D^4\nCNOT 1 4 D^-2\n"
+                            "CNOT 3 6 D^-6+D^4\n")))
 def test_compile_sequence_equals_exhaustive_selection(case):
     n, gates = case
     assert compile_sequence(gates, n) == _compile_exhaustive(gates, n)
