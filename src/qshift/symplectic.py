@@ -413,12 +413,39 @@ def apply_gates(t: SympMatrix, gates) -> SympMatrix:
     return SympMatrix(n, rows)
 
 
+def _gate_offset(gate: Gate, n: int) -> dict:
+    """``gate_matrix(gate, n) - I`` as ``{column: {row: entry}}``, zeros dropped."""
+    out = {}
+    for c, col in gate_columns(gate, n).items():
+        col = {**col, c: col.get(c, ZERO) + ONE}
+        out[c] = {r: e for r, e in col.items() if e}
+    return out
+
+
+def _sparse_product(a: dict, b: dict) -> dict:
+    """``a @ b`` for column-sparse matrices, as ``{(row, column): entry}``."""
+    out = {}
+    for c, col_b in b.items():
+        for k, g in col_b.items():
+            for r, e in a.get(k, {}).items():
+                key = (r, c)
+                out[key] = out[key] + e * g if key in out else e * g
+    return {key: e for key, e in out.items() if e}
+
+
 def gates_commute(a: Gate, b: Gate, n: int) -> bool:
-    """Do the closed-form matrices of two gates on ``n`` wires commute?"""
+    """Do the closed-form matrices of two gates on ``n`` wires commute?
+
+    With M_a = I + A and M_b = I + B, M_a M_b = M_b M_a exactly when
+    AB = BA.  A and B are nonzero only on the at most two columns each
+    gate changes (``gate_columns``, with ONE added on the diagonal over
+    GF(2)), so the two products are compared as sparse dicts of at most
+    a few entries instead of as dense 2n x 2n matrices.
+    """
     if not set(a.wires) & set(b.wires):
         return True  # each gate matrix differs from I only on its own wires
-    ident = SympMatrix.identity(n)
-    return apply_gates(ident, (a, b)) == apply_gates(ident, (b, a))
+    off_a, off_b = _gate_offset(a, n), _gate_offset(b, n)
+    return _sparse_product(off_a, off_b) == _sparse_product(off_b, off_a)
 
 
 class StabilizerMatrix:
@@ -432,6 +459,8 @@ class StabilizerMatrix:
         for r in self._rows:
             if len(r) != 2 * n:
                 raise ValueError(f"stabilizer rows must have {2 * n} entries")
+            if not any(r):  # it generates nothing
+                raise ValueError("zero generator row")
         self._css = self._detect_css()
 
     def _detect_css(self):
@@ -439,14 +468,10 @@ class StabilizerMatrix:
         n = self.n
         for r in self._rows:
             z_part, x_part = r[:n], r[n:]
-            z_zero = all(not e for e in z_part)
-            x_zero = all(not e for e in x_part)
-            if z_zero and not x_zero:
+            if not any(z_part):
                 hx.append(x_part)
-            elif x_zero and not z_zero:
+            elif not any(x_part):
                 hz.append(z_part)
-            elif z_zero and x_zero:
-                continue
             else:
                 return None
         return (tuple(hx), tuple(hz))

@@ -309,7 +309,9 @@ def css_encoder(hx, hz) -> EncoderPlan:
     decode_ops = []
     if s_x:
         sm_x = smith_normal_form(hx)
-        if sm_x.rank != s_x or any(d != ONE for d in sm_x.diagonal):
+        if sm_x.rank != s_x:
+            raise SynthesisError("X check rows are linearly dependent")
+        if any(d != ONE for d in sm_x.diagonal):
             raise CatastrophicCode(
                 "X check matrix is catastrophic (Smith diagonal not all 1)")
         for op in sm_x.col_ops:
@@ -321,7 +323,10 @@ def css_encoder(hx, hz) -> EncoderPlan:
     if s_z:
         hhat = [_normalize_row(r) for r in pairing(hz, h_til)]
         sm_h = smith_normal_form(hhat)
-        if sm_h.rank != s_z or any(d != ONE for d in sm_h.diagonal):
+        # the pairing with the unimodular b is injective, so rank(hhat) = rank(hz)
+        if sm_h.rank != s_z:
+            raise SynthesisError("Z check rows are linearly dependent")
+        if any(d != ONE for d in sm_h.diagonal):
             raise CatastrophicCode(
                 "Z check matrix is catastrophic (Smith diagonal not all 1)")
         for op in sm_h.col_ops:
@@ -393,22 +398,32 @@ def _earliest_stages(placements):
     constraints point forward in product order, so one forward pass
     (a longest path) places each placement at its least stage, and so
     every stage at its least value over all legal schedules.
+
+    A placement's base is its lowest stage after the move.  Moving
+    placements changes only the alignment at which they are compared:
+    with p' = p.moved_down(a) and q' = q.moved_down(b),
+    ``instances_commute(p', q', s) == instances_commute(p, q, s + b - a)``,
+    so the lookups take the placements as given.  The lookup is pure and
+    a base only rises, so a pair's stage bound is computed first and the
+    pair is looked up only when that bound would raise the base.
     """
+    lows = [min(s for _, s in p.slots) for p in placements]
     bases = [0] * len(placements)
-    shifted = [p.moved_down(min(s for _, s in p.slots)) for p in placements]
-    users = _wire_users(shifted)
-    for q, pq in enumerate(shifted):
+    users = _wire_users(placements)
+    for q, pq in enumerate(placements):
+        low_q = lows[q]
         for (wq, sq) in pq.slots:
             for p_idx in users[wq]:
                 if p_idx >= q:
                     break
-                for (wp, sp) in shifted[p_idx].slots:
-                    if wp != wq or instances_commute(shifted[p_idx], pq, sq - sp):
+                pp = placements[p_idx]
+                for (wp, sp) in pp.slots:
+                    if wp != wq:
                         continue
-                    need = bases[p_idx] + sp - sq
-                    if need > bases[q]:
+                    need = bases[p_idx] + (sp - lows[p_idx]) - (sq - low_q)
+                    if need > bases[q] and not instances_commute(pp, pq, sq - sp):
                         bases[q] = need
-    return [p.moved_down(-b) for p, b in zip(shifted, bases)]
+    return [p.moved_down(low - b) for p, low, b in zip(placements, lows, bases)]
 
 
 def _reduce_section(sec: FiniteSection) -> FiniteSection:

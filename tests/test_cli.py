@@ -82,6 +82,15 @@ def test_synth_catastrophic(tmp_path, capsys):
     assert "catastrophic" in capsys.readouterr().err
 
 
+def test_synth_dependent_rows(tmp_path, capsys):
+    bad = tmp_path / "bad.code"
+    bad.write_text("n 2\nX: 1 1\nX: 1 1\n")
+    assert main(["synth", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "X check rows are linearly dependent" in err
+    assert "catastrophic" not in err
+
+
 def test_verify_pass(circuit_file, tmp_path, capsys):
     exp = tmp_path / "expected.matrix"
     exp.write_text(ENCODING_MATRIX)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, ParseError, parse_poly as pp
 from qshift.symplectic import (
@@ -9,6 +10,7 @@ from qshift.symplectic import (
     SympMatrix,
     dual_containing,
     gate_matrix,
+    gates_commute,
     lam,
     pairing,
     parse_gate,
@@ -193,6 +195,43 @@ def test_random_gate_matrices_symplectic():
         assert gate_matrix(g, n).is_symplectic(), str(g)
 
 
+@st.composite
+def gate_pairs(draw):
+    """(n, a, b): two gates of any kind on n wires, b sharing a wire of a or not."""
+    n = draw(st.integers(2, 5))
+
+    def gate(first):
+        kind = draw(st.sampled_from(("CNOT", "CPHASE", "CPHASE1", "H", "P",
+                                     "DELAY", "INF_Z", "INF_X")))
+        if kind in ("CNOT", "CPHASE"):
+            j = draw(st.integers(1, n).filter(lambda w: w != first))
+            taps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+            return Gate(kind, (first, j), LaurentPoly(taps))
+        if kind == "CPHASE1":
+            lags = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+            return Gate(kind, (first,), LaurentPoly(lags))
+        if kind == "DELAY":
+            return Gate(kind, (first,), LaurentPoly.monomial(draw(st.integers(0, 3))))
+        if kind in ("INF_Z", "INF_X"):
+            rest = draw(st.sets(st.integers(1, 3), min_size=1))
+            return Gate(kind, (first,), LaurentPoly({0} | rest))
+        return Gate(kind, (first,))
+
+    a = gate(draw(st.integers(1, n)))
+    shared = draw(st.booleans())
+    b = gate(draw(st.sampled_from(a.wires)) if shared else draw(st.integers(1, n)))
+    return n, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_pairs())
+def test_gates_commute_equals_dense_products(case):
+    n, a, b = case
+    ma, mb = gate_matrix(a, n), gate_matrix(b, n)
+    assert gates_commute(a, b, n) == (ma @ mb == mb @ ma)
+    assert gates_commute(b, a, n) == gates_commute(a, b, n)
+
+
 def unencoded_3q():
     return StabilizerMatrix.from_css([[ONE, ZERO, ZERO]],
                                      [[ZERO, ONE, ZERO]])
@@ -297,6 +336,15 @@ def test_stabilizer_text_rejects_zero_row():
         with pytest.raises(ParseError) as exc:
             StabilizerMatrix.from_text(text)
         assert str(exc.value) == f"line {line}: zero generator row"
+
+
+def test_stabilizer_rejects_zero_row():
+    # css_parts would drop the row, leaving fewer generators than rows
+    for rows in ([[ZERO] * 4], [[ONE, ZERO, ZERO, ZERO], [ZERO] * 4]):
+        with pytest.raises(ValueError, match="^zero generator row$"):
+            StabilizerMatrix(2, rows)
+    with pytest.raises(ValueError, match="^zero generator row$"):
+        StabilizerMatrix.from_css([[ONE, ZERO]], [[ZERO, ZERO]])
 
 
 def test_matrix_text_round_trip():

@@ -201,10 +201,24 @@ def test_css_encoder_rejects_catastrophic():
 def test_css_encoder_rejects_no_check_rows():
     with pytest.raises(SynthesisError, match="^no check rows$"):
         css_encoder([], [])
-    # all-zero generators leave no CSS part
-    stab = StabilizerMatrix(2, [[ZERO] * 4])
+    # empty CSS parts as tuples; a zero generator row is rejected where
+    # the stabilizer is built (test_stabilizer_rejects_zero_row)
     with pytest.raises(SynthesisError, match="^no check rows$"):
-        css_encoder(*stab.css_parts)
+        css_encoder((), ())
+
+
+@pytest.mark.parametrize("hx, hz, phase", [
+    ([[ONE, ONE], [ONE, ONE]], [], "X"),
+    ([[ZERO, ZERO]], [[ONE, ONE]], "X"),
+    ([], [[ONE, ONE], [ONE, ONE]], "Z"),
+    ([[ONE] * 4], [[ONE, ONE, ZERO, ZERO], [pp("D"), pp("D"), ZERO, ZERO]], "Z"),
+])
+def test_css_encoder_rejects_dependent_rows(hx, hz, phase):
+    # a rank deficit is not a catastrophic code: the Smith diagonal is not even full
+    with pytest.raises(SynthesisError,
+                       match=f"^{phase} check rows are linearly dependent$") as exc:
+        css_encoder(hx, hz)
+    assert not isinstance(exc.value, CatastrophicCode)
 
 
 def test_css_encoder_rejects_laurent_input():
