@@ -7,15 +7,33 @@ recursions).  It shares no algebra with the symbolic transfer
 computation, so impulse responses provide an independent check of every
 closed-form matrix.  Every rule is an XOR or a swap, so one int can
 carry many independent frames as its bits (lanes).
+
+Replay rule.  Once the input has gone quiet, the next state and output
+of a cycle depend on the state alone, so the simulator is a
+deterministic finite-state machine.  If the state after cycle t equals
+the state after an earlier cycle t0 (both at or past the last input
+cycle), every later output repeats the outputs of cycles t0+1..t with
+period t - t0.  ``impulse_response`` and ``run`` therefore step only
+until the state repeats and replay that block for the remaining cycles,
+or stop outright when the whole block is quiet; the drained all-zero
+state of a finite-depth circuit is the period-1 case.  The rule reads
+the simulator's own state and nothing of the symbolic transfer.
 """
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass, field
 
 from .gf2poly import LaurentPoly, ParseError, ZERO, content_lines
 from .circuit import FeedbackNode, FiniteSection, ShiftRegisterCircuit
 from .symplectic import SympMatrix
+
+MAX_MEMORY_FRAMES = 10_000  # largest circuit memory m the simulator accepts
+MAX_CYCLES = 100_000  # most cycles one simulation may cover: horizon plus settle margin
+# a long-period feedback circuit may not repeat within the run: past this many
+# bytes of recorded states, stop looking for a repeat and step plainly
+_SNAPSHOT_BYTES = 1 << 25
 
 
 @dataclass
@@ -216,19 +234,68 @@ class PauliStream:
         return cls(tuple(LaurentPoly(s) for s in zs), tuple(LaurentPoly(s) for s in xs))
 
 
+def _check_size(c: ShiftRegisterCircuit, cycles: int) -> None:
+    """Refuse a simulation past the size limits before allocating any of it."""
+    if c.m > MAX_MEMORY_FRAMES:
+        raise ValueError(f"circuit memory of {c.m} frames exceeds the simulator "
+                         f"limit of {MAX_MEMORY_FRAMES} (MAX_MEMORY_FRAMES)")
+    if cycles > MAX_CYCLES:
+        raise ValueError(f"simulating {cycles} cycles exceeds the simulator "
+                         f"limit of {MAX_CYCLES} (MAX_CYCLES)")
+
+
+def _output_frames(c: ShiftRegisterCircuit, frame_at, last: int, cycles: int):
+    """Yield the output frames of cycles 0, 1, ... from a reset state.
+
+    Cycle t is fed ``frame_at(t)`` up to the last input cycle ``last`` and
+    a quiet frame after it.  From ``last`` on, the state after each cycle
+    is recorded with the output frames; on the first repeated state the
+    recorded block since its earlier visit is replayed (see the module
+    docstring) up to ``cycles`` frames, and an all-quiet block ends the
+    frames early, since every later output is quiet.
+    """
+    state = reset_state(c)
+    quiet = [(0, 0)] * c.n
+    seen = {}  # recorded state -> cycle after which it held
+    tail = []  # output frames of cycles last, last + 1, ...
+    room = _SNAPSHOT_BYTES
+    for t in range(cycles):
+        _, frame = step(c, state, frame_at(t) if t <= last else quiet)
+        yield frame
+        if t < last or room <= 0:
+            continue
+        tail.append(frame)
+        # version 2 writes no object references, so equal states give equal bytes
+        key = marshal.dumps(state.parts, 2)
+        t0 = seen.setdefault(key, t)
+        if t0 == t:
+            room -= len(key)
+            continue
+        block = tail[t0 + 1 - last:]  # the outputs of cycles t0 + 1 .. t
+        if not any(z or x for out in block for z, x in out):
+            return
+        for s in range(cycles - t - 1):
+            yield block[s % len(block)]
+        return
+
+
 def run(c: ShiftRegisterCircuit, stream: PauliStream, horizon: int) -> PauliStream:
-    """Feed the stream from a reset state and collect outputs at cycles 0..horizon."""
+    """Feed the stream from a reset state and collect outputs at cycles 0..horizon.
+
+    Cycles are simulated only until the state after the last input cycle
+    repeats; the outputs of the rest are replayed (module docstring).
+    """
     if stream.n != c.n:
         raise ValueError("stream width mismatch")
     if any(p and p.delay < 0 for p in stream.zs + stream.xs):
         raise ValueError("streams start at cycle 0")
     if horizon < stream.max_exp:
         raise ValueError("horizon must cover the input stream support")
-    state = reset_state(c)
+    _check_size(c, horizon + 1)
     out_z = [set() for _ in range(c.n)]
     out_x = [set() for _ in range(c.n)]
-    for t in range(horizon + 1):
-        _, frame = step(c, state, stream.frame(t))
+    frames = _output_frames(c, stream.frame, stream.max_exp, horizon + 1)
+    for t, frame in enumerate(frames):
         for w, (z, x) in enumerate(frame):
             if z:
                 out_z[w].add(t)
@@ -264,17 +331,20 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
     quiet settling window past the horizon is required; activity there
     raises ``horizon insufficient`` at the first late cycle of the lowest
     late lane, i.e. of the first late impulse in Z1..Zn, X1..Xn order.
+    Cycles are simulated only until the state repeats and the outputs of
+    the rest are replayed, which is exact (module docstring).
     """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     n = c.n
     extra = 0 if c.has_feedback else _settle_margin(c)
-    state = reset_state(c)
+    _check_size(c, horizon + extra + 1)
     impulses = [(1 << w, 1 << (n + w)) for w in range(n)]
-    quiet = [(0, 0)] * n
     supports = [[set() for _ in range(2 * n)] for _ in range(2 * n)]  # [lane][column]
     late = 0
     late_at = None
-    for t in range(horizon + extra + 1):
-        _, frame = step(c, state, impulses if t == 0 else quiet)
+    frames = _output_frames(c, lambda t: impulses, 0, horizon + extra + 1)
+    for t, frame in enumerate(frames):
         if t > horizon:
             active = 0
             for z, x in frame:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from qshift.cli import main
@@ -101,7 +103,7 @@ def test_verify_pass(circuit_file, tmp_path, capsys):
 def test_verify_detects_missing_gate(circuit_file, tmp_path, capsys):
     exp = tmp_path / "expected.matrix"
     exp.write_text(ENCODING_MATRIX)
-    text = open(circuit_file).read().splitlines()
+    text = Path(circuit_file).read_text().splitlines()
     gate_lines = [i for i, ln in enumerate(text) if ln.startswith("gate")]
     # drop one gate and fix the frame count header for a clean parse
     del text[gate_lines[-1]]
@@ -173,6 +175,15 @@ def test_verify_horizon_shorter_than_granted_advance(tmp_path, capsys):
     exp.write_text(FEEDBACK_ADVANCE_MATRIX.replace("\n1 0 0 0\n", "\nD^-8 0 0 0\n"))
     assert main(["verify", str(circ), str(exp), "--horizon", "3"]) == 2
     assert "--horizon" in capsys.readouterr().err
+
+
+def test_verify_rejects_negative_horizon(tmp_path, capsys):
+    circ = tmp_path / "fb.circuit"
+    circ.write_text(FEEDBACK_ADVANCE_CIRCUIT)
+    exp = tmp_path / "fb.matrix"
+    exp.write_text(FEEDBACK_ADVANCE_MATRIX)
+    assert main(["verify", str(circ), str(exp), "--horizon", "-3"]) == 2
+    assert "horizon must be >= 0" in capsys.readouterr().err
 
 
 def test_simulate_identity_echo(tmp_path, capsys):
@@ -257,6 +268,39 @@ def test_feedback_on_wire_zero_rejected(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text", ["n 2\nsection depths=100000000,0\n",
+                                  "n 2\nffb Z wire=1 f=1+D^100000000\n"])
+@pytest.mark.parametrize("horizon", [[], ["--horizon", "8"]])
+def test_verify_and_simulate_refuse_oversized_memory(tmp_path, capsys, text, horizon):
+    # refused before the simulator allocates its 10^8 cells
+    circ = tmp_path / "big.circuit"
+    circ.write_text(text)
+    exp = tmp_path / "id.matrix"
+    exp.write_text("n 2\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    stream = tmp_path / "in.stream"
+    stream.write_text("n 2\nn=0 z=10 x=01\n")
+    assert main(["verify", str(circ), str(exp)] + horizon) == 2
+    assert main(["simulate", str(circ), str(stream)] + horizon) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("limit of 10000 (MAX_MEMORY_FRAMES)") == 2
+    assert captured.out == ""
+
+
+def test_verify_and_simulate_refuse_too_many_cycles(tmp_path, capsys):
+    circ = tmp_path / "fb.circuit"
+    circ.write_text(FEEDBACK_ADVANCE_CIRCUIT)
+    exp = tmp_path / "fb.matrix"
+    exp.write_text(FEEDBACK_ADVANCE_MATRIX)
+    stream = tmp_path / "in.stream"
+    stream.write_text("n 2\nn=0 z=10 x=01\n")
+    assert main(["verify", str(circ), str(exp), "--horizon", "100000"]) == 2
+    assert main(["simulate", str(circ), str(stream), "--horizon", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("simulating 100001 cycles exceeds the simulator "
+                              "limit of 100000 (MAX_CYCLES)") == 2
+    assert captured.out == ""
+
+
 def test_memory_command_fgg(tmp_path, capsys):
     seq = tmp_path / "fgg.seq"
     seq.write_text(FGG_SEQUENCE)
@@ -279,7 +323,7 @@ def test_memory_command_code(code_file, capsys):
 
 def test_emitted_circuit_round_trip(circuit_file, tmp_path, capsys):
     from qshift.circuit import circuit_from_text, circuit_to_text
-    text = open(circuit_file).read()
+    text = Path(circuit_file).read_text()
     assert circuit_to_text(circuit_from_text(text)) == text
 
 

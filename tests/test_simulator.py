@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, ParseError, parse_poly as pp, series_expand
 from qshift.symplectic import Gate, SympMatrix, gate_matrix
 from qshift.circuit import (
+    FiniteSection,
+    ShiftRegisterCircuit,
     build_cnot_circuit,
     build_cphase1_circuit,
     build_cphase2_circuit,
@@ -19,6 +21,8 @@ from qshift.circuit import (
     identity_circuit,
 )
 from qshift.simulator import (
+    MAX_CYCLES,
+    MAX_MEMORY_FRAMES,
     PauliStream,
     impulse_response,
     recommended_horizon,
@@ -26,6 +30,7 @@ from qshift.simulator import (
     run,
     step,
     symplectic_product,
+    _settle_margin,
 )
 
 from test_circuit import mixed_gate_lists
@@ -301,3 +306,158 @@ def test_inf_x_mirror():
     # X variant swaps the z and x roles of the Z variant
     assert mx.entry(0, 0) == mz.entry(1, 1)
     assert mx.entry(1, 1) == mz.entry(0, 0)
+
+
+def _reference_impulse_response(c, horizon):
+    """impulse_response stepped through every cycle of the window, no replay."""
+    n = c.n
+    extra = 0 if c.has_feedback else _settle_margin(c)
+    state = reset_state(c)
+    impulses = [(1 << w, 1 << (n + w)) for w in range(n)]
+    quiet = [(0, 0)] * n
+    supports = [[set() for _ in range(2 * n)] for _ in range(2 * n)]
+    late = 0
+    late_at = None
+    for t in range(horizon + extra + 1):
+        _, frame = step(c, state, impulses if t == 0 else quiet)
+        if t > horizon:
+            active = 0
+            for z, x in frame:
+                active |= z | x
+            new = active & ~late
+            if new:
+                late |= new
+                if new & (late & -late):
+                    late_at = t
+            continue
+        for w, (z, x) in enumerate(frame):
+            for col, mask in ((w, z), (n + w, x)):
+                while mask:
+                    low = mask & -mask
+                    supports[low.bit_length() - 1][col].add(t)
+                    mask ^= low
+    if late:
+        raise ValueError(f"horizon insufficient: output active at cycle {late_at}")
+    absolute = SympMatrix(n, [[LaurentPoly(s) for s in row] for row in supports])
+    lat = absolute.min_delay() if c.has_feedback else absolute.latency_shift()
+    return lat, absolute.shifted(-lat)
+
+
+def _reference_run(c, stream, horizon):
+    """run stepped through every cycle up to the horizon, no replay."""
+    state = reset_state(c)
+    out_z = [set() for _ in range(c.n)]
+    out_x = [set() for _ in range(c.n)]
+    for t in range(horizon + 1):
+        _, frame = step(c, state, stream.frame(t))
+        for w, (z, x) in enumerate(frame):
+            if z:
+                out_z[w].add(t)
+            if x:
+                out_x[w].add(t)
+    return PauliStream(tuple(LaurentPoly(s) for s in out_z),
+                       tuple(LaurentPoly(s) for s in out_x))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_gate_lists(), st.data())
+def test_replayed_response_equals_full_window(case, data):
+    circ = _circuit(*case)
+    # horizons below the recommended one compare ``horizon insufficient`` too
+    horizon = data.draw(st.integers(0, recommended_horizon(circ) + 8))
+    assert _outcome(impulse_response, circ, horizon) == \
+        _outcome(_reference_impulse_response, circ, horizon)
+
+
+@st.composite
+def feedback_streams(draw):
+    """(circuit with feedback, stream, horizon past the stream's last input)."""
+    n, gates = draw(mixed_gate_lists())
+    kind = draw(st.sampled_from(("INF_Z", "INF_X")))
+    rest = draw(st.sets(st.integers(1, 4), min_size=1))
+    gates.insert(draw(st.integers(0, len(gates))),
+                 Gate(kind, (draw(st.integers(1, n)),), LaurentPoly({0} | rest)))
+    bits = st.sets(st.integers(0, 6)).map(LaurentPoly)
+    stream = PauliStream(tuple(draw(bits) for _ in range(n)),
+                         tuple(draw(bits) for _ in range(n)))
+    horizon = stream.max_exp + draw(st.integers(1, 40))
+    return _circuit(n, gates), stream, horizon
+
+
+@settings(max_examples=150, deadline=None)
+@given(feedback_streams())
+def test_replayed_run_equals_full_window(case):
+    circ, stream, horizon = case
+    assert run(circ, stream, horizon) == _reference_run(circ, stream, horizon)
+
+
+@pytest.mark.parametrize("kind", ["INF_Z", "INF_X"])
+@pytest.mark.parametrize("f", ["1+D^2", "1+D+D^3", "1+D^2+D^3", "1+D^3"])
+def test_replay_of_periodic_responses(kind, f):
+    # periods above 1 whose blocks mix quiet and active frames, behind
+    # a finite section so the feedback cells are not the only state
+    circ = _circuit(2, [Gate("CNOT", (2, 1), pp("D^2")), Gate(kind, (1,), pp(f))])
+    stream = PauliStream((pp("1+D^3"), ZERO), (ZERO, pp("D")))
+    for horizon in (0, 1, 5, 17, 40):
+        assert impulse_response(circ, horizon) == \
+            _reference_impulse_response(circ, horizon)
+        if horizon >= stream.max_exp:
+            assert run(circ, stream, horizon) == _reference_run(circ, stream, horizon)
+
+
+@pytest.mark.parametrize("budget", [0, 40, 400])
+def test_snapshot_budget_keeps_full_window_results(monkeypatch, budget):
+    # past the budget no state is recorded and the rest is stepped plainly
+    monkeypatch.setattr("qshift.simulator._SNAPSHOT_BYTES", budget)
+    circ = _circuit(2, [Gate("CNOT", (2, 1), pp("D^2")), Gate("INF_Z", (1,), pp("1+D+D^3"))])
+    stream = PauliStream((pp("1+D^3"), ZERO), (ZERO, pp("D")))
+    for horizon in (3, 17, 40):
+        assert impulse_response(circ, horizon) == _reference_impulse_response(circ, horizon)
+        assert run(circ, stream, horizon) == _reference_run(circ, stream, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_gate_lists())
+def test_impulse_response_equals_transfer_series(case):
+    # feedback blocks included: each entry is the transfer's series,
+    # truncated at the horizon
+    circ = _circuit(*case)
+    horizon = recommended_horizon(circ)
+    lat, resp = impulse_response(circ, horizon)
+    transfer, lat_t = circuit_transfer(circ)
+    for i in range(2 * circ.n):
+        for j in range(2 * circ.n):
+            assert resp.entry(i, j).shift(lat) == \
+                series_expand(transfer.entry(i, j).shift(lat_t), horizon)
+    if not circ.has_feedback:
+        assert (lat, resp) == (lat_t, transfer)
+
+
+def test_negative_horizon_rejected():
+    c = cascade(build_inf_z_circuit(1, pp("1+D"), 2), build_cnot_circuit(1, 2, pp("D"), 2))
+    for circ in (c, one_delay_cnot()):
+        with pytest.raises(ValueError, match=r"^horizon must be >= 0$"):
+            impulse_response(circ, -3)
+
+
+def test_size_limits_refused_before_allocating():
+    deep = ShiftRegisterCircuit(2, (FiniteSection((MAX_MEMORY_FRAMES + 1, 0), ()),))
+    with pytest.raises(ValueError, match="MAX_MEMORY_FRAMES"):
+        impulse_response(deep, 4)
+    with pytest.raises(ValueError, match="MAX_MEMORY_FRAMES"):
+        run(deep, PauliStream.zero(2), 4)
+    c = build_inf_z_circuit(1, pp("1+D"), 1)
+    with pytest.raises(ValueError, match="MAX_CYCLES"):
+        impulse_response(c, MAX_CYCLES)
+    with pytest.raises(ValueError, match="MAX_CYCLES"):
+        run(c, PauliStream.impulse(1, 1, "Z"), MAX_CYCLES)
+    # the limits themselves are allowed: MAX_CYCLES cycles, 0..MAX_CYCLES - 1
+    out = run(c, PauliStream.impulse(1, 1, "Z"), MAX_CYCLES - 1)
+    assert out.zs[0] == series_expand((pp("D"), pp("1+D")), MAX_CYCLES - 1)
