@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2poly import LaurentPoly, ParseError, content_lines, parse_poly
-from .symplectic import Gate, SympMatrix, apply_gates, gates_commute
+from .symplectic import Gate, SympMatrix, apply_gates, check_wire_count, gates_commute
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
@@ -92,6 +92,7 @@ class FeedbackNode:
     kind: str
     wire: int
     poly: LaurentPoly
+    taps: frozenset = field(init=False, repr=False, compare=False)  # poly's exponents
 
     def __post_init__(self):
         if self.kind not in ("Z", "X"):
@@ -101,6 +102,7 @@ class FeedbackNode:
         f = self.poly
         if not f or f.delay != 0 or f.deg < 1:
             raise ValueError("feedback polynomial must have delay 0 and degree >= 1")
+        object.__setattr__(self, "taps", f.support)
 
     @property
     def m(self) -> int:
@@ -204,7 +206,7 @@ def cascade(c1: ShiftRegisterCircuit, c2: ShiftRegisterCircuit) -> ShiftRegister
 
 def tap_placements(kind: str, i: int, j: int, f: LaurentPoly) -> list:
     """One placement per tap D^e of f, from slot (i, max(e, 0)) to (j, max(-e, 0))."""
-    return [Placement(kind, (i, max(e, 0)), (j, max(-e, 0))) for e in sorted(f.support)]
+    return [Placement(kind, (i, max(e, 0)), (j, max(-e, 0))) for e in f.terms]
 
 
 def _tap_section(kind: str, i: int, j: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
@@ -240,7 +242,7 @@ def build_cphase1_circuit(i: int, f: LaurentPoly, n: int) -> ShiftRegisterCircui
     if f.delay < 1:
         raise ValueError("self-phase at lag 0 is a P gate")
     m = f.deg
-    placements = tuple(Placement("CPHASE", (i, e), (i, 0)) for e in sorted(f.support))
+    placements = tuple(Placement("CPHASE", (i, e), (i, 0)) for e in f.terms)
     return ShiftRegisterCircuit(n, (FiniteSection((m,) * n, placements),))
 
 
@@ -485,6 +487,7 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
             head, _, rest = line.partition(" ")
             if head == "n":
                 n = int(rest)
+                check_wire_count(n)
             elif head in ("frames", "latency"):
                 declared[head] = int(rest)
             elif head == "section":

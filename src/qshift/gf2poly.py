@@ -1,10 +1,14 @@
 """Arithmetic for binary Laurent polynomials in the delay variable D.
 
-A Laurent polynomial over GF(2) is stored sparsely as the set of integer
-exponents whose coefficient is 1, so ``1 + D + D^2`` is ``{0, 1, 2}`` and
-the zero polynomial is the empty set.  Negative exponents (advances) are
-allowed everywhere.  Addition is symmetric difference of supports and
-multiplication is convolution of exponents; both are exact.
+A Laurent polynomial over GF(2) is stored as an int bit mask and an
+offset: bit k of the mask is the coefficient of D^(offset + k).  A nonzero
+mask is odd, so the offset is the lowest exponent; ``1 + D + D^2`` is
+(0b111, 0), ``D^-1 + D^2`` is (0b1001, -1), and zero is (0, 0).  Negative
+exponents (advances) are allowed everywhere.  Addition is an aligned XOR
+and multiplication a carry-less shift-XOR; both are exact.  A mask costs a
+bit per exponent in its span deg - delay, so a polynomial built from
+exponents or read from text may span at most ``MAX_SPAN`` (100,000);
+results of arithmetic are not checked.
 
 ``RationalTransfer`` represents a ratio of Laurent polynomials in reduced
 form with a delay-free denominator.  Ratios appear as transfer-matrix
@@ -29,11 +33,20 @@ class ParseError(ValueError):
 
 _TERM_RE = re.compile(r"^(?:1|D|D\^(-?\d+))$")
 
+# Longest span deg - delay of a polynomial built from exponents or read from
+# text: a mask holds one bit per exponent in the span.  No longer span can be
+# simulated (the simulator's MAX_CYCLES has the same value).
+MAX_SPAN = 100_000
+
 
 class LaurentPoly:
-    """An immutable binary Laurent polynomial."""
+    """An immutable binary Laurent polynomial, held as a bit mask and an offset.
 
-    __slots__ = ("_support",)
+    Bit k of ``_mask`` is the coefficient of D^(_off + k).  A nonzero mask
+    is odd, so ``_off`` is the lowest exponent; zero is (0, 0).
+    """
+
+    __slots__ = ("_mask", "_off")
 
     def __init__(self, exponents=()):
         support = set()
@@ -44,47 +57,67 @@ class LaurentPoly:
                 support.remove(e)  # duplicate terms cancel over GF(2)
             else:
                 support.add(e)
-        self._support = frozenset(support)
-
-    @classmethod
-    def _from_set(cls, support: frozenset) -> "LaurentPoly":
-        p = cls.__new__(cls)
-        p._support = support
-        return p
+        mask = off = 0
+        if support:
+            off, top = min(support), max(support)
+            if top - off > MAX_SPAN:
+                raise ValueError(f"polynomial span {top - off} exceeds the limit "
+                                 f"of {MAX_SPAN} (MAX_SPAN)")
+            for e in support:
+                mask |= 1 << (e - off)
+        self._mask = mask
+        self._off = off
 
     @classmethod
     def monomial(cls, e: int) -> "LaurentPoly":
-        return cls._from_set(frozenset((e,)))
+        return _poly(1, e)
 
     @property
     def support(self) -> frozenset:
-        return self._support
+        return frozenset(self.terms)
 
     @property
     def terms(self) -> tuple:
         """Exponents in ascending order."""
-        return tuple(sorted(self._support))
+        if not self._mask:
+            return ()
+        bits = bin(self._mask)[:1:-1]  # bit k at index k
+        off = self._off
+        out = []
+        k = 0
+        while k >= 0:
+            out.append(off + k)
+            k = bits.find("1", k + 1)
+        return tuple(out)
 
     def coeff(self, e: int) -> int:
-        return 1 if e in self._support else 0
+        k = e - self._off
+        return self._mask >> k & 1 if k >= 0 else 0
 
     def __bool__(self) -> bool:
-        return bool(self._support)
+        return self._mask != 0
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self._support == other._support
+            return self._mask == other._mask and self._off == other._off
         if isinstance(other, RationalTransfer):
             return other == self
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._support)
+        return hash((self._mask, self._off))
 
     def __add__(self, other):
-        if isinstance(other, LaurentPoly):
-            return LaurentPoly._from_set(self._support ^ other._support)
-        return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        if not other._mask:
+            return self
+        if not self._mask:
+            return other
+        a, b = (self, other) if self._off <= other._off else (other, self)
+        if a._off == b._off:
+            return _poly(a._mask ^ b._mask, a._off)  # the constant bits cancel
+        return _poly(a._mask ^ (b._mask << (b._off - a._off)), a._off, True)
 
     __radd__ = __add__
     __sub__ = __add__  # characteristic 2
@@ -92,62 +125,64 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        acc = set()
-        for a in self._support:
-            for b in other._support:
-                e = a + b
-                if e in acc:
-                    acc.remove(e)
-                else:
-                    acc.add(e)
-        return LaurentPoly._from_set(frozenset(acc))
+        if not self._mask or not other._mask:
+            return ZERO
+        # odd times odd is odd
+        return _poly(_clmul(self._mask, other._mask), self._off + other._off, True)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the monomial D^k."""
-        if k == 0:
+        if k == 0 or not self._mask:
             return self
-        return LaurentPoly._from_set(frozenset(e + k for e in self._support))
+        return _poly(self._mask, self._off + k, True)
 
     def subst_inv(self) -> "LaurentPoly":
-        """Substitute D -> D^-1: negate every exponent."""
-        return LaurentPoly._from_set(frozenset(-e for e in self._support))
+        """Substitute D -> D^-1: negate every exponent (reverse the bits)."""
+        if not self._mask:
+            return self
+        return _poly(int(bin(self._mask)[:1:-1], 2), -self.deg, True)
 
     @property
     def deg(self) -> int:
         """Highest exponent of the support."""
-        if not self._support:
+        if not self._mask:
             raise ValueError("degree of zero polynomial")
-        return max(self._support)
+        return self._off + self._mask.bit_length() - 1
 
     @property
     def delay(self) -> int:
         """Lowest exponent of the support."""
-        if not self._support:
+        if not self._mask:
             raise ValueError("degree of zero polynomial")
-        return min(self._support)
+        return self._off
 
     @property
     def abs_deg(self) -> int:
         """max{deg, |delay|}; 0 for the zero polynomial by convention."""
-        if not self._support:
+        if not self._mask:
             return 0
-        return max(max(self._support), abs(min(self._support)))
+        return max(self.deg, abs(self._off))
 
     @property
     def is_monomial(self) -> bool:
-        return len(self._support) == 1
+        return self._mask == 1
 
     def truncated(self, horizon: int) -> "LaurentPoly":
         """Drop all terms with exponent above ``horizon``."""
-        return LaurentPoly._from_set(frozenset(e for e in self._support if e <= horizon))
+        k = horizon - self._off + 1  # bits kept
+        if k <= 0:
+            return ZERO
+        if self._mask.bit_length() <= k:
+            return self
+        return _poly(self._mask & ((1 << k) - 1), self._off, True)
 
     def __str__(self) -> str:
-        if not self._support:
+        if not self._mask:
             return "0"
         out = []
-        for e in sorted(self._support):
+        for e in self.terms:
             if e == 0:
                 out.append("1")
             elif e == 1:
@@ -158,6 +193,24 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"<poly {self}>"
+
+
+def _poly(mask: int, off: int, odd: bool = False) -> LaurentPoly:
+    """The polynomial sum of D^(off + k) over the set bits k of ``mask``.
+
+    ``odd`` promises that bit 0 is set, so there is nothing to normalize.
+    """
+    p = LaurentPoly.__new__(LaurentPoly)
+    if not odd:
+        if not mask:
+            off = 0
+        else:
+            low = (mask & -mask).bit_length() - 1
+            mask >>= low
+            off += low
+    p._mask = mask
+    p._off = off
+    return p
 
 
 ZERO = LaurentPoly()
@@ -190,43 +243,49 @@ def parse_poly(text: str) -> LaurentPoly:
             exps.append(1)
         else:
             exps.append(int(term[2:]))
-    return LaurentPoly(exps)
+    try:
+        return LaurentPoly(exps)
+    except ValueError as exc:  # span past MAX_SPAN
+        raise ParseError(str(exc)) from exc
+
+
+def _divmod_bits(a: int, b: int):
+    """Quotient and remainder of GF(2)[D] polynomials held as ints (bit k: D^k)."""
+    db = b.bit_length()
+    q = 0
+    while a.bit_length() >= db:
+        k = a.bit_length() - db
+        q |= 1 << k
+        a ^= b << k
+    return q, a
+
+
+def _ordinary_bits(p: LaurentPoly) -> int:
+    """``p`` as an int with bit k the coefficient of D^k; delay must be >= 0."""
+    if p._mask and p._off < 0:
+        raise ValueError("divmod operands must be ordinary polynomials (delay >= 0)")
+    return p._mask << p._off
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly):
     """Euclidean division over GF(2)[D]; operands must have delay >= 0."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    for p in (a, b):
-        if p and p.delay < 0:
-            raise ValueError("divmod operands must be ordinary polynomials (delay >= 0)")
-    q = set()
-    r = set(a.support)
-    db = b.deg
-    while r and max(r) >= db:
-        k = max(r) - db
-        q.add(k)
-        for e in b.support:
-            ek = e + k
-            if ek in r:
-                r.remove(ek)
-            else:
-                r.add(ek)
-    return LaurentPoly._from_set(frozenset(q)), LaurentPoly._from_set(frozenset(r))
+    q, r = _divmod_bits(_ordinary_bits(a), _ordinary_bits(b))
+    return _poly(q, 0), _poly(r, 0)
+
+
+def _gcd_bits(a: int, b: int) -> int:
+    while b:
+        a, b = b, _divmod_bits(a, b)[1]
+    return a
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Greatest common divisor over GF(2)[D] (monic automatically)."""
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return a
-
-
-def poly_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    q, r = poly_divmod(a, b)
-    if r:
-        raise ValueError(f"{a} is not divisible by {b}")
-    return q
+    if not b:
+        return a
+    return _poly(_gcd_bits(_ordinary_bits(a), _ordinary_bits(b)), 0)
 
 
 class RationalTransfer:
@@ -245,19 +304,19 @@ class RationalTransfer:
             raise TypeError("RationalTransfer expects LaurentPoly operands")
         if not den:
             raise ZeroDivisionError("zero denominator")
-        dshift = den.delay
-        den = den.shift(-dshift)
-        num = num.shift(-dshift)
-        if num:
-            nshift = num.delay
-            g = poly_gcd(num.shift(-nshift), den)
-            if g != ONE:
-                num = poly_div_exact(num.shift(-nshift), g).shift(nshift)
-                den = poly_div_exact(den, g)
+        # a normalized mask is its polynomial divided by D^delay, so the
+        # masks are the delay-free parts that the gcd is taken of
+        nmask, dmask = num._mask, den._mask
+        if nmask:
+            g = _gcd_bits(nmask, dmask)
+            if g != 1:
+                nmask = _divmod_bits(nmask, g)[0]
+                dmask = _divmod_bits(dmask, g)[0]
+            self._num = _poly(nmask, num._off - den._off, True)
         else:
-            den = ONE
-        self._num = num
-        self._den = den
+            dmask = 1
+            self._num = ZERO
+        self._den = _poly(dmask, 0, True)
 
     @property
     def num(self) -> LaurentPoly:
@@ -361,22 +420,41 @@ def series_expand(r, horizon: int) -> LaurentPoly:
         return num.truncated(horizon)
     if not num:
         return ZERO
-    # inverse series of den (constant term 1): c_0 = 1, c_k = sum_{j in den, j>0} c_{k-j}
     count = horizon - num.delay
     if count < 0:
         return ZERO
-    taps = sorted(e for e in den.support if e > 0)
-    coeffs = [0] * (count + 1)
-    coeffs[0] = 1
-    for k in range(1, count + 1):
-        acc = 0
-        for j in taps:
-            if j > k:
-                break
-            acc ^= coeffs[k - j]
-        coeffs[k] = acc
-    inv = LaurentPoly._from_set(frozenset(k for k, c in enumerate(coeffs) if c))
-    return (num * inv).truncated(horizon)
+    return (num * _poly(_inverse_bits(den._mask, count + 1), 0, True)).truncated(horizon)
+
+
+def _inverse_bits(den: int, width: int) -> int:
+    """g with den * g = 1 mod D^width, for a mask ``den`` with constant term 1.
+
+    Newton's step g <- den * g^2 doubles the exact width: if den * g =
+    1 + D^k e, then den * (den * g^2) = (den * g)^2 = 1 + D^2k e^2.  Over
+    GF(2) squaring spreads the bits of g apart.
+    """
+    g, k = 1, 1
+    while k < width:
+        k = min(2 * k, width)
+        low = (1 << k) - 1
+        square = int("0".join(bin(g)[2:]), 2)
+        g = _clmul(den & low, square) & low
+    return g
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of two GF(2)[D] polynomials held as ints.
+
+    One shifted copy of the denser operand per set bit of the sparser one.
+    """
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    acc = 0
+    while a:
+        low = a & -a
+        acc ^= b << (low.bit_length() - 1)
+        a ^= low
+    return acc
 
 
 def entry_parse(token: str):

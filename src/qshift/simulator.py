@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import marshal
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .gf2poly import LaurentPoly, ParseError, ZERO, content_lines
+from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly, content_lines
 from .circuit import FeedbackNode, FiniteSection, ShiftRegisterCircuit
-from .symplectic import SympMatrix
+from .symplectic import SympMatrix, check_wire_count
 
 MAX_MEMORY_FRAMES = 10_000  # largest circuit memory m the simulator accepts
 MAX_CYCLES = 100_000  # most cycles one simulation may cover: horizon plus settle margin
@@ -84,7 +85,7 @@ def _step_finite(sec: FiniteSection, cells, frame):
 
 def _step_feedback(sec: FeedbackNode, cells, frame):
     m = sec.m
-    taps = sec.poly.support
+    taps = sec.taps
     w = sec.wire - 1
     z_in, x_in = frame[w]
     prev = [cell[:] for cell in cells]  # recursions read last cycle's state
@@ -177,8 +178,13 @@ class PauliStream:
         exps = [p.deg for p in self.zs + self.xs if p]
         return max(exps, default=0)
 
+    @cached_property
+    def _supports(self):
+        """Per wire, the exponent sets of its z and x parts, read once per cycle."""
+        return [(p.support, q.support) for p, q in zip(self.zs, self.xs)]
+
     def frame(self, t: int):
-        return [(p.coeff(t), q.coeff(t)) for p, q in zip(self.zs, self.xs)]
+        return [(int(t in z), int(t in x)) for z, x in self._supports]
 
     def to_text(self) -> str:
         lines = [f"n {self.n}"]
@@ -186,8 +192,8 @@ class PauliStream:
             lo = min(p.delay for p in self.zs + self.xs if p)
             hi = self.max_exp
             for t in range(min(lo, 0), hi + 1):
-                zbits = "".join(str(p.coeff(t)) for p in self.zs)
-                xbits = "".join(str(p.coeff(t)) for p in self.xs)
+                zbits = "".join("1" if t in z else "0" for z, _ in self._supports)
+                xbits = "".join("1" if t in x else "0" for _, x in self._supports)
                 if "1" in zbits or "1" in xbits:
                     lines.append(f"n={t} z={zbits} x={xbits}")
         return "\n".join(lines) + "\n"
@@ -196,12 +202,14 @@ class PauliStream:
     def from_text(cls, text: str) -> "PauliStream":
         n = None
         zs = xs = None
+        first = last = None  # lowest and highest frame with a 1 bit
         for lineno, line in content_lines(text):
             if line.startswith("n "):
                 try:
                     n = int(line.split()[1])
                 except (IndexError, ValueError) as exc:
                     raise ParseError(f"line {lineno}: bad wire count") from exc
+                check_wire_count(n, lineno)
                 zs = [set() for _ in range(n)]
                 xs = [set() for _ in range(n)]
                 continue
@@ -227,6 +235,18 @@ class PauliStream:
                         xs[w].add(t)
                     elif xbits[w] != "0":
                         raise ParseError(f"line {lineno}: bad bit {xbits[w]!r}")
+                if "1" in zbits or "1" in xbits:
+                    # the span of every entry is at most the stream's
+                    if first is None:
+                        first = last = t
+                    elif t > last:
+                        last = t
+                    elif t < first:
+                        first = t
+                    if last - first > MAX_SPAN:
+                        raise ParseError(
+                            f"line {lineno}: stream span {last - first} exceeds the "
+                            f"limit of {MAX_SPAN} (MAX_SPAN)")
                 continue
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
         if n is None:
@@ -292,17 +312,18 @@ def run(c: ShiftRegisterCircuit, stream: PauliStream, horizon: int) -> PauliStre
     if horizon < stream.max_exp:
         raise ValueError("horizon must cover the input stream support")
     _check_size(c, horizon + 1)
-    out_z = [set() for _ in range(c.n)]
-    out_x = [set() for _ in range(c.n)]
+    out_z = [0] * c.n  # bit t: output at cycle t
+    out_x = [0] * c.n
     frames = _output_frames(c, stream.frame, stream.max_exp, horizon + 1)
     for t, frame in enumerate(frames):
+        bit = 1 << t
         for w, (z, x) in enumerate(frame):
             if z:
-                out_z[w].add(t)
+                out_z[w] |= bit
             if x:
-                out_x[w].add(t)
-    return PauliStream(tuple(LaurentPoly(s) for s in out_z),
-                       tuple(LaurentPoly(s) for s in out_x))
+                out_x[w] |= bit
+    return PauliStream(tuple(_poly(m, 0) for m in out_z),
+                       tuple(_poly(m, 0) for m in out_x))
 
 
 def _settle_margin(c: ShiftRegisterCircuit) -> int:
@@ -340,7 +361,7 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
     extra = 0 if c.has_feedback else _settle_margin(c)
     _check_size(c, horizon + extra + 1)
     impulses = [(1 << w, 1 << (n + w)) for w in range(n)]
-    supports = [[set() for _ in range(2 * n)] for _ in range(2 * n)]  # [lane][column]
+    masks = [[0] * (2 * n) for _ in range(2 * n)]  # [lane][column], bit t: cycle t
     late = 0
     late_at = None
     frames = _output_frames(c, lambda t: impulses, 0, horizon + extra + 1)
@@ -355,15 +376,16 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
                 if new & (late & -late):  # the lowest late lane is new
                     late_at = t
             continue
+        bit = 1 << t
         for w, (z, x) in enumerate(frame):
-            for col, mask in ((w, z), (n + w, x)):
-                while mask:
-                    low = mask & -mask
-                    supports[low.bit_length() - 1][col].add(t)
-                    mask ^= low
+            for col, lanes in ((w, z), (n + w, x)):
+                while lanes:
+                    low = lanes & -lanes
+                    masks[low.bit_length() - 1][col] |= bit
+                    lanes ^= low
     if late:
         raise ValueError(f"horizon insufficient: output active at cycle {late_at}")
-    absolute = SympMatrix(n, [[LaurentPoly(s) for s in row] for row in supports])
+    absolute = SympMatrix(n, [[_poly(m, 0) for m in row] for row in masks])
     lat = absolute.min_delay() if c.has_feedback else absolute.latency_shift()
     return lat, absolute.shifted(-lat)
 

@@ -34,6 +34,10 @@ from .gf2poly import (
 
 GATE_KINDS = ("CNOT", "CPHASE", "CPHASE1", "H", "P", "DELAY", "INF_Z", "INF_X")
 
+# Most wires a text file may declare, or a gate sequence reach: a transfer is
+# a dense 2n x 2n matrix, so its work and memory grow with n^2.
+MAX_WIRES = 1_000
+
 # mnemonics used by the gate-sequence text format
 _KIND_TO_TEXT = {"INF_Z": "INFZ", "INF_X": "INFX"}
 _TEXT_TO_KIND = {"INFZ": "INF_Z", "INFX": "INF_X"}
@@ -103,6 +107,13 @@ class Gate:
         elif self.poly is not None:
             parts.append(str(self.poly))
         return " ".join(parts)
+
+
+def check_wire_count(n: int, lineno: int | None = None) -> None:
+    """Refuse ``n`` wires past MAX_WIRES, naming the line when it is given."""
+    if n > MAX_WIRES:
+        where = "" if lineno is None else f"line {lineno}: "
+        raise ParseError(f"{where}{n} wires exceed the limit of {MAX_WIRES} (MAX_WIRES)")
 
 
 def parse_gate(line: str) -> Gate:
@@ -242,13 +253,9 @@ class SympMatrix:
                     dels.append(e.delay)
         if not degs:
             return 0
-        hi, lo = max(degs), min(dels)
-        best_l, best_v = lo, None
-        for lshift in range(lo, hi + 1):
-            v = max(hi - lshift, lshift - lo)
-            if best_v is None or v < best_v:
-                best_l, best_v = lshift, v
-        return best_l
+        # max(hi - L, L - lo) is least at the midpoint; on a tie (hi + lo
+        # odd) the lower one
+        return (max(degs) + min(dels)) // 2
 
     def min_delay(self) -> int:
         """Smallest series exponent over nonzero entries (rational-aware)."""
@@ -302,6 +309,7 @@ class SympMatrix:
             n = int(head.split()[1])
         except (IndexError, ValueError) as exc:
             raise ParseError(f"line {lineno}: bad matrix header") from exc
+        check_wire_count(n, lineno)
         if len(lines) != 1 + 2 * n:
             # the first surplus row, else the last line read
             lineno = lines[min(len(lines) - 1, max(1 + 2 * n, 0))][0]
@@ -537,6 +545,7 @@ class StabilizerMatrix:
                     n = int(line.split()[1])
                 except (IndexError, ValueError) as exc:
                     raise ParseError(f"line {lineno}: bad qubit count") from exc
+                check_wire_count(n, lineno)
                 continue
             if line == "css":
                 continue

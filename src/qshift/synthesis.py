@@ -30,6 +30,7 @@ from .symplectic import (
     StabilizerMatrix,
     SympMatrix,
     apply_gates,
+    check_wire_count,
     dual_containing,
     gates_commute,
     pairing,
@@ -138,10 +139,15 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     b = _pmat_identity(nc)
     col_ops = []
 
+    # the adds skip zero operands: x + f * 0 is x
     def row_add(dst, src, f):
-        rows[dst] = [rows[dst][j] + f * rows[src][j] for j in range(nc)]
-        for r in range(nr):
-            a[r][src] = a[r][src] + f * a[r][dst]
+        rd, rs = rows[dst], rows[src]
+        for j in range(nc):
+            if rs[j]:
+                rd[j] = rd[j] + f * rs[j]
+        for r in a:
+            if r[dst]:
+                r[src] = r[src] + f * r[dst]
 
     def row_swap(i, j):
         rows[i], rows[j] = rows[j], rows[i]
@@ -150,8 +156,12 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
     def col_add(dst, src, f):
         for r in rows:
-            r[dst] = r[dst] + f * r[src]
-        b[src] = [b[src][j] + f * b[dst][j] for j in range(nc)]
+            if r[src]:
+                r[dst] = r[dst] + f * r[src]
+        bs, bd = b[src], b[dst]
+        for j in range(nc):
+            if bd[j]:
+                bs[j] = bs[j] + f * bd[j]
         col_ops.append(ElemOp("add", src, dst, f))
 
     def col_swap(i, j):
@@ -597,7 +607,7 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix, below: int | None = None
                 edges[(i, j)] = x[i][j]
     if not edges:
         return []
-    floor = max(abs(e) for f in edges.values() for e in f.support)
+    floor = max(f.abs_deg for f in edges.values())
     if below is not None and floor >= below:
         return None
     succ = {i: set() for i in range(n)}
@@ -712,8 +722,9 @@ def _cnot_euclid_candidate(ops, n: int, total: SympMatrix):
     def col_add(dst, src, f):
         if not f:
             return
-        for r in range(n):
-            work[r][dst] = work[r][dst] + f * work[r][src]
+        for row in work:
+            if row[src]:
+                row[dst] = row[dst] + f * row[src]
         rec.append((src, dst, f))
 
     def col_swap(i, j):
@@ -838,6 +849,7 @@ def parse_sequence(text: str):
     for lineno, line in content_lines(text):
         try:
             ops.append(parse_gate(line))
+            check_wire_count(max(ops[-1].wires))
         except (ParseError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     if not ops:

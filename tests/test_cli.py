@@ -269,10 +269,12 @@ def test_feedback_on_wire_zero_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["n 2\nsection depths=100000000,0\n",
-                                  "n 2\nffb Z wire=1 f=1+D^100000000\n"])
+                                  "n 2\nffb Z wire=1 f=1+D^10001\n"])
 @pytest.mark.parametrize("horizon", [[], ["--horizon", "8"]])
 def test_verify_and_simulate_refuse_oversized_memory(tmp_path, capsys, text, horizon):
-    # refused before the simulator allocates its 10^8 cells
+    # refused before the simulator allocates its cells; the feedback block is
+    # one frame past the limit, since a span past MAX_SPAN is refused earlier,
+    # when the file is read (test_polynomial_span_limit_refused_at_parse)
     circ = tmp_path / "big.circuit"
     circ.write_text(text)
     exp = tmp_path / "id.matrix"
@@ -299,6 +301,55 @@ def test_verify_and_simulate_refuse_too_many_cycles(tmp_path, capsys):
     assert captured.err.count("simulating 100001 cycles exceeds the simulator "
                               "limit of 100000 (MAX_CYCLES)") == 2
     assert captured.out == ""
+
+
+def test_polynomial_span_limit_refused_at_parse(tmp_path, capsys):
+    # a mask would need 10^8 bits; the text is refused before any is allocated
+    assert _verify_and_simulate(tmp_path, "n 2\nffb Z wire=1 f=1+D^100000000\n") == (2, 2)
+    assert main(["reduce", str(tmp_path / "bad.circuit")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("line 2: polynomial span 100000000 exceeds the "
+                              "limit of 100000 (MAX_SPAN)") == 3
+    assert captured.out == ""
+
+
+def test_deep_tap_reduces_at_once(tmp_path, capsys):
+    # the latency normalization is closed-form, not a scan over every stage
+    path = tmp_path / "deep.circuit"
+    path.write_text("n 2\nsection depths=1000000000,0\n"
+                    "gate CNOT a=1@1000000000 b=2@0\n")
+    assert main(["reduce", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "memory frames: 1000000000 -> 1000000000" in out
+    assert "f=D^1000000000" in out
+
+
+WIDE = "n 1500\n"  # past the limit of 1000 wires
+
+
+@pytest.mark.parametrize("command, text", [
+    (["reduce"], WIDE + "ffb Z wire=1 f=1+D\n"),
+    (["synth"], "# a code\n" + WIDE + "css\nX: " + " ".join(["1"] * 1500) + "\n"),
+    (["memory"], "CNOT 1 2 D\n\nCNOT 1 1500 1\n"),
+])
+def test_wire_limit_refused(tmp_path, capsys, command, text):
+    path = tmp_path / "wide"
+    path.write_text(text)
+    assert main(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    line = 3 if command == ["memory"] else text.splitlines().index("n 1500") + 1
+    assert f"line {line}: 1500 wires exceed the limit of 1000 (MAX_WIRES)" in err
+
+
+def test_wire_limit_refused_in_matrix_and_stream(tmp_path, capsys):
+    circ = tmp_path / "ok.circuit"
+    circ.write_text("n 1\n")
+    wide = tmp_path / "wide"
+    wide.write_text(WIDE)
+    assert main(["verify", str(circ), str(wide)]) == 2
+    assert main(["simulate", str(circ), str(wide)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("line 1: 1500 wires exceed the limit of 1000 (MAX_WIRES)") == 2
 
 
 def test_memory_command_fgg(tmp_path, capsys):

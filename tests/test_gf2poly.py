@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshift.gf2poly import (
     D,
+    MAX_SPAN,
     LaurentPoly,
     ONE,
     ParseError,
@@ -217,3 +219,144 @@ def test_rational_subst_inv_round_trip():
         r = ratio(num, den)
         back = r.subst_inv().subst_inv() if isinstance(r, RationalTransfer) else r.subst_inv().subst_inv()
         assert back == r
+
+
+def test_span_limit():
+    assert LaurentPoly([0, MAX_SPAN]).deg == MAX_SPAN
+    with pytest.raises(ValueError, match="exceeds the limit of 100000 .MAX_SPAN."):
+        LaurentPoly([0, MAX_SPAN + 1])
+    with pytest.raises(ParseError, match="polynomial span 1000000000000 exceeds"):
+        pp("1+D^1000000000000")
+    # the limit is on the polynomial, after duplicate terms cancel
+    assert pp("1+D^1000000000000+D^1000000000000") == ONE
+    assert pp("D^1000000000000") == D.shift(10 ** 12 - 1)
+    # arithmetic results are not checked
+    assert (pp("1") + pp("D^200000")).deg == 200000
+
+
+# ---------------------------------------------------------------------------
+# The set-of-exponents arithmetic that the masks replaced, kept as an oracle:
+# a polynomial is the frozenset of its exponents.
+
+
+def _set_of(exps):
+    out = set()
+    for e in exps:
+        out ^= {e}
+    return frozenset(out)
+
+
+def _set_mul(a, b):
+    return _set_of(x + y for x in a for y in b)
+
+
+def _set_str(a):
+    if not a:
+        return "0"
+    return "+".join("1" if e == 0 else "D" if e == 1 else f"D^{e}" for e in sorted(a))
+
+
+def _set_divmod(a, b):
+    q, r = set(), set(a)
+    db = max(b)
+    while r and max(r) >= db:
+        k = max(r) - db
+        q.add(k)
+        r ^= {e + k for e in b}
+    return frozenset(q), frozenset(r)
+
+
+def _set_gcd(a, b):
+    while b:
+        a, b = b, _set_divmod(a, b)[1]
+    return a
+
+
+def _set_series(num, den, horizon):
+    """num/den through exponent horizon by the coefficient recurrence."""
+    shift = min(den)
+    den = {e - shift for e in den}
+    num = {e - shift for e in num}
+    if not num or horizon - min(num) < 0:
+        return frozenset()
+    count = horizon - min(num)
+    taps = sorted(e for e in den if e > 0)
+    coeffs = [1] + [0] * count
+    for k in range(1, count + 1):
+        for j in taps:
+            if j <= k:
+                coeffs[k] ^= coeffs[k - j]
+    inv = {k for k, c in enumerate(coeffs) if c}
+    return frozenset(e for e in _set_mul(num, inv) if e <= horizon)
+
+
+def _same(p, a):
+    """LaurentPoly ``p`` holds the exponent set ``a``."""
+    assert p.support == a
+    assert p.terms == tuple(sorted(a))
+    assert str(p) == _set_str(a)
+    assert bool(p) == bool(a)
+    assert p == LaurentPoly(a) and hash(p) == hash(LaurentPoly(a))
+
+
+_EXPS = st.lists(st.integers(-40, 40), max_size=8)  # the empty list and monomials too
+_ORDINARY = st.lists(st.integers(0, 40), max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EXPS, _EXPS, st.integers(-50, 50), st.integers(-60, 60))
+def test_mask_arithmetic_matches_sets(xs, ys, k, horizon):
+    a, b = _set_of(xs), _set_of(ys)
+    p, q = LaurentPoly(xs), LaurentPoly(ys)
+    _same(p, a)
+    _same(p + q, a ^ b)
+    _same(p - q, a ^ b)
+    _same(p * q, _set_mul(a, b))
+    _same(p.shift(k), frozenset(e + k for e in a))
+    _same(p.subst_inv(), frozenset(-e for e in a))
+    _same(p.truncated(horizon), frozenset(e for e in a if e <= horizon))
+    assert p.coeff(k) == (k in a)
+    assert p.is_monomial == (len(a) == 1)
+    assert p.abs_deg == (max(max(a), -min(a)) if a else 0)
+    if a:
+        assert (p.deg, p.delay) == (max(a), min(a))
+    else:
+        for prop in ("deg", "delay"):
+            with pytest.raises(ValueError):
+                getattr(p, prop)
+    # equal values are equal and hash alike, however they were built
+    assert (p == q) == (a == b)
+    built = (p + LaurentPoly([k])) + LaurentPoly([k, k, k])
+    assert built == p and hash(built) == hash(p)
+    ratio_p = RationalTransfer(p, ONE)
+    assert ratio_p == p and p == ratio_p and hash(ratio_p) == hash(p)
+    den = LaurentPoly([0, 1 + abs(k) % 5])
+    widened = RationalTransfer(p * den, den)
+    assert widened == p and hash(widened) == hash(p) and widened.is_polynomial
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ORDINARY, _ORDINARY)
+def test_divmod_and_gcd_match_sets(xs, ys):
+    a, b = _set_of(xs), _set_of(ys)
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(LaurentPoly(xs), LaurentPoly(ys))
+        return
+    qt, r = poly_divmod(LaurentPoly(xs), LaurentPoly(ys))
+    sq, sr = _set_divmod(a, b)
+    _same(qt, sq)
+    _same(r, sr)
+    _same(poly_gcd(LaurentPoly(xs), LaurentPoly(ys)), _set_gcd(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPS, _ORDINARY.filter(bool), st.integers(0, 60))
+def test_series_expand_matches_sets(xs, ys, horizon):
+    a, b = _set_of(xs), _set_of(ys)
+    if not b:
+        return
+    got = series_expand((LaurentPoly(xs), LaurentPoly(ys)), horizon)
+    _same(got, _set_series(a, b, horizon))
+    r = ratio(LaurentPoly(xs), LaurentPoly(ys))
+    _same(series_expand(r, horizon), _set_series(a, b, horizon))

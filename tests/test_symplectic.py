@@ -128,6 +128,23 @@ def test_latency_shift():
     assert SympMatrix(2, rows).latency_shift() == 0
 
 
+def _latency_shift_by_scan(m):
+    """The smallest L minimizing max(hi - L, L - lo), by trying every L."""
+    entries = [e for row in m.rows for e in row if e]
+    if not entries:
+        return 0
+    hi, lo = max(e.deg for e in entries), min(e.delay for e in entries)
+    return min(range(lo, hi + 1), key=lambda l: (max(hi - l, l - lo), l))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(-20, 24), max_size=3), min_size=4, max_size=4))
+def test_latency_shift_matches_scan(diag):
+    rows = [[LaurentPoly(diag[i]) if i == j else ZERO for j in range(4)] for i in range(4)]
+    m = SympMatrix(2, rows)
+    assert m.latency_shift() == _latency_shift_by_scan(m)
+
+
 def test_symplectic_check_all_primitives():
     gates = [
         Gate("CNOT", (1, 2), pp("1+D^-1+D^3")),
