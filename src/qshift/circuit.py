@@ -92,7 +92,6 @@ class FeedbackNode:
     kind: str
     wire: int
     poly: LaurentPoly
-    taps: frozenset = field(init=False, repr=False, compare=False)  # poly's exponents
 
     def __post_init__(self):
         if self.kind not in ("Z", "X"):
@@ -102,7 +101,6 @@ class FeedbackNode:
         f = self.poly
         if not f or f.delay != 0 or f.deg < 1:
             raise ValueError("feedback polynomial must have delay 0 and degree >= 1")
-        object.__setattr__(self, "taps", f.support)
 
     @property
     def m(self) -> int:

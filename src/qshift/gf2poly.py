@@ -7,8 +7,10 @@ mask is odd, so the offset is the lowest exponent; ``1 + D + D^2`` is
 exponents (advances) are allowed everywhere.  Addition is an aligned XOR
 and multiplication a carry-less shift-XOR; both are exact.  A mask costs a
 bit per exponent in its span deg - delay, so a polynomial built from
-exponents or read from text may span at most ``MAX_SPAN`` (100,000);
-results of arithmetic are not checked.
+exponents or read from text may span at most ``MAX_SPAN`` (100,000), and
+arithmetic refuses, before allocating, a result that would span more than
+``MAX_ARITH_SPAN`` (1,000,000): a sum of two far-apart monomials, a
+product, an ordinary polynomial held for division, or a series expansion.
 
 ``RationalTransfer`` represents a ratio of Laurent polynomials in reduced
 form with a delay-free denominator.  Ratios appear as transfer-matrix
@@ -37,6 +39,17 @@ _TERM_RE = re.compile(r"^(?:1|D|D\^(-?\d+))$")
 # text: a mask holds one bit per exponent in the span.  No longer span can be
 # simulated (the simulator's MAX_CYCLES has the same value).
 MAX_SPAN = 100_000
+# Longest span an arithmetic result may have: room for several products of
+# such polynomials and a series expansion past them, while no mask exceeds
+# 125 KB.  Monomials are free at any exponent, so without it the sum of two
+# monomials read from text, 1 + D^(10^12), would ask for a 125 GB mask.
+MAX_ARITH_SPAN = 10 * MAX_SPAN
+
+
+def _check_arith_span(span: int) -> None:
+    if span > MAX_ARITH_SPAN:
+        raise ValueError(f"polynomial arithmetic span {span} exceeds the limit "
+                         f"of {MAX_ARITH_SPAN} (MAX_ARITH_SPAN)")
 
 
 class LaurentPoly:
@@ -117,7 +130,9 @@ class LaurentPoly:
         a, b = (self, other) if self._off <= other._off else (other, self)
         if a._off == b._off:
             return _poly(a._mask ^ b._mask, a._off)  # the constant bits cancel
-        return _poly(a._mask ^ (b._mask << (b._off - a._off)), a._off, True)
+        k = b._off - a._off
+        _check_arith_span(k + b._mask.bit_length() - 1)
+        return _poly(a._mask ^ (b._mask << k), a._off, True)
 
     __radd__ = __add__
     __sub__ = __add__  # characteristic 2
@@ -127,6 +142,7 @@ class LaurentPoly:
             return NotImplemented
         if not self._mask or not other._mask:
             return ZERO
+        _check_arith_span(self._mask.bit_length() + other._mask.bit_length() - 2)
         # odd times odd is odd
         return _poly(_clmul(self._mask, other._mask), self._off + other._off, True)
 
@@ -264,6 +280,8 @@ def _ordinary_bits(p: LaurentPoly) -> int:
     """``p`` as an int with bit k the coefficient of D^k; delay must be >= 0."""
     if p._mask and p._off < 0:
         raise ValueError("divmod operands must be ordinary polynomials (delay >= 0)")
+    if p._off:
+        _check_arith_span(p._off + p._mask.bit_length() - 1)
     return p._mask << p._off
 
 
@@ -420,10 +438,13 @@ def series_expand(r, horizon: int) -> LaurentPoly:
         return num.truncated(horizon)
     if not num:
         return ZERO
-    count = horizon - num.delay
+    count = horizon - num.delay  # bit k of the result: D^(num.delay + k)
     if count < 0:
         return ZERO
-    return (num * _poly(_inverse_bits(den._mask, count + 1), 0, True)).truncated(horizon)
+    _check_arith_span(count)
+    low = (1 << (count + 1)) - 1
+    bits = _clmul(num._mask, _inverse_bits(den._mask, count + 1)) & low  # odd
+    return _poly(bits, num.delay, True)
 
 
 def _inverse_bits(den: int, width: int) -> int:

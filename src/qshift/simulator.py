@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import marshal
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly, content_lines
 from .circuit import FeedbackNode, FiniteSection, ShiftRegisterCircuit
@@ -85,7 +84,7 @@ def _step_finite(sec: FiniteSection, cells, frame):
 
 def _step_feedback(sec: FeedbackNode, cells, frame):
     m = sec.m
-    taps = sec.taps
+    f = sec.poly._mask  # delay 0, so bit i is the tap f_i
     w = sec.wire - 1
     z_in, x_in = frame[w]
     prev = [cell[:] for cell in cells]  # recursions read last cycle's state
@@ -98,16 +97,16 @@ def _step_feedback(sec: FeedbackNode, cells, frame):
         ff, fb = 0, 1
 
     # feedforward side: out = m_M + f_0 * in; cell_i collects f_{M-i+1} * in
-    ff_out = prev[m - 1][ff] ^ (ff_in if 0 in taps else 0)
+    ff_out = prev[m - 1][ff] ^ (ff_in if f & 1 else 0)
     cells[0][ff] = ff_in
     for i in range(2, m + 1):
-        tap = ff_in if (m - i + 1) in taps else 0
+        tap = ff_in if f >> (m - i + 1) & 1 else 0
         cells[i - 1][ff] = prev[i - 2][ff] ^ tap
     # feedback side: out = m_M; cell_1 = in + sum_{i<M} f_i * m_{M-i}
     fb_out = prev[m - 1][fb]
     acc = fb_in
     for i in range(m):
-        if i in taps:
+        if f >> i & 1:
             acc ^= prev[m - i - 1][fb]
     cells[0][fb] = acc
     for i in range(2, m + 1):
@@ -178,24 +177,32 @@ class PauliStream:
         exps = [p.deg for p in self.zs + self.xs if p]
         return max(exps, default=0)
 
-    @cached_property
-    def _supports(self):
-        """Per wire, the exponent sets of its z and x parts, read once per cycle."""
-        return [(p.support, q.support) for p, q in zip(self.zs, self.xs)]
-
     def frame(self, t: int):
-        return [(int(t in z), int(t in x)) for z, x in self._supports]
+        return [(p.coeff(t), q.coeff(t)) for p, q in zip(self.zs, self.xs)]
+
+    def _columns(self, lo: int, hi: int):
+        """Per cycle lo..hi, the bits of zs then xs as '0'/'1' characters.
+
+        Each part's terms are read once; a ``coeff`` per cycle and part
+        would shift the whole mask each time.
+        """
+        rows = []
+        for p in self.zs + self.xs:
+            row = bytearray(b"0" * (hi - lo + 1))
+            for t in p.terms:
+                if lo <= t <= hi:
+                    row[t - lo] = 49  # "1"
+            rows.append(row.decode())
+        return zip(*rows)
 
     def to_text(self) -> str:
         lines = [f"n {self.n}"]
         if any(self.zs) or any(self.xs):
-            lo = min(p.delay for p in self.zs + self.xs if p)
-            hi = self.max_exp
-            for t in range(min(lo, 0), hi + 1):
-                zbits = "".join("1" if t in z else "0" for z, _ in self._supports)
-                xbits = "".join("1" if t in x else "0" for _, x in self._supports)
-                if "1" in zbits or "1" in xbits:
-                    lines.append(f"n={t} z={zbits} x={xbits}")
+            lo = min(0, min(p.delay for p in self.zs + self.xs if p))
+            for t, col in enumerate(self._columns(lo, self.max_exp), start=lo):
+                if "1" in col:
+                    bits = "".join(col)
+                    lines.append(f"n={t} z={bits[:self.n]} x={bits[self.n:]}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -312,9 +319,12 @@ def run(c: ShiftRegisterCircuit, stream: PauliStream, horizon: int) -> PauliStre
     if horizon < stream.max_exp:
         raise ValueError("horizon must cover the input stream support")
     _check_size(c, horizon + 1)
-    out_z = [0] * c.n  # bit t: output at cycle t
-    out_x = [0] * c.n
-    frames = _output_frames(c, stream.frame, stream.max_exp, horizon + 1)
+    n = c.n
+    out_z = [0] * n  # bit t: output at cycle t
+    out_x = [0] * n
+    inputs = [[(int(z), int(x)) for z, x in zip(col[:n], col[n:])]
+              for col in stream._columns(0, stream.max_exp)]  # inputs[t] == stream.frame(t)
+    frames = _output_frames(c, inputs.__getitem__, stream.max_exp, horizon + 1)
     for t, frame in enumerate(frames):
         bit = 1 << t
         for w, (z, x) in enumerate(frame):

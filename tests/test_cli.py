@@ -324,6 +324,23 @@ def test_deep_tap_reduces_at_once(tmp_path, capsys):
     assert "f=D^1000000000" in out
 
 
+@pytest.mark.parametrize("command, text", [
+    # two monomial taps 10^10 stages apart sum to 1 + D^(10^10) in the transfer
+    (["reduce"], "n 2\nsection depths=10000000000,0\n"
+                 "gate CNOT a=1@10000000000 b=2@0\ngate CNOT a=1@0 b=2@0\n"),
+    (["memory"], "CNOT 1 2 1\nDELAY 1 1000000000000\nCNOT 1 2 1\n"),
+])
+def test_far_apart_monomials_refused_by_arith_span(tmp_path, capsys, command, text):
+    # each file passes every parse check; its transfer would need a mask of
+    # 10^10 (10^12) bits, which arithmetic refuses before allocating
+    path = tmp_path / "far"
+    path.write_text(text)
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "exceeds the limit of 1000000 (MAX_ARITH_SPAN)" in captured.err
+    assert captured.out == ""
+
+
 WIDE = "n 1500\n"  # past the limit of 1000 wires
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qshift.gf2poly import (
     D,
+    MAX_ARITH_SPAN,
     MAX_SPAN,
     LaurentPoly,
     ONE,
@@ -230,8 +231,41 @@ def test_span_limit():
     # the limit is on the polynomial, after duplicate terms cancel
     assert pp("1+D^1000000000000+D^1000000000000") == ONE
     assert pp("D^1000000000000") == D.shift(10 ** 12 - 1)
-    # arithmetic results are not checked
+    # arithmetic results may span past MAX_SPAN, up to MAX_ARITH_SPAN
     assert (pp("1") + pp("D^200000")).deg == 200000
+
+
+def test_arith_span_limit():
+    # a result past MAX_ARITH_SPAN is refused before its mask is allocated
+    limit = MAX_ARITH_SPAN
+    assert limit == 1_000_000
+    far = ONE.shift(limit + 1)
+    message = "polynomial arithmetic span 1000001 exceeds the limit of 1000000 .MAX_ARITH_SPAN."
+    assert (ONE + ONE.shift(limit)).deg == limit
+    assert far + far == ZERO  # equal offsets need no shift
+    with pytest.raises(ValueError, match=message):
+        ONE + far
+    with pytest.raises(ValueError, match=message):
+        far + ONE
+    with pytest.raises(ValueError, match="span 1000000000000 exceeds"):
+        ONE + pp("D^-1000000000000")
+    half = ONE + ONE.shift(limit // 2)
+    assert (half * half).deg == limit
+    with pytest.raises(ValueError, match=message):
+        half * (ONE + ONE.shift(limit // 2 + 1))
+    assert (far * far).deg == 2 * limit + 2  # monomial products stay free
+    # division holds ordinary polynomials from D^0, so the delay counts
+    assert poly_divmod(ONE.shift(limit), D) == (ONE.shift(limit - 1), ZERO)
+    with pytest.raises(ValueError, match=message):
+        poly_divmod(far, D)
+    with pytest.raises(ValueError, match=message):
+        poly_gcd(D, far)
+    # the expansion has one bit per exponent from the delay to the horizon
+    assert series_expand((ONE, ONE + D), limit).deg == limit
+    with pytest.raises(ValueError, match=message):
+        series_expand((ONE, ONE + D), limit + 1)
+    with pytest.raises(ValueError, match="span 1000000000000 exceeds"):
+        series_expand((ONE.shift(-10 ** 12), ONE + D), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,9 @@ def test_gate_sequence_text_round_trip_is_byte_stable(case):
 
 
 @st.composite
-def streams(draw):
+def streams(draw, lo=0):
     n = draw(st.integers(1, 4))
-    part = st.lists(_polys(0, 30), min_size=n, max_size=n)
+    part = st.lists(_polys(lo, 30), min_size=n, max_size=n)
     return PauliStream(draw(part), draw(part))
 
 
@@ -83,3 +83,24 @@ def test_stream_text_round_trip_is_byte_stable(stream):
     again = PauliStream.from_text(text)
     assert again == stream
     assert again.to_text() == text
+
+
+def _frame_text(stream):
+    """Stream text read one cycle at a time through ``frame(t)``."""
+    lines = [f"n {stream.n}"]
+    parts = [p for p in stream.zs + stream.xs if p]
+    if parts:
+        for t in range(min(0, min(p.delay for p in parts)), stream.max_exp + 1):
+            frame = stream.frame(t)
+            if any(z or x for z, x in frame):
+                zbits = "".join(str(z) for z, _ in frame)
+                xbits = "".join(str(x) for _, x in frame)
+                lines.append(f"n={t} z={zbits} x={xbits}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams(lo=-5))
+def test_stream_text_matches_frames(stream):
+    # cycles before 0 are written too, although from_text refuses them
+    assert stream.to_text() == _frame_text(stream)
