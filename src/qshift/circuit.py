@@ -14,6 +14,14 @@ transfer D^(sa-sb) between the two wire streams, so a delay-line CNOT
 block with taps f_e at source stages e implements CNOT(i,j)(f) behind a
 global delay.  Cascading concatenates sections, merging adjacent finite
 sections by offsetting the second schedule one pipeline downstream.
+A whole gate list is laid out the same way in one pass by
+``synthesis._cascade_all``: ``tap_placements`` takes the stages at which
+a block starts on its two wires, so each tap is placed once, at its
+final stage, instead of once per merge.
+
+The symbolic transfer (``circuit_transfer``) is the ordered product of
+every section's gates, multiplied out on sparse columns by
+``apply_gates``.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2poly import LaurentPoly, ParseError, content_lines, parse_poly
-from .symplectic import Gate, SympMatrix, apply_gates, check_wire_count, gates_commute
+from .symplectic import Gate, apply_gates, check_wire_count, gates_commute
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
@@ -49,6 +57,8 @@ class Placement:
                 raise ValueError(f"bad slot ({wire}, {stage})")
 
     def moved_down(self, k: int = 1) -> "Placement":
+        if k == 0:
+            return self
         a = (self.a[0], self.a[1] - k)
         b = None if self.b is None else (self.b[0], self.b[1] - k)
         return Placement(self.kind, a, b)
@@ -202,9 +212,14 @@ def cascade(c1: ShiftRegisterCircuit, c2: ShiftRegisterCircuit) -> ShiftRegister
 # Primitive constructors
 
 
-def tap_placements(kind: str, i: int, j: int, f: LaurentPoly) -> list:
-    """One placement per tap D^e of f, from slot (i, max(e, 0)) to (j, max(-e, 0))."""
-    return [Placement(kind, (i, max(e, 0)), (j, max(-e, 0))) for e in f.terms]
+def tap_placements(kind: str, i: int, j: int, f: LaurentPoly,
+                   si: int = 0, sj: int = 0) -> list:
+    """One placement per tap D^e of f, from slot (i, si + max(e, 0)) to (j, sj + max(-e, 0)).
+
+    ``si`` and ``sj`` are the stages at which the block's stage 0 lies on
+    wires i and j (nonzero when the block sits downstream of others).
+    """
+    return [Placement(kind, (i, si + max(e, 0)), (j, sj + max(-e, 0))) for e in f.terms]
 
 
 def _tap_section(kind: str, i: int, j: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
@@ -235,13 +250,10 @@ def build_cphase2_circuit(i: int, j: int, f: LaurentPoly, n: int) -> ShiftRegist
 def build_cphase1_circuit(i: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
     """Single-wire controlled-phase: transfer entry f(D) + f(D^-1) at (x_i, z_i)."""
     _check_wire(i, n)
-    if not f:
-        return identity_circuit(n)
-    if f.delay < 1:
+    if f and f.delay < 1:
         raise ValueError("self-phase at lag 0 is a P gate")
-    m = f.deg
-    placements = tuple(Placement("CPHASE", (i, e), (i, 0)) for e in f.terms)
-    return ShiftRegisterCircuit(n, (FiniteSection((m,) * n, placements),))
+    # every tap D^e has e >= 1: a CPHASE placement from (i, e) to (i, 0)
+    return _tap_section("CPHASE", i, i, f, n)
 
 
 def build_delay_circuit(i: int, l: int, n: int) -> ShiftRegisterCircuit:
@@ -427,9 +439,7 @@ def circuit_transfer(c: ShiftRegisterCircuit):
     absolute degree (smallest such exponent on ties); circuits with
     feedback blocks normalize to the smallest observed series exponent.
     """
-    t = SympMatrix.identity(c.n)
-    for sec in c.sections:
-        t = apply_gates(t, _section_gates(sec))
+    t = apply_gates([g for sec in c.sections for g in _section_gates(sec)], c.n)
     if t.is_polynomial:
         lat = t.latency_shift()
     else:

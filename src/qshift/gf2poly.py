@@ -348,11 +348,6 @@ class RationalTransfer:
     def is_polynomial(self) -> bool:
         return self._den == ONE
 
-    def as_poly(self) -> LaurentPoly:
-        if not self.is_polynomial:
-            raise ValueError(f"{self} is not polynomial")
-        return self._num
-
     def __bool__(self) -> bool:
         return bool(self._num)
 

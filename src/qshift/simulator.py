@@ -196,6 +196,11 @@ class PauliStream:
         return zip(*rows)
 
     def to_text(self) -> str:
+        """``n <wires>`` and one ``n=<cycle> z=<bits> x=<bits>`` line per frame with a 1.
+
+        Frames before cycle 0 are written too, and ``from_text`` reads them
+        back; only ``run`` requires a stream to start at cycle 0.
+        """
         lines = [f"n {self.n}"]
         if any(self.zs) or any(self.xs):
             lo = min(0, min(p.delay for p in self.zs + self.xs if p))
@@ -229,8 +234,6 @@ class PauliStream:
                     zbits, xbits = kv["z"], kv["x"]
                 except (KeyError, ValueError) as exc:
                     raise ParseError(f"line {lineno}: malformed frame line") from exc
-                if t < 0:
-                    raise ParseError(f"line {lineno}: negative frame index")
                 if len(zbits) != n or len(xbits) != n:
                     raise ParseError(f"line {lineno}: expected {n} bits per field")
                 for w in range(n):
@@ -314,8 +317,10 @@ def run(c: ShiftRegisterCircuit, stream: PauliStream, horizon: int) -> PauliStre
     """
     if stream.n != c.n:
         raise ValueError("stream width mismatch")
-    if any(p and p.delay < 0 for p in stream.zs + stream.xs):
-        raise ValueError("streams start at cycle 0")
+    first = min((p.delay for p in stream.zs + stream.xs if p), default=0)
+    if first < 0:
+        raise ValueError(f"stream has a frame at cycle {first}; "
+                         "a simulated stream starts at cycle 0")
     if horizon < stream.max_exp:
         raise ValueError("horizon must cover the input stream support")
     _check_size(c, horizon + 1)

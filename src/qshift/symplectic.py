@@ -10,8 +10,8 @@ Closed-form matrices for every elementary gate are produced by
 :func:`gate_matrix`; validity is the shift-invariant symplectic
 condition  m . L . m^T(D^-1) = L  with L = [[0, I], [I, 0]].  The same
 closed forms, kept as the few columns each gate changes
-(:func:`gate_columns`), let :func:`apply_gates` multiply a transfer by
-a gate sequence without dense matrix products, and :func:`gates_commute`
+(:func:`gate_columns`), let :func:`apply_gates` multiply out a gate
+sequence on sparse columns without dense matrix products, and :func:`gates_commute`
 decide whether two gates commute; the circuit layer decides placement
 commutation with it too.
 """
@@ -110,9 +110,11 @@ class Gate:
 
 
 def check_wire_count(n: int, lineno: int | None = None) -> None:
-    """Refuse ``n`` wires past MAX_WIRES, naming the line when it is given."""
+    """Refuse ``n`` wires below 1 or past MAX_WIRES, naming the line when it is given."""
+    where = "" if lineno is None else f"line {lineno}: "
+    if n < 1:
+        raise ParseError(f"{where}{n} wires; a header needs at least 1")
     if n > MAX_WIRES:
-        where = "" if lineno is None else f"line {lineno}: "
         raise ParseError(f"{where}{n} wires exceed the limit of {MAX_WIRES} (MAX_WIRES)")
 
 
@@ -176,17 +178,6 @@ class SympMatrix:
     def identity(cls, n: int) -> "SympMatrix":
         return cls(n, [[ONE if i == j else ZERO for j in range(2 * n)]
                        for i in range(2 * n)])
-
-    @classmethod
-    def block_diag_zx(cls, z_block, x_block) -> "SympMatrix":
-        """Assemble [[Z, 0], [0, X]] from two n x n blocks."""
-        n = len(z_block)
-        rows = []
-        for i in range(n):
-            rows.append(list(z_block[i]) + [ZERO] * n)
-        for i in range(n):
-            rows.append([ZERO] * n + list(x_block[i]))
-        return cls(n, rows)
 
     @property
     def rows(self) -> tuple:
@@ -394,30 +385,33 @@ def gate_matrix(gate: Gate, n: int) -> SympMatrix:
     return SympMatrix(n, rows)
 
 
-def apply_gates(t: SympMatrix, gates) -> SympMatrix:
-    """``t @ gate_matrix(g1) @ gate_matrix(g2) @ ...`` without dense products.
+def apply_gates(gates, n: int) -> SympMatrix:
+    """``gate_matrix(g1, n) @ gate_matrix(g2, n) @ ...`` without dense products.
 
-    Postmultiplying by a gate rewrites only the columns its matrix
-    changes, each entry a sum over that column's nonzero entries: O(n)
-    entry operations per gate instead of the O(n^3) of ``@``.  Entries
-    are exact, so the result equals the dense product.
+    The product is held as sparse columns ``{row: entry}``, starting from
+    the identity's.  Postmultiplying by a gate rewrites only the columns
+    its matrix changes (``gate_columns``): each new column is the sum of
+    the current columns its entries select, times those entries, so a
+    gate costs one entry operation per nonzero entry it reads, not one
+    per row of the 2n.  Entries are exact, so the result equals the dense
+    product; it is laid out densely once, at the end.
     """
-    n = t.n
-    rows = [list(r) for r in t.rows]
+    cols = [{c: ONE} for c in range(2 * n)]
     for gate in gates:
-        cols = [(c, tuple(col.items())) for c, col in gate_columns(gate, n).items()]
-        for row in rows:
-            new = []
-            for _, col in cols:
-                acc = None
-                for k, g in col:
-                    a = row[k]
-                    if a:
-                        term = a if g is ONE else a * g
-                        acc = term if acc is None else acc + term
-                new.append(ZERO if acc is None else acc)
-            for (c, _), e in zip(cols, new):
-                row[c] = e
+        new = []
+        for c, gate_col in gate_columns(gate, n).items():
+            acc = {}
+            for k, g in gate_col.items():
+                for r, a in cols[k].items():
+                    term = a if g is ONE else a * g
+                    acc[r] = acc[r] + term if r in acc else term
+            new.append((c, {r: e for r, e in acc.items() if e}))
+        for c, col in new:
+            cols[c] = col
+    rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
+    for c, col in enumerate(cols):
+        for r, e in col.items():
+            rows[r][c] = e
     return SympMatrix(n, rows)
 
 
@@ -502,10 +496,6 @@ class StabilizerMatrix:
     @property
     def num_rows(self) -> int:
         return len(self._rows)
-
-    @property
-    def is_css(self) -> bool:
-        return self._css is not None
 
     @property
     def css_parts(self):

@@ -37,11 +37,14 @@ from .symplectic import (
     parse_gate,
 )
 from .circuit import (
+    FeedbackNode,
     FiniteSection,
+    Placement,
     ShiftRegisterCircuit,
     _canonical_sections,
+    _check_pair,
+    _check_wire,
     _wire_users,
-    build_from_gate,
     check_schedule,
     instances_commute,
     tap_placements,
@@ -105,16 +108,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d)
-
-    def b_inverse(self):
-        out = _pmat_identity(len(self.b))
-        for op in self.col_ops:
-            for row in out:
-                if op.kind == "swap":
-                    row[op.src], row[op.dst] = row[op.dst], row[op.src]
-                elif row[op.src]:
-                    row[op.dst] = row[op.dst] + op.f * row[op.src]
-        return out
 
 
 def smith_normal_form(matrix) -> SmithDecomposition:
@@ -504,9 +497,51 @@ def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
 
 
 def _cascade_all(ops, n: int) -> ShiftRegisterCircuit:
-    """``cascade`` of the primitive circuits of ``ops``, merged in one pass."""
-    sections = [sec for gate in ops for sec in build_from_gate(gate, n).sections]
-    return ShiftRegisterCircuit(n, _canonical_sections(sections))
+    """``cascade`` of the primitive circuits of ``ops``, laid out in one pass.
+
+    Equal to cascading ``build_from_gate(g, n)`` gate by gate, with the
+    same wire, pair and lag checks and messages, but at the cost of one
+    ``Placement`` per tap.  ``offsets`` holds each wire's depth so far in
+    the current run of finite gates, which is where the next block's
+    stage 0 lies on that wire; every tap is placed there at once, and a
+    block of tap span d then deepens every wire by d (a DELAY only its
+    own wire).  A feedback gate closes the run as one ``FiniteSection``
+    and passes through as a ``FeedbackNode``.
+    """
+    sections = []
+    offsets, placements = [0] * n, []
+
+    def close_run():
+        nonlocal offsets, placements
+        if placements or any(offsets):
+            sections.append(FiniteSection(tuple(offsets), tuple(placements)))
+            offsets, placements = [0] * n, []
+
+    for g in ops:
+        kind, i = g.kind, g.wires[0]
+        if kind in ("CNOT", "CPHASE"):
+            j = g.wires[1]
+            _check_pair(i, j, n)
+        else:
+            j = i
+            _check_wire(i, n)
+        if kind in ("INF_Z", "INF_X"):
+            close_run()
+            sections.append(FeedbackNode("Z" if kind == "INF_Z" else "X", i, g.poly))
+        elif kind in ("H", "P"):
+            placements.append(Placement(kind, (i, offsets[i - 1])))
+        elif kind == "DELAY":
+            offsets[i - 1] += g.delay_amount
+        elif g.poly:
+            if kind == "CPHASE1" and g.poly.delay < 1:
+                raise ValueError("self-phase at lag 0 is a P gate")
+            placements.extend(tap_placements(
+                "CPHASE" if kind == "CPHASE1" else kind, i, j, g.poly,
+                offsets[i - 1], offsets[j - 1]))
+            span = g.poly.abs_deg
+            offsets = [o + span for o in offsets]
+    close_run()
+    return ShiftRegisterCircuit(n, tuple(sections))
 
 
 def _gate_is_identity(g: Gate) -> bool:
@@ -820,10 +855,10 @@ def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
 def sequence_transfer(ops, n: int) -> SympMatrix:
     """Ordered product of the closed-form matrices of a gate list.
 
-    Gates are applied one at a time to the columns they change
+    Gates are applied one at a time to the sparse columns they change
     (``apply_gates``), not by dense matrix products.
     """
-    return apply_gates(SympMatrix.identity(n), ops)
+    return apply_gates(ops, n)
 
 
 def constraint_lengths(s: StabilizerMatrix):

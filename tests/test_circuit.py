@@ -138,6 +138,8 @@ def test_cphase1_circuit():
     assert c3.m == 3
     t3, _ = circuit_transfer(c3)
     assert t3.entry(1, 0) == pp("D^-3+D^-1+D+D^3")
+    assert c3.placements == (Placement("CPHASE", (1, 1), (1, 0)),
+                             Placement("CPHASE", (1, 3), (1, 0)))
     with pytest.raises(ValueError):
         build_cphase1_circuit(1, pp("1+D"), 1)
 
@@ -341,6 +343,24 @@ def mixed_gate_lists(draw):
             gates.append(Gate(kind, (i,), LaurentPoly({0} | rest)))
         else:
             gates.append(Gate(kind, (i,)))
+    return n, gates
+
+
+@st.composite
+def gate_lists_with_identities(draw):
+    """``mixed_gate_lists`` with zero-polynomial and zero-delay gates spliced in."""
+    n, gates = draw(mixed_gate_lists())
+    wire = st.integers(1, n)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("CNOT", "CPHASE", "CPHASE1", "DELAY")))
+        i = draw(wire)
+        if kind in ("CNOT", "CPHASE"):
+            g = Gate(kind, (i, draw(wire.filter(lambda w: w != i))), ZERO)
+        elif kind == "CPHASE1":
+            g = Gate(kind, (i,), ZERO)
+        else:
+            g = Gate(kind, (i,), LaurentPoly.monomial(0))
+        gates.insert(draw(st.integers(0, len(gates))), g)
     return n, gates
 
 

@@ -369,6 +369,34 @@ def test_wire_limit_refused_in_matrix_and_stream(tmp_path, capsys):
     assert err.count("line 1: 1500 wires exceed the limit of 1000 (MAX_WIRES)") == 2
 
 
+@pytest.mark.parametrize("n", [-3, 0])
+@pytest.mark.parametrize("command, bad_file", [
+    ("reduce", "circuit"),
+    ("simulate", "circuit"),
+    ("simulate", "stream"),
+    ("verify", "circuit"),
+    ("verify", "matrix"),
+    ("synth", "code"),
+])
+def test_wire_count_below_one_refused(tmp_path, capsys, n, command, bad_file):
+    header = f"# no wires\nn {n}\n"
+    good = {"circuit": "n 1\n", "stream": "n 1\nn=0 z=1 x=0\n",
+            "matrix": "n 1\n1 0\n0 1\n"}
+    bad = {"circuit": header, "stream": header + "n=0 z=1 x=0\n",
+           "matrix": header + "1 0\n0 1\n", "code": header + "css\nX: 1\n"}
+    files = {"reduce": ["circuit"], "simulate": ["circuit", "stream"],
+             "verify": ["circuit", "matrix"], "synth": ["code"]}[command]
+    argv = [command]
+    for kind in files:
+        path = tmp_path / kind
+        path.write_text(bad[kind] if kind == bad_file else good[kind])
+        argv.append(str(path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"line 2: {n} wires; a header needs at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_memory_command_fgg(tmp_path, capsys):
     seq = tmp_path / "fgg.seq"
     seq.write_text(FGG_SEQUENCE)

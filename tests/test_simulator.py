@@ -285,8 +285,10 @@ def test_stream_text_round_trip():
         PauliStream.from_text("n 2\nn=0 z=01 x=0\n")
     with pytest.raises(ParseError):
         PauliStream.from_text("n=0 z=0 x=0\n")
-    with pytest.raises(ParseError):
-        PauliStream.from_text("n 1\nn=-1 z=0 x=0\n")
+    # frames before cycle 0 are read as written (``run`` refuses them)
+    early = PauliStream((ZERO,), (pp("D^-1"),))
+    assert early.to_text() == "n 1\nn=-1 z=0 x=1\n"
+    assert PauliStream.from_text(early.to_text()) == early
 
 
 def test_cphase1_impulse_matches_closed_form():

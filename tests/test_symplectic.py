@@ -1,14 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, ParseError, parse_poly as pp
 from qshift.symplectic import (
     Gate,
     StabilizerMatrix,
     SympMatrix,
+    apply_gates,
     dual_containing,
+    gate_columns,
     gate_matrix,
     gates_commute,
     lam,
@@ -16,6 +18,8 @@ from qshift.symplectic import (
     parse_gate,
     row_space_equiv,
 )
+
+from test_circuit import gate_lists_with_identities
 
 
 def cnot(i, j, f, n):
@@ -58,6 +62,57 @@ def test_cnot_matrix_unit_delay_combo():
     assert m.entry(0, 2) == ZERO
 
 
+def block_diag_zx(z_block, x_block):
+    """[[Z, 0], [0, X]] from two n x n blocks."""
+    n = len(z_block)
+    rows = [list(r) + [ZERO] * n for r in z_block]
+    rows += [[ZERO] * n + list(r) for r in x_block]
+    return SympMatrix(n, rows)
+
+
+def _row_wise_apply(t, gates):
+    """``t`` times the gates, each gate rewriting its columns in all 2n rows.
+
+    The dense, row-wise reference for the sparse-column ``apply_gates``.
+    """
+    n = t.n
+    rows = [list(r) for r in t.rows]
+    for gate in gates:
+        cols = [(c, tuple(col.items())) for c, col in gate_columns(gate, n).items()]
+        for row in rows:
+            new = []
+            for _, col in cols:
+                acc = None
+                for k, g in col:
+                    a = row[k]
+                    if a:
+                        term = a if g is ONE else a * g
+                        acc = term if acc is None else acc + term
+                new.append(ZERO if acc is None else acc)
+            for (c, _), e in zip(cols, new):
+                row[c] = e
+    return SympMatrix(n, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_lists_with_identities(), st.integers(0, 10))
+@example((2, [Gate("INF_Z", (1,), pp("1+D+D^2")), Gate("CNOT", (1, 2), pp("D^-1+D")),
+              Gate("H", (2,)), Gate("INF_X", (2,), pp("1+D")),
+              Gate("CPHASE", (2, 1), pp("1+D^2"))]), 2)
+def test_apply_gates_equals_row_wise_and_dense_products(case, split):
+    # feedback gates make rational entries (INF_Z, INF_X)
+    n, gates = case
+    product = apply_gates(gates, n)
+    assert product.to_text() == _row_wise_apply(SympMatrix.identity(n), gates).to_text()
+    dense = SympMatrix.identity(n)
+    for g in gates:
+        dense = dense @ gate_matrix(g, n)
+    assert product == dense
+    # a start other than the identity: the product of a prefix
+    k = min(split, len(gates))
+    assert product == _row_wise_apply(apply_gates(gates[:k], n), gates[k:])
+
+
 def test_cnot_zero_poly_is_identity():
     assert cnot(1, 2, "0", 3) == SympMatrix.identity(3)
 
@@ -67,7 +122,7 @@ def test_overall_encoding_matrix_example():
     m = cnot(3, 2, "1+D^-1", 3) @ cnot(1, 2, "D", 3) @ cnot(1, 3, "1+D", 3)
     z = [["1", "0", "0"], ["D", "1", "1+D"], ["1+D^-1", "0", "1"]]
     x = [["1", "D", "1+D"], ["0", "1", "0"], ["0", "1+D^-1", "1"]]
-    expected = SympMatrix.block_diag_zx(
+    expected = block_diag_zx(
         [[pp(e) for e in row] for row in z],
         [[pp(e) for e in row] for row in x])
     assert m == expected

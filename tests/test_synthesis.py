@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, parse_poly as pp
 from qshift.symplectic import Gate, StabilizerMatrix, SympMatrix, gate_matrix, row_space_equiv
-from qshift import synthesis
+from qshift import circuit as circuit_mod, synthesis
 from qshift.circuit import (
     PLACEMENT_KINDS,
     FiniteSection,
@@ -14,6 +14,7 @@ from qshift.circuit import (
     ShiftRegisterCircuit,
     build_from_gate,
     cascade,
+    circuit_to_text,
     circuit_transfer,
     identity_circuit,
     instances_commute,
@@ -34,7 +35,8 @@ from qshift.synthesis import (
     typeII_memory_bound,
     unencoded_stabilizer,
 )
-from test_circuit import mixed_gate_lists
+from test_circuit import gate_lists_with_identities, mixed_gate_lists
+from test_symplectic import block_diag_zx
 
 FGG_SEQUENCE = """\
 H 1
@@ -61,13 +63,26 @@ def pmat_mul(a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
+def _b_inverse(sm):
+    """Identity with the recorded column operations replayed in order."""
+    k = len(sm.b)
+    out = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+    for op in sm.col_ops:
+        for row in out:
+            if op.kind == "swap":
+                row[op.src], row[op.dst] = row[op.dst], row[op.src]
+            elif row[op.src]:
+                row[op.dst] = row[op.dst] + op.f * row[op.src]
+    return out
+
+
 def assert_decomposition(sm, original):
     recon = pmat_mul(pmat_mul([list(r) for r in sm.a], [list(r) for r in sm.s]),
                      [list(r) for r in sm.b])
     shifted = [[e.shift(sm.monomial_shift) for e in row] for row in original]
     assert [tuple(r) for r in recon] == [tuple(r) for r in shifted]
     # unimodularity: replaying the recorded self-inverse operations undoes a and b
-    b_inv = sm.b_inverse()
+    b_inv = _b_inverse(sm)
     ident = pmat_mul([list(r) for r in sm.b], b_inv)
     k = len(ident)
     assert ident == [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
@@ -155,7 +170,7 @@ def test_css_encoder_example_plan():
     # every op is CNOT-type
     assert all(g.kind == "CNOT" for g in plan.ops)
     # the overall matrix matches the explicit encoding matrix
-    expected = SympMatrix.block_diag_zx(
+    expected = block_diag_zx(
         pmat([["1", "0", "0"], ["D", "1", "1+D"], ["1+D^-1", "0", "1"]]),
         pmat([["1", "D", "1+D"], ["0", "1", "0"], ["0", "1+D^-1", "1"]]))
     assert plan.b_overall == expected
@@ -579,6 +594,43 @@ def test_span_floor_bounds_reduced_memory(case):
     n, gates = case
     circ = _cascade_gates(gates, n)
     assert synthesis._span_floor(circ) <= reduce_memory(circ).m
+
+
+def _block_by_block_cascade(ops, n):
+    """One primitive block per gate, merged by ``_canonical_sections``.
+
+    The reference for ``_cascade_all``, which places every tap at its
+    final stage in one pass instead.
+    """
+    sections = [sec for gate in ops for sec in build_from_gate(gate, n).sections]
+    return ShiftRegisterCircuit(n, circuit_mod._canonical_sections(sections))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_lists_with_identities(), st.integers(-1, 0))
+@example((2, [Gate("CPHASE1", (1,), ZERO), Gate("DELAY", (2,), pp("D^2")),
+              Gate("INF_Z", (2,), pp("1+D")), Gate("H", (1,)),
+              Gate("CNOT", (2, 1), pp("D^-1+D^2")), Gate("INF_X", (1,), pp("1+D^2")),
+              Gate("CPHASE1", (2,), pp("D+D^2"))]), 0)
+@example((3, [Gate("CNOT", (1, 2), ONE), Gate("CPHASE", (3, 1), ZERO)]), -1)
+@example((3, [Gate("P", (1,)), Gate("INF_X", (3,), pp("1+D"))]), -1)
+@example((3, [Gate("DELAY", (3,), pp("D")), Gate("CPHASE1", (3,), pp("D"))]), -1)
+def test_cascade_all_equals_block_by_block_cascade(case, narrow):
+    n, gates = case
+    # one wire fewer puts some gates past the last wire: same error expected
+    width = n + narrow
+    expected = _outcome(_block_by_block_cascade, gates, width)
+    assert _outcome(synthesis._cascade_all, gates, width) == expected
+    if narrow == 0:
+        assert expected == _cascade_gates(gates, n)
+        assert circuit_to_text(synthesis._cascade_all(gates, n)) == circuit_to_text(expected)
 
 
 # The compile search as it was before its lower bounds: every ordering of

@@ -77,7 +77,7 @@ def streams(draw, lo=0):
 
 
 @settings(max_examples=100, deadline=None)
-@given(streams())
+@given(streams(lo=-5))
 def test_stream_text_round_trip_is_byte_stable(stream):
     text = stream.to_text()
     again = PauliStream.from_text(text)
@@ -102,5 +102,5 @@ def _frame_text(stream):
 @settings(max_examples=100, deadline=None)
 @given(streams(lo=-5))
 def test_stream_text_matches_frames(stream):
-    # cycles before 0 are written too, although from_text refuses them
+    # cycles before 0 are written too
     assert stream.to_text() == _frame_text(stream)
