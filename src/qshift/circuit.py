@@ -475,7 +475,7 @@ def _parse_slot(token: str):
 
 
 def circuit_from_text(text: str) -> ShiftRegisterCircuit:
-    n = None
+    n = n_line = None
     declared = {}
     sections = []
     depths = None
@@ -494,7 +494,9 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
         try:
             head, _, rest = line.partition(" ")
             if head == "n":
-                n = int(rest)
+                if n is not None:
+                    raise ParseError(f"repeated 'n' header (first on line {n_line})")
+                n, n_line = int(rest), lineno
                 check_wire_count(n)
             elif head in ("frames", "latency"):
                 declared[head] = int(rest)

@@ -212,11 +212,15 @@ class PauliStream:
 
     @classmethod
     def from_text(cls, text: str) -> "PauliStream":
-        n = None
+        n = n_line = None
         zs = xs = None
         first = last = None  # lowest and highest frame with a 1 bit
         for lineno, line in content_lines(text):
             if line.startswith("n "):
+                if n is not None:
+                    raise ParseError(
+                        f"line {lineno}: repeated 'n' header (first on line {n_line})")
+                n_line = lineno
                 try:
                     n = int(line.split()[1])
                 except (IndexError, ValueError) as exc:

@@ -527,10 +527,14 @@ class StabilizerMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "StabilizerMatrix":
-        n = None
+        n = n_line = None
         hx, hz = [], []
         for lineno, line in content_lines(text):
             if line.startswith("n "):
+                if n is not None:
+                    raise ParseError(
+                        f"line {lineno}: repeated 'n' header (first on line {n_line})")
+                n_line = lineno
                 try:
                     n = int(line.split()[1])
                 except (IndexError, ValueError) as exc:

@@ -9,7 +9,9 @@ legal pipeline stage in one pass, cancels identical gate pairs, and
 deletes memory frames that no gate touches; compilation additionally tries
 equivalent re-decompositions of the same product and keeps the circuit
 with the fewest frames.  A tap-span floor on the reduced memory lets it
-skip candidates that cannot beat the best one so far.
+skip candidates that cannot beat the best one so far, and a causal floor
+(the largest advance in the gate product) ends the search as soon as a
+candidate reaches it, usually at the gates as given.
 """
 
 from __future__ import annotations
@@ -809,6 +811,26 @@ def _cnot_euclid_candidate(ops, n: int, total: SympMatrix):
     return [Gate("CNOT", (src + 1, dst + 1), f) for (src, dst, f) in reversed(rec)]
 
 
+_FLOOR_KINDS = frozenset(("CNOT", "CPHASE", "CPHASE1", "H", "P"))
+
+
+def _causal_floor(ops, total: SympMatrix) -> int | None:
+    """Least m of any candidate ``compile_sequence`` can build, or None.
+
+    It is defined only when every gate is CNOT, CPHASE, CPHASE1, H or P
+    (no DELAY, no feedback); every candidate built from such a list has
+    only these kinds too.  Each candidate then cascades to one section of equal depth
+    on every wire whose tap product is exactly ``total``, the gate
+    product; reduction keeps that product and keeps the depths equal, so
+    the reduced transfer is ``total``·D^m.  Causality (certified by
+    ``check_schedule``) makes every exponent of it at least 0, so m is at
+    least ``-e.delay`` for every nonzero entry e of ``total``.
+    """
+    if any(g.kind not in _FLOOR_KINDS for g in ops):
+        return None
+    return max((-e.delay for row in total.rows for e in row if e), default=0)
+
+
 def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
                      ) -> ShiftRegisterCircuit:
     """Compile a gate sequence into a memory-reduced circuit.
@@ -817,38 +839,45 @@ def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
     tail, merged gate pairs, and for a CNOT-only product its one gate per
     entry (DAG) and column-eliminated (Euclid) factorizations.  Each is
     cascaded and reduced (``reduce_memory``), and the first candidate
-    with the fewest memory frames wins.  A candidate whose span floor
-    (``_span_floor``) already reaches the best m so far cannot win and
-    is not reduced, and the DAG search is bounded by the best m of the
-    candidates before it.  A candidate other than the gates as given
-    replaces the best only if its gate product equals ``transfer``, the
-    product of ``ops`` (computed when not given), so every candidate
-    implements the same transfer up to a global delay monomial.
+    with the fewest memory frames wins.  The search stops, before the
+    next candidate is built, once the best m reaches the causal floor
+    (``_causal_floor``), which no candidate can go below; for most inputs
+    without DELAY or feedback gates that happens at the gates as given.
+    A candidate whose span floor (``_span_floor``) already reaches the
+    best m so far cannot win and is not reduced, and the DAG search is
+    bounded by the best m of the candidates before it.  A candidate other
+    than the gates as given replaces the best only if its gate product
+    equals ``transfer``, the product of ``ops`` (computed when not
+    given), so every candidate implements the same transfer up to a
+    global delay monomial.
     """
     ops = list(ops)
     total = sequence_transfer(ops, n) if transfer is None else transfer
+    floor = _causal_floor(ops, total)
     variants = []
     best = None
 
-    def consider(v):
-        nonlocal best
+    def candidates():
+        yield ops
+        unswapped = _push_swaps_back(ops, n)
+        yield unswapped
+        yield _simplify_ops(list(unswapped), n)
+        # a DAG schedule's highest stage is the m of its reduced cascade
+        yield _cnot_dag_candidate(ops, n, total, below=best.m)
+        yield _cnot_euclid_candidate(ops, n, total)
+
+    for v in candidates():
         if v is None or v in variants:
-            return
+            continue
         variants.append(v)
         c = _cascade_all(v, n)
         if best is not None and _span_floor(c) >= best.m:
-            return
+            continue
         reduced = reduce_memory(c)
         if best is None or (reduced.m < best.m and sequence_transfer(v, n) == total):
             best = reduced
-
-    consider(ops)
-    unswapped = _push_swaps_back(ops, n)
-    consider(unswapped)
-    consider(_simplify_ops(list(unswapped), n))
-    # a DAG schedule's highest stage is the m of its reduced cascade
-    consider(_cnot_dag_candidate(ops, n, total, below=best.m))
-    consider(_cnot_euclid_candidate(ops, n, total))
+            if best.m == floor:
+                break
     return best
 
 

@@ -1,8 +1,13 @@
+import re
 from pathlib import Path
 
 import pytest
 
+from qshift.circuit import circuit_from_text
 from qshift.cli import main
+from qshift.gf2poly import ParseError
+from qshift.simulator import PauliStream
+from qshift.symplectic import StabilizerMatrix
 
 CSS_CODE = "n 3\ncss\nX: 1 D 1+D\nZ: D 1 1+D\n"
 
@@ -394,6 +399,33 @@ def test_wire_count_below_one_refused(tmp_path, capsys, n, command, bad_file):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"line 2: {n} wires; a header needs at least 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, bad_file, text, line", [
+    # read as 3 wires when the second header won
+    ("reduce", "circuit", "n 2\n# again\nn 3\n", 3),
+    # the frame before the second header was dropped
+    ("simulate", "stream", "n 2\nn=0 z=11 x=00\nn 2\nn=1 z=00 x=01\n", 3),
+    # failed later, unlocated, on rows of two widths
+    ("synth", "code", "n 2\ncss\nX: 1 1\nn 3\nZ: 1 1 0\n", 4),
+], ids=["circuit", "stream", "code"])
+def test_repeated_wire_header_refused(tmp_path, capsys, command, bad_file, text, line):
+    reader = {"circuit": circuit_from_text, "stream": PauliStream.from_text,
+              "code": StabilizerMatrix.from_text}[bad_file]
+    message = f"line {line}: repeated 'n' header (first on line 1)"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        reader(text)
+    argv = [command]
+    if command == "simulate":
+        circ = tmp_path / "ok.circuit"
+        circ.write_text("n 2\n")
+        argv.append(str(circ))
+    path = tmp_path / bad_file
+    path.write_text(text)
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
     assert captured.out == ""
 
 

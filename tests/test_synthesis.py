@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, parse_poly as pp
 from qshift.symplectic import Gate, StabilizerMatrix, SympMatrix, gate_matrix, row_space_equiv
@@ -797,3 +797,124 @@ def test_compile_takes_dag_variant_below_the_others():
     assert circ.m == 5
     assert circ == reduce_memory(_cascade_gates(dag, 4)) == _compile_exhaustive(ops, 4)
     assert synthesis._cnot_dag_candidate(ops, 4, total, below=6) == dag
+
+
+# ---------------------------------------------------------------------------
+# The causal floor that stops the compile search
+
+
+def _floor_gates(case):
+    """(n, gates) without the DELAY and feedback gates the floor excludes."""
+    n, gates = case
+    return n, [g for g in gates if g.kind not in ("DELAY", "INF_Z", "INF_X")]
+
+
+def _compile_candidates(ops, n, total):
+    """Every candidate ``compile_sequence`` may build, unbounded and unpruned."""
+    unswapped = synthesis._push_swaps_back(ops, n)
+    return [v for v in (ops, unswapped, synthesis._simplify_ops(list(unswapped), n),
+                        synthesis._cnot_dag_candidate(ops, n, total),
+                        synthesis._cnot_euclid_candidate(ops, n, total))
+            if v is not None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cnot_gate_lists(), finite_gate_lists().map(_floor_gates),
+                 mixed_gate_lists().map(_floor_gates)))
+def test_causal_floor_bounds_every_candidate(case):
+    n, gates = case
+    total = sequence_transfer(gates, n)
+    floor = synthesis._causal_floor(gates, total)
+    assert floor is not None
+    for v in _compile_candidates(gates, n, total):
+        if v is not gates and sequence_transfer(v, n) != total:
+            continue  # compile_sequence never takes it
+        reduced = reduce_memory(synthesis._cascade_all(v, n))
+        assert floor <= reduced.m
+        # the reduced circuit's absolute transfer is the product delayed by m
+        t, lat = circuit_transfer(reduced)
+        assert t.shifted(lat) == total.shifted(reduced.m)
+
+
+def _count_compile_steps(monkeypatch):
+    """Count reductions and candidate builds made by ``compile_sequence``."""
+    calls = {}
+    for name in ("reduce_memory", "_push_swaps_back", "_simplify_ops",
+                 "_cnot_dag_candidate", "_cnot_euclid_candidate"):
+        def counted(*args, _fn=getattr(synthesis, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(synthesis, name, counted)
+    return calls
+
+
+def test_compile_stops_at_causal_floor(monkeypatch):
+    ops = parse_sequence("CNOT 1 2 D^3\n")
+    assert synthesis._causal_floor(ops, sequence_transfer(ops, 2)) == 3
+    calls = _count_compile_steps(monkeypatch)
+    circ = compile_sequence(ops, 2)
+    assert circ.m == 3
+    # the gates as given reach the floor: one reduction, no other candidate
+    assert calls == {"reduce_memory": 1}
+
+
+@pytest.mark.parametrize("text", [
+    "CNOT 1 2 D^3\nDELAY 2 1\n",
+    "INFZ 2 1+D\nCNOT 1 2 D^3\n",
+    "INFX 1 1+D^2\n",
+], ids=["delay", "inf-z", "inf-x"])
+def test_compile_without_causal_floor_tries_every_candidate(monkeypatch, text):
+    ops = parse_sequence(text)
+    assert synthesis._causal_floor(ops, sequence_transfer(ops, 2)) is None
+    calls = _count_compile_steps(monkeypatch)
+    compile_sequence(ops, 2)
+    assert {name: k for name, k in calls.items() if name != "reduce_memory"} == {
+        "_push_swaps_back": 1, "_simplify_ops": 1,
+        "_cnot_dag_candidate": 1, "_cnot_euclid_candidate": 1}
+
+
+@st.composite
+def encoded_css_codes(draw):
+    """(n, hx, hz): the image of fresh ancillas under a random CNOT encoder.
+
+    Each row is shifted to delay 0; the code is dual-containing because
+    it is the image of a stabilizer under a symplectic map.
+    """
+    n = draw(st.integers(2, 5))
+    s_x = draw(st.integers(0, n - 1))
+    s_z = draw(st.integers(0 if s_x else 1, n - s_x))
+    taps = st.lists(st.integers(0, 3), min_size=1, max_size=2).map(LaurentPoly)
+    stab = unencoded_stabilizer(n, s_x, s_z)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(1, n))
+        j = draw(st.integers(1, n - 1))
+        g = Gate("CNOT", (i, j + (j >= i)), draw(taps))
+        stab = stab.apply(gate_matrix(g, n))
+
+    def norm(r):
+        d = min(e.delay for e in r if e)
+        return [e.shift(-d) for e in r]
+
+    rows = stab.rows
+    return (n, [norm(r[n:]) for r in rows[:s_x]], [norm(r[:n]) for r in rows[s_x:]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(encoded_css_codes())
+def test_css_encoder_plans_of_encoded_codes(code):
+    n, hx, hz = code
+    try:
+        plan = css_encoder(hx, hz)
+    except CatastrophicCode:
+        # monomial Smith diagonals are still refused (ROADMAP item 1); the
+        # property is about the plans the encoder does return
+        assume(False)
+    fresh = unencoded_stabilizer(n, len(hx), len(hz))
+    replay = fresh
+    for g in plan.ops:
+        replay = replay.apply(gate_matrix(g, n))
+    assert row_space_equiv(replay, plan.target)
+    circ = plan.circuit()
+    transfer, _ = circuit_transfer(circ)
+    assert row_space_equiv(fresh.apply(transfer), StabilizerMatrix.from_css(hx, hz))
+    assert circ.m >= synthesis._causal_floor(plan.ops, plan.b_overall)
