@@ -34,15 +34,7 @@ from .circuit import (
     FiniteSection,
     Placement,
     ShiftRegisterCircuit,
-    build_cnot_circuit,
-    build_cnot_conj_circuit,
-    build_cphase1_circuit,
-    build_cphase2_circuit,
-    build_delay_circuit,
     build_from_gate,
-    build_inf_x_circuit,
-    build_inf_z_circuit,
-    build_single,
     cascade,
     circuit_from_text,
     circuit_to_text,

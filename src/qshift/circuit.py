@@ -14,10 +14,11 @@ transfer D^(sa-sb) between the two wire streams, so a delay-line CNOT
 block with taps f_e at source stages e implements CNOT(i,j)(f) behind a
 global delay.  Cascading concatenates sections, merging adjacent finite
 sections by offsetting the second schedule one pipeline downstream.
-A whole gate list is laid out the same way in one pass by
-``synthesis._cascade_all``: ``tap_placements`` takes the stages at which
-a block starts on its two wires, so each tap is placed once, at its
-final stage, instead of once per merge.
+Gates become circuits in one place, ``_cascade_all``, which lays a whole
+gate list out in one pass with the same result: ``tap_placements`` takes
+the stages at which a block starts on its two wires, so each tap is
+placed once, at its final stage, instead of once per merge.  The
+primitive circuit of one gate (``build_from_gate``) is its one-gate case.
 
 The symbolic transfer (``circuit_transfer``) is the ordered product of
 every section's gates, multiplied out on sparse columns by
@@ -209,7 +210,7 @@ def cascade(c1: ShiftRegisterCircuit, c2: ShiftRegisterCircuit) -> ShiftRegister
 
 
 # ---------------------------------------------------------------------------
-# Primitive constructors
+# Gate layout
 
 
 def tap_placements(kind: str, i: int, j: int, f: LaurentPoly,
@@ -222,98 +223,60 @@ def tap_placements(kind: str, i: int, j: int, f: LaurentPoly,
     return [Placement(kind, (i, si + max(e, 0)), (j, sj + max(-e, 0))) for e in f.terms]
 
 
-def _tap_section(kind: str, i: int, j: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
-    if not f:
-        return identity_circuit(n)
-    section = FiniteSection((f.abs_deg,) * n, tuple(tap_placements(kind, i, j, f)))
-    return ShiftRegisterCircuit(n, (section,))
+def _cascade_all(ops, n: int) -> ShiftRegisterCircuit:
+    """``cascade`` of the primitive circuits of ``ops``, laid out in one pass.
 
+    ``offsets`` holds each wire's depth so far in the current run of
+    finite gates, which is where the next block's stage 0 lies on that
+    wire; every tap is placed there at once, one ``Placement`` per tap
+    (``tap_placements``), and a block of tap span d then deepens every
+    wire by d (a DELAY only its own wire).  A CPHASE1 tap D^e (e >= 1)
+    couples (i, e) to (i, 0).  H and P sit on the incoming frame.  A
+    feedback gate closes the run as one ``FiniteSection`` and passes
+    through as a ``FeedbackNode``.  Gates with a zero polynomial lay out
+    nothing.
+    """
+    sections = []
+    offsets, placements = [0] * n, []
 
-def build_cnot_circuit(i: int, j: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
-    """Delay-line block for CNOT(i,j)(f); uses abs_deg(f) memory frames."""
-    _check_pair(i, j, n)
-    return _tap_section("CNOT", i, j, f, n)
+    def close_run():
+        nonlocal offsets, placements
+        if placements or any(offsets):
+            sections.append(FiniteSection(tuple(offsets), tuple(placements)))
+            offsets, placements = [0] * n, []
 
-
-def build_cnot_conj_circuit(i: int, j: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
-    """Same block with every CNOT direction flipped: X and Z swap roles."""
-    _check_pair(i, j, n)
-    return _tap_section("CNOT", j, i, f.subst_inv(), n)
-
-
-def build_cphase2_circuit(i: int, j: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
-    """Delay-line block for the two-wire controlled-phase CPHASE(i,j)(f)."""
-    _check_pair(i, j, n)
-    return _tap_section("CPHASE", i, j, f, n)
-
-
-def build_cphase1_circuit(i: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
-    """Single-wire controlled-phase: transfer entry f(D) + f(D^-1) at (x_i, z_i)."""
-    _check_wire(i, n)
-    if f and f.delay < 1:
-        raise ValueError("self-phase at lag 0 is a P gate")
-    # every tap D^e has e >= 1: a CPHASE placement from (i, e) to (i, 0)
-    return _tap_section("CPHASE", i, i, f, n)
-
-
-def build_delay_circuit(i: int, l: int, n: int) -> ShiftRegisterCircuit:
-    """Insert l memory cells on wire i only."""
-    _check_wire(i, n)
-    if l < 0:
-        raise ValueError("negative delay")
-    if l == 0:
-        return identity_circuit(n)
-    depths = tuple(l if w == i else 0 for w in range(1, n + 1))
-    return ShiftRegisterCircuit(n, (FiniteSection(depths, ()),))
-
-
-def build_single(kind: str, i: int, n: int) -> ShiftRegisterCircuit:
-    """Memoryless one-wire gate (H or P) on the incoming frame."""
-    if kind not in ("H", "P"):
-        raise ValueError("build_single expects H or P")
-    _check_wire(i, n)
-    section = FiniteSection((0,) * n, (Placement(kind, (i, 0)),))
-    return ShiftRegisterCircuit(n, (section,))
-
-
-def build_inf_z_circuit(i: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
-    _check_wire(i, n)
-    return ShiftRegisterCircuit(n, (FeedbackNode("Z", i, f),))
-
-
-def build_inf_x_circuit(i: int, f: LaurentPoly, n: int) -> ShiftRegisterCircuit:
-    _check_wire(i, n)
-    return ShiftRegisterCircuit(n, (FeedbackNode("X", i, f),))
+    for g in ops:
+        for w in g.wires:  # ``Gate`` has checked w >= 1 and distinct pairs
+            if w > n:
+                raise ValueError(f"wire {w} out of range 1..{n}")
+        kind, i = g.kind, g.wires[0]
+        if kind in ("INF_Z", "INF_X"):
+            close_run()
+            sections.append(FeedbackNode("Z" if kind == "INF_Z" else "X", i, g.poly))
+        elif kind in ("H", "P"):
+            placements.append(Placement(kind, (i, offsets[i - 1])))
+        elif kind == "DELAY":
+            offsets[i - 1] += g.delay_amount
+        elif g.poly:
+            j = g.wires[-1]
+            placements.extend(tap_placements(
+                "CPHASE" if kind == "CPHASE1" else kind, i, j, g.poly,
+                offsets[i - 1], offsets[j - 1]))
+            span = g.poly.abs_deg
+            offsets = [o + span for o in offsets]
+    close_run()
+    return ShiftRegisterCircuit(n, tuple(sections))
 
 
 def build_from_gate(gate: Gate, n: int) -> ShiftRegisterCircuit:
-    """Primitive circuit realizing one elementary gate."""
-    kind = gate.kind
-    if kind == "CNOT":
-        return build_cnot_circuit(gate.wires[0], gate.wires[1], gate.poly, n)
-    if kind == "CPHASE":
-        return build_cphase2_circuit(gate.wires[0], gate.wires[1], gate.poly, n)
-    if kind == "CPHASE1":
-        return build_cphase1_circuit(gate.wires[0], gate.poly, n)
-    if kind in ("H", "P"):
-        return build_single(kind, gate.wires[0], n)
-    if kind == "DELAY":
-        return build_delay_circuit(gate.wires[0], gate.delay_amount, n)
-    if kind == "INF_Z":
-        return build_inf_z_circuit(gate.wires[0], gate.poly, n)
-    return build_inf_x_circuit(gate.wires[0], gate.poly, n)
+    """Primitive circuit realizing one elementary gate on n wires.
 
-
-def _check_wire(i, n):
-    if not 1 <= i <= n:
-        raise ValueError(f"wire {i} out of range 1..{n}")
-
-
-def _check_pair(i, j, n):
-    _check_wire(i, n)
-    _check_wire(j, n)
-    if i == j:
-        raise ValueError("two-wire gate needs distinct wires")
+    CNOT(i,j)(f) and CPHASE(i,j)(f) are delay-line blocks of abs_deg(f)
+    frames, CPHASE1 a same-wire block of deg(f) frames, H and P
+    memoryless, DELAY l cells on its wire only, and INF_Z / INF_X a
+    feedback block.
+    """
+    return _cascade_all((gate,), n)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +403,7 @@ def circuit_transfer(c: ShiftRegisterCircuit):
     feedback blocks normalize to the smallest observed series exponent.
     """
     t = apply_gates([g for sec in c.sections for g in _section_gates(sec)], c.n)
-    if t.is_polynomial:
-        lat = t.latency_shift()
-    else:
-        lat = t.min_delay()
+    lat = t.min_delay() if c.has_feedback else t.latency_shift()
     return t.shifted(-lat), lat
 
 

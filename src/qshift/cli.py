@@ -213,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qshift",
         description="Quantum shift register circuit synthesis and verification")
-    parser.add_argument("--format", choices=("text",), default="text",
-                        help="report format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize an encoder circuit for a CSS code")

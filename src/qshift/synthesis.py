@@ -39,13 +39,10 @@ from .symplectic import (
     parse_gate,
 )
 from .circuit import (
-    FeedbackNode,
     FiniteSection,
-    Placement,
     ShiftRegisterCircuit,
     _canonical_sections,
-    _check_pair,
-    _check_wire,
+    _cascade_all,
     _wire_users,
     check_schedule,
     instances_commute,
@@ -498,54 +495,6 @@ def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
 # Sequence compilation and reports
 
 
-def _cascade_all(ops, n: int) -> ShiftRegisterCircuit:
-    """``cascade`` of the primitive circuits of ``ops``, laid out in one pass.
-
-    Equal to cascading ``build_from_gate(g, n)`` gate by gate, with the
-    same wire, pair and lag checks and messages, but at the cost of one
-    ``Placement`` per tap.  ``offsets`` holds each wire's depth so far in
-    the current run of finite gates, which is where the next block's
-    stage 0 lies on that wire; every tap is placed there at once, and a
-    block of tap span d then deepens every wire by d (a DELAY only its
-    own wire).  A feedback gate closes the run as one ``FiniteSection``
-    and passes through as a ``FeedbackNode``.
-    """
-    sections = []
-    offsets, placements = [0] * n, []
-
-    def close_run():
-        nonlocal offsets, placements
-        if placements or any(offsets):
-            sections.append(FiniteSection(tuple(offsets), tuple(placements)))
-            offsets, placements = [0] * n, []
-
-    for g in ops:
-        kind, i = g.kind, g.wires[0]
-        if kind in ("CNOT", "CPHASE"):
-            j = g.wires[1]
-            _check_pair(i, j, n)
-        else:
-            j = i
-            _check_wire(i, n)
-        if kind in ("INF_Z", "INF_X"):
-            close_run()
-            sections.append(FeedbackNode("Z" if kind == "INF_Z" else "X", i, g.poly))
-        elif kind in ("H", "P"):
-            placements.append(Placement(kind, (i, offsets[i - 1])))
-        elif kind == "DELAY":
-            offsets[i - 1] += g.delay_amount
-        elif g.poly:
-            if kind == "CPHASE1" and g.poly.delay < 1:
-                raise ValueError("self-phase at lag 0 is a P gate")
-            placements.extend(tap_placements(
-                "CPHASE" if kind == "CPHASE1" else kind, i, j, g.poly,
-                offsets[i - 1], offsets[j - 1]))
-            span = g.poly.abs_deg
-            offsets = [o + span for o in offsets]
-    close_run()
-    return ShiftRegisterCircuit(n, tuple(sections))
-
-
 def _gate_is_identity(g: Gate) -> bool:
     return g.kind in ("CNOT", "CPHASE", "CPHASE1", "DELAY") and not g.poly
 
@@ -620,7 +569,7 @@ def _edge_product_matches(order, edges, target, n):
     return work == target
 
 
-def _cnot_dag_candidate(ops, n: int, total: SympMatrix, below: int | None = None):
+def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
     """One-gate-per-entry factorization of a CNOT-only product.
 
     Applies when the X block is identity plus off-diagonal entries whose
@@ -628,9 +577,8 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix, below: int | None = None
     exactly (cross terms may cancel) are searched and the first one whose
     earliest-stage schedule reaches the lowest stage wins; the search
     stops at an ordering that reaches the largest tap exponent |e|, since
-    a placement of tap D^e spans |e| stages.  With ``below`` given, only
-    a schedule whose highest stage is below it counts (None if there is
-    none).  ``total`` is the transfer of ``ops``.
+    a placement of tap D^e spans |e| stages.  ``total`` is the transfer
+    of ``ops``.
     """
     if not ops or not all(g.kind == "CNOT" for g in ops):
         return None
@@ -645,8 +593,6 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix, below: int | None = None
     if not edges:
         return []
     floor = max(f.abs_deg for f in edges.values())
-    if below is not None and floor >= below:
-        return None
     succ = {i: set() for i in range(n)}
     indeg = {i: 0 for i in range(n)}
     for (i, j) in edges:
@@ -673,7 +619,7 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix, below: int | None = None
             tuple(sorted(edges, key=lambda e: (pos[e[1]], pos[e[0]]))),
             tuple(sorted(edges, key=lambda e: (-pos[e[1]], -pos[e[0]]))),
         ]
-    best_m, best = below, None
+    best_m, best = None, None
     for order in orderings:
         if not _edge_product_matches(order, edges, x, n):
             continue
@@ -844,8 +790,7 @@ def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
     (``_causal_floor``), which no candidate can go below; for most inputs
     without DELAY or feedback gates that happens at the gates as given.
     A candidate whose span floor (``_span_floor``) already reaches the
-    best m so far cannot win and is not reduced, and the DAG search is
-    bounded by the best m of the candidates before it.  A candidate other
+    best m so far cannot win and is not reduced.  A candidate other
     than the gates as given replaces the best only if its gate product
     equals ``transfer``, the product of ``ops`` (computed when not
     given), so every candidate implements the same transfer up to a
@@ -862,8 +807,7 @@ def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
         unswapped = _push_swaps_back(ops, n)
         yield unswapped
         yield _simplify_ops(list(unswapped), n)
-        # a DAG schedule's highest stage is the m of its reduced cascade
-        yield _cnot_dag_candidate(ops, n, total, below=best.m)
+        yield _cnot_dag_candidate(ops, n, total)
         yield _cnot_euclid_candidate(ops, n, total)
 
     for v in candidates():

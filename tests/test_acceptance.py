@@ -9,16 +9,7 @@ import time
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, parse_poly as pp, series_expand
 from qshift.symplectic import Gate, StabilizerMatrix, SympMatrix, gate_matrix, row_space_equiv
-from qshift.circuit import (
-    build_cnot_circuit,
-    build_cnot_conj_circuit,
-    build_cphase1_circuit,
-    build_cphase2_circuit,
-    build_inf_x_circuit,
-    build_inf_z_circuit,
-    cascade,
-    circuit_transfer,
-)
+from qshift.circuit import build_from_gate, cascade, circuit_transfer
 from qshift.simulator import (
     PauliStream,
     impulse_response,
@@ -58,9 +49,9 @@ class Budget:
 
 def test_criterion_1_worked_cascade_chain():
     with Budget("criterion 1 (worked CNOT cascade chain)", 1.0):
-        simple = build_cnot_circuit(1, 2, ONE, 2)
-        one_delay = build_cnot_circuit(1, 2, pp("D"), 2)
-        two_delay = build_cnot_circuit(1, 2, pp("D^2"), 2)
+        simple = build_from_gate(Gate("CNOT", (1, 2), ONE), 2)
+        one_delay = build_from_gate(Gate("CNOT", (1, 2), pp("D")), 2)
+        two_delay = build_from_gate(Gate("CNOT", (1, 2), pp("D^2")), 2)
         chain = cascade(cascade(simple, one_delay), two_delay)
         expected = gate_matrix(Gate("CNOT", (1, 2), pp("1+D+D^2")), 2)
 
@@ -123,13 +114,13 @@ def test_criterion_3_finite_depth_theorem_suites():
             f1 = LaurentPoly([e for e in f.support if e >= 1] or [deg])
 
             cases = [
-                (build_cnot_circuit(1, 2, f, 2),
+                (build_from_gate(Gate("CNOT", (1, 2), f), 2),
                  gate_matrix(Gate("CNOT", (1, 2), f), 2), f.deg),
-                (build_cnot_conj_circuit(1, 2, f, 2),
+                (build_from_gate(Gate("CNOT", (2, 1), f.subst_inv()), 2),
                  gate_matrix(Gate("CNOT", (2, 1), f.subst_inv()), 2), f.deg),
-                (build_cphase2_circuit(1, 2, f, 2),
+                (build_from_gate(Gate("CPHASE", (1, 2), f), 2),
                  gate_matrix(Gate("CPHASE", (1, 2), f), 2), f.deg),
-                (build_cphase1_circuit(1, f1, 1),
+                (build_from_gate(Gate("CPHASE1", (1,), f1), 1),
                  gate_matrix(Gate("CPHASE1", (1,), f1), 1), f1.deg),
             ]
             for circ, closed_form, m_expected in cases:
@@ -148,9 +139,8 @@ def test_criterion_4_infinite_depth_suite():
             middle = ({rng.randint(1, deg - 1) for _ in range(rng.randint(0, 2))}
                       if deg > 1 else set())
             f = LaurentPoly({0, deg} | middle)
-            for build, kind in ((build_inf_z_circuit, "INF_Z"),
-                                (build_inf_x_circuit, "INF_X")):
-                circ = build(1, f, 1)
+            for kind in ("INF_Z", "INF_X"):
+                circ = build_from_gate(Gate(kind, (1,), f), 1)
                 assert circ.m == f.deg
                 lat, resp = impulse_response(circ, horizon)
                 closed = gate_matrix(Gate(kind, (1,), f), 1)
@@ -159,7 +149,7 @@ def test_criterion_4_infinite_depth_suite():
                         assert resp.entry(i, j).shift(lat) == \
                             series_expand(closed.entry(i, j), horizon)
         # a finite Z impulse produces a nonterminating output stream
-        circ = build_inf_z_circuit(1, pp("1+D"), 1)
+        circ = build_from_gate(Gate("INF_Z", (1,), pp("1+D")), 1)
         for h in (64, 128, 257):
             out = run(circ, PauliStream.impulse(1, 1, "Z"), h)
             assert out.zs[0] == LaurentPoly(range(1, h + 1))
@@ -285,9 +275,9 @@ def test_criterion_7_property_suites():
 
         # simulator linearity and symplectic-product preservation
         circ = cascade(
-            build_cnot_circuit(1, 2, pp("1+D"), 3),
-            cascade(build_cphase2_circuit(2, 3, pp("D+D^2"), 3),
-                    build_cnot_conj_circuit(3, 1, pp("D"), 3)))
+            build_from_gate(Gate("CNOT", (1, 2), pp("1+D")), 3),
+            cascade(build_from_gate(Gate("CPHASE", (2, 3), pp("D+D^2")), 3),
+                    build_from_gate(Gate("CNOT", (1, 3), pp("D^-1")), 3)))
         horizon = recommended_horizon(circ)
 
         def rand_stream():

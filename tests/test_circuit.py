@@ -13,15 +13,7 @@ from qshift.circuit import (
     FiniteSection,
     Placement,
     ShiftRegisterCircuit,
-    build_cnot_circuit,
-    build_cnot_conj_circuit,
-    build_cphase1_circuit,
-    build_cphase2_circuit,
-    build_delay_circuit,
     build_from_gate,
-    build_inf_x_circuit,
-    build_inf_z_circuit,
-    build_single,
     cascade,
     circuit_from_text,
     circuit_to_text,
@@ -29,7 +21,12 @@ from qshift.circuit import (
     identity_circuit,
     instances_commute,
 )
-from qshift.synthesis import sequence_transfer
+from qshift.synthesis import ElemOp, _z_col_op_gates, sequence_transfer
+
+
+def conj_cnot_circuit(i, j, f, n):
+    """Block of the Z-side column operation adding f times column i to column j."""
+    return circuit_mod._cascade_all(_z_col_op_gates(ElemOp("add", i - 1, j - 1, f), 0), n)
 
 
 def test_placement_validation():
@@ -51,7 +48,7 @@ def test_section_validation():
 
 
 def test_cnot_circuit_plain():
-    c = build_cnot_circuit(1, 2, ONE, 2)
+    c = build_from_gate(Gate("CNOT", (1, 2), ONE), 2)
     assert c.m == 0
     t, lat = circuit_transfer(c)
     assert lat == 0
@@ -59,14 +56,14 @@ def test_cnot_circuit_plain():
 
 
 def test_cnot_circuit_zero_poly():
-    c = build_cnot_circuit(1, 2, ZERO, 2)
+    c = build_from_gate(Gate("CNOT", (1, 2), ZERO), 2)
     assert c.m == 0 and not c.placements
     assert circuit_transfer(c) == (SympMatrix.identity(2), 0)
 
 
 def test_cnot_circuit_two_delay_pattern():
     # pure-delay tap D^l needs l frames
-    c = build_cnot_circuit(1, 2, pp("D^2"), 2)
+    c = build_from_gate(Gate("CNOT", (1, 2), pp("D^2")), 2)
     assert c.m == 2
     t, lat = circuit_transfer(c)
     assert lat == 2
@@ -75,7 +72,7 @@ def test_cnot_circuit_two_delay_pattern():
 
 def test_cnot_circuit_full_tap_set():
     f = pp("1+D+D^2")
-    c = build_cnot_circuit(1, 2, f, 2)
+    c = build_from_gate(Gate("CNOT", (1, 2), f), 2)
     assert c.m == 2  # M = deg f frames
     t, lat = circuit_transfer(c)
     assert (t, lat) == (gate_matrix(Gate("CNOT", (1, 2), f), 2), 2)
@@ -83,7 +80,7 @@ def test_cnot_circuit_full_tap_set():
 
 def test_cnot_circuit_advance_taps():
     f = pp("1+D^-1")
-    c = build_cnot_circuit(3, 2, f, 3)
+    c = build_from_gate(Gate("CNOT", (3, 2), f), 3)
     assert c.m == f.abs_deg == 1
     t, _ = circuit_transfer(c)
     assert t == gate_matrix(Gate("CNOT", (3, 2), f), 3)
@@ -91,7 +88,7 @@ def test_cnot_circuit_advance_taps():
 
 def test_conj_circuit_swaps_roles():
     f = pp("1+D")
-    c = build_cnot_conj_circuit(1, 2, f, 2)
+    c = conj_cnot_circuit(1, 2, f, 2)
     assert c.m == 1
     t, _ = circuit_transfer(c)
     # Z block carries f(D), X block f(D^-1)
@@ -107,8 +104,8 @@ def test_conj_matches_block_swap_of_cnot():
         f = LaurentPoly([rng.randint(0, 4) for _ in range(rng.randint(1, 3))])
         if not f:
             continue
-        t_conj, _ = circuit_transfer(build_cnot_conj_circuit(1, 2, f, 2))
-        t_cnot, _ = circuit_transfer(build_cnot_circuit(1, 2, f, 2))
+        t_conj, _ = circuit_transfer(conj_cnot_circuit(1, 2, f, 2))
+        t_cnot, _ = circuit_transfer(build_from_gate(Gate("CNOT", (1, 2), f), 2))
         n = 2
         swapped = [[t_cnot.entry((r + n) % (2 * n), (c + n) % (2 * n))
                     for c in range(2 * n)] for r in range(2 * n)]
@@ -116,45 +113,45 @@ def test_conj_matches_block_swap_of_cnot():
 
 
 def test_cphase2_circuit():
-    assert build_cphase2_circuit(1, 2, ONE, 2).m == 0
+    assert build_from_gate(Gate("CPHASE", (1, 2), ONE), 2).m == 0
     f = pp("1+D+D^2")
-    c = build_cphase2_circuit(1, 2, f, 2)
+    c = build_from_gate(Gate("CPHASE", (1, 2), f), 2)
     assert c.m == 2
     t, lat = circuit_transfer(c)
     assert lat == 2
     assert t == gate_matrix(Gate("CPHASE", (1, 2), f), 2)
-    assert circuit_transfer(build_cphase2_circuit(1, 2, ZERO, 2))[0] == \
+    assert circuit_transfer(build_from_gate(Gate("CPHASE", (1, 2), ZERO), 2))[0] == \
         SympMatrix.identity(2)
 
 
 def test_cphase1_circuit():
-    c = build_cphase1_circuit(1, pp("D"), 1)
+    c = build_from_gate(Gate("CPHASE1", (1,), pp("D")), 1)
     assert c.m == 1
     t, _ = circuit_transfer(c)
     assert t.entry(1, 0) == pp("D^-1+D")
-    assert circuit_transfer(build_cphase1_circuit(1, ZERO, 1))[0] == \
+    assert circuit_transfer(build_from_gate(Gate("CPHASE1", (1,), ZERO), 1))[0] == \
         SympMatrix.identity(1)
-    c3 = build_cphase1_circuit(1, pp("D+D^3"), 1)
+    c3 = build_from_gate(Gate("CPHASE1", (1,), pp("D+D^3")), 1)
     assert c3.m == 3
     t3, _ = circuit_transfer(c3)
     assert t3.entry(1, 0) == pp("D^-3+D^-1+D+D^3")
     assert c3.placements == (Placement("CPHASE", (1, 1), (1, 0)),
                              Placement("CPHASE", (1, 3), (1, 0)))
     with pytest.raises(ValueError):
-        build_cphase1_circuit(1, pp("1+D"), 1)
+        build_from_gate(Gate("CPHASE1", (1,), pp("1+D")), 1)
 
 
 def test_delay_and_single():
-    c = build_delay_circuit(1, 1, 2)
+    c = build_from_gate(Gate("DELAY", (1,), pp("D")), 2)
     t, lat = circuit_transfer(c)
     assert lat == 0
     assert t.entry(0, 0) == pp("D") and t.entry(2, 2) == pp("D")
     assert t.entry(1, 1) == ONE
-    assert build_delay_circuit(1, 0, 2) == identity_circuit(2)
+    assert build_from_gate(Gate("DELAY", (1,), ONE), 2) == identity_circuit(2)
     with pytest.raises(ValueError):
-        build_delay_circuit(1, -1, 2)
+        build_from_gate(Gate("DELAY", (1,), pp("D^-1")), 2)
 
-    h = build_single("H", 1, 1)
+    h = build_from_gate(Gate("H", (1,)), 1)
     th, _ = circuit_transfer(h)
     assert th == gate_matrix(Gate("H", (1,)), 1)
     assert h.m == 0
@@ -162,16 +159,16 @@ def test_delay_and_single():
 
 def test_inf_circuits():
     f = pp("1+D")
-    cz = build_inf_z_circuit(1, f, 1)
+    cz = build_from_gate(Gate("INF_Z", (1,), f), 1)
     assert cz.m == 1
     t, lat = circuit_transfer(cz)
     assert lat == 0
     assert t == gate_matrix(Gate("INF_Z", (1,), f), 1)
-    cx = build_inf_x_circuit(1, f, 1)
+    cx = build_from_gate(Gate("INF_X", (1,), f), 1)
     tx, _ = circuit_transfer(cx)
     assert tx == gate_matrix(Gate("INF_X", (1,), f), 1)
     with pytest.raises(ValueError):
-        build_inf_z_circuit(1, ONE, 1)  # degree >= 1 required
+        build_from_gate(Gate("INF_Z", (1,), ONE), 1)  # degree >= 1 required
 
 
 def test_constructor_abs_deg_equals_m():
@@ -180,19 +177,26 @@ def test_constructor_abs_deg_equals_m():
         f = LaurentPoly([rng.randint(0, 5) for _ in range(rng.randint(1, 3))])
         if not f:
             continue
-        builders = [build_cnot_circuit(1, 2, f, 2),
-                    build_cnot_conj_circuit(1, 2, f, 2),
-                    build_cphase2_circuit(1, 2, f, 2)]
+        builders = [build_from_gate(Gate("CNOT", (1, 2), f), 2),
+                    conj_cnot_circuit(1, 2, f, 2),
+                    build_from_gate(Gate("CPHASE", (1, 2), f), 2)]
         if f.delay >= 1:
-            builders.append(build_cphase1_circuit(1, f, 2))
+            builders.append(build_from_gate(Gate("CPHASE1", (1,), f), 2))
         for c in builders:
             t, _ = circuit_transfer(c)
             assert t.abs_deg() == c.m
             assert t.is_symplectic()
 
 
+def test_gate_past_last_wire_refused():
+    for g in (Gate("CNOT", (1, 3), ONE), Gate("CPHASE", (3, 1), ONE),
+              Gate("H", (3,)), Gate("INF_X", (3,), pp("1+D"))):
+        with pytest.raises(ValueError, match=r"^wire 3 out of range 1\.\.2$"):
+            build_from_gate(g, 2)
+
+
 def test_one_delay_transfer():
-    c = build_cnot_circuit(1, 2, pp("D"), 2)
+    c = build_from_gate(Gate("CNOT", (1, 2), pp("D")), 2)
     t, lat = circuit_transfer(c)
     assert lat == 1
     assert t.entry(2, 3) == pp("D")
@@ -200,15 +204,15 @@ def test_one_delay_transfer():
 
 
 def test_cascade_unit_delay_combo():
-    combo = cascade(build_cnot_circuit(1, 2, ONE, 2),
-                    build_cnot_circuit(1, 2, pp("D"), 2))
+    combo = cascade(build_from_gate(Gate("CNOT", (1, 2), ONE), 2),
+                    build_from_gate(Gate("CNOT", (1, 2), pp("D")), 2))
     t, lat = circuit_transfer(combo)
     assert lat == 1
     assert t == gate_matrix(Gate("CNOT", (1, 2), pp("1+D")), 2)
 
 
 def test_cascade_with_identity():
-    c = build_cnot_circuit(1, 2, pp("1+D"), 2)
+    c = build_from_gate(Gate("CNOT", (1, 2), pp("1+D")), 2)
     t0 = circuit_transfer(c)
     assert circuit_transfer(cascade(c, identity_circuit(2))) == t0
     assert cascade(c, identity_circuit(2)).m == c.m
@@ -376,7 +380,7 @@ def test_sparse_transfers_equal_dense_products(case):
     dense = SympMatrix.identity(n)
     for sec in circ.sections:
         dense = dense @ _dense_fold(circuit_mod._section_gates(sec), n)
-    lat = dense.latency_shift() if dense.is_polynomial else dense.min_delay()
+    lat = dense.min_delay() if circ.has_feedback else dense.latency_shift()
     assert circuit_transfer(circ) == (dense.shifted(-lat), lat)
     assert dense.equal_mod_monomial(_dense_fold(gates, n)) is not None
 
@@ -393,9 +397,9 @@ def test_acausal_schedule_rejected():
 
 def test_circuit_text_round_trip():
     f = pp("1+D+D^2")
-    c = cascade(build_cnot_circuit(1, 2, f, 3),
-                cascade(build_single("H", 3, 3),
-                        build_inf_z_circuit(2, pp("1+D"), 3)))
+    c = cascade(build_from_gate(Gate("CNOT", (1, 2), f), 3),
+                cascade(build_from_gate(Gate("H", (3,)), 3),
+                        build_from_gate(Gate("INF_Z", (2,), pp("1+D")), 3)))
     text = circuit_to_text(c)
     again = circuit_from_text(text)
     assert again == c

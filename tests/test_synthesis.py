@@ -627,10 +627,10 @@ def test_cascade_all_equals_block_by_block_cascade(case, narrow):
     # one wire fewer puts some gates past the last wire: same error expected
     width = n + narrow
     expected = _outcome(_block_by_block_cascade, gates, width)
-    assert _outcome(synthesis._cascade_all, gates, width) == expected
+    assert _outcome(circuit_mod._cascade_all, gates, width) == expected
     if narrow == 0:
         assert expected == _cascade_gates(gates, n)
-        assert circuit_to_text(synthesis._cascade_all(gates, n)) == circuit_to_text(expected)
+        assert circuit_to_text(circuit_mod._cascade_all(gates, n)) == circuit_to_text(expected)
 
 
 # The compile search as it was before its lower bounds: every ordering of
@@ -761,10 +761,6 @@ def test_dag_candidate_equals_exhaustive_orderings():
         floor = max(abs(e) for g in expected[0] for e in g.poly.support)
         above_floor += expected[1] > floor
         assert synthesis._cnot_dag_candidate(ops, n, total) == expected[0]
-        # with a bound, only a schedule below it counts
-        m = expected[1]
-        assert synthesis._cnot_dag_candidate(ops, n, total, below=m + 1) == expected[0]
-        assert synthesis._cnot_dag_candidate(ops, n, total, below=m) is None
     assert above_floor >= 25
 
 
@@ -787,8 +783,7 @@ def test_encoder_circuits_equal_exhaustive_selection():
 
 
 def test_compile_takes_dag_variant_below_the_others():
-    # the DAG factorization is the only variant that reaches m = 5 here; the
-    # DAG search runs with the best m of the variants before it as its bound
+    # the DAG factorization is the only variant that reaches m = 5 here
     ops = parse_sequence("CNOT 4 2 D^-2\nCNOT 2 1 D^-3+D^-1+1\n"
                          "CNOT 3 2 D^-4+D^2+D^4\nCNOT 4 1 D\n")
     total = sequence_transfer(ops, 4)
@@ -796,7 +791,6 @@ def test_compile_takes_dag_variant_below_the_others():
     circ = compile_sequence(ops, 4)
     assert circ.m == 5
     assert circ == reduce_memory(_cascade_gates(dag, 4)) == _compile_exhaustive(ops, 4)
-    assert synthesis._cnot_dag_candidate(ops, 4, total, below=6) == dag
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +823,7 @@ def test_causal_floor_bounds_every_candidate(case):
     for v in _compile_candidates(gates, n, total):
         if v is not gates and sequence_transfer(v, n) != total:
             continue  # compile_sequence never takes it
-        reduced = reduce_memory(synthesis._cascade_all(v, n))
+        reduced = reduce_memory(circuit_mod._cascade_all(v, n))
         assert floor <= reduced.m
         # the reduced circuit's absolute transfer is the product delayed by m
         t, lat = circuit_transfer(reduced)
