@@ -304,7 +304,7 @@ def _match_commute(kind_p, kind_q, match) -> bool:
     return gates_commute(gp, gq, k)
 
 
-# (kind p, kind q, match) -> commute?  ``match`` gives, for each datum of
+# (kind p, kind q, *match) -> commute?  ``match`` gives, for each datum of
 # q, the index of the equal datum of p or -1.  Commutation does not depend
 # on how the data are labeled, so this pattern decides it; there are a few
 # dozen patterns at most.
@@ -315,33 +315,32 @@ def instances_commute(p: Placement, q: Placement, shift: int) -> bool:
     """Do p's cycle-0 instance and q's cycle-``shift`` instance commute?
 
     Slot (w, s) of p addresses the frame datum (w, -s); slot (w, t) of q
-    addresses (w, shift - t).  Disjoint data always commute.  For
-    overlapping instances the answer depends only on the two kinds and
-    on which data they share, so it is memoized on that pattern; each
-    pattern is decided once by comparing the two orders of the gates'
-    closed-form matrices (``_match_commute``).
+    addresses (w, shift - t), which is p's datum exactly when p has the
+    slot (w, t - shift).  Disjoint data always commute.  For overlapping
+    instances the answer depends only on the two kinds and on which data
+    they share, so it is memoized on that pattern; each pattern is
+    decided once by comparing the two orders of the gates' closed-form
+    matrices (``_match_commute``).
     """
-    data_p = [(w, -s) for w, s in p.slots]
-    match = []
-    for w, t in q.slots:
-        d = (w, shift - t)
-        match.append(data_p.index(d) if d in data_p else -1)
-    if max(match) < 0:
-        return True
-    key = (p.kind, q.kind, tuple(match))
+    a, b = p.a, p.b
+    w, t = q.a
+    d = (w, t - shift)
+    match_a = 0 if d == a else 1 if d == b else -1
+    if q.b is None:
+        if match_a < 0:
+            return True
+        key = (p.kind, q.kind, match_a)
+    else:
+        w, t = q.b
+        d = (w, t - shift)
+        match_b = 0 if d == a else 1 if d == b else -1
+        if match_a < 0 and match_b < 0:
+            return True
+        key = (p.kind, q.kind, match_a, match_b)
     found = _COMMUTE_MEMO.get(key)
     if found is None:
-        found = _COMMUTE_MEMO[key] = _match_commute(*key)
+        found = _COMMUTE_MEMO[key] = _match_commute(p.kind, q.kind, key[2:])
     return found
-
-
-def _wire_users(placements) -> dict:
-    """wire -> ascending indices of the placements with a slot on it."""
-    users = {}
-    for k, p in enumerate(placements):
-        for wire in {w for w, _ in p.slots}:
-            users.setdefault(wire, []).append(k)
-    return users
 
 
 def check_schedule(section: FiniteSection) -> None:
@@ -351,21 +350,25 @@ def check_schedule(section: FiniteSection) -> None:
     per-placement transfers iff every pair (P before Q) whose instances
     overlap with Q executing at an earlier cycle commutes at that
     alignment.  Overlap at a negative alignment happens exactly when Q
-    references a shallower stage than P on a shared wire, so only pairs
-    sharing a wire are examined.
+    references a shallower stage t than P's stage s on a shared wire, so
+    each wire keeps the (index, stage) of the slots placed on it so far,
+    and only the pairs with t < s are looked up.  On failure the lowest
+    crossing pair (P's index first, then Q's) is reported.
     """
     pls = section.placements
-    users = _wire_users(pls)
-    for i, p in enumerate(pls):
-        later = sorted({j for w, _ in p.slots for j in users[w] if j > i})
-        for j in later:
-            q = pls[j]
-            for (w1, s) in p.slots:
-                for (w2, t) in q.slots:
-                    if w1 == w2 and t < s and not instances_commute(p, q, t - s):
-                        raise ValueError(
-                            "schedule has an acausal crossing between "
-                            f"{p} and {q}")
+    earlier = {}  # wire -> [(index, stage)] of the slots placed so far
+    lowest = None  # (i, j) of the lowest crossing pair found so far
+    for j, q in enumerate(pls):
+        for w, t in q.slots:
+            for i, s in earlier.get(w, ()):
+                if (t < s and (lowest is None or i < lowest[0])
+                        and not instances_commute(pls[i], q, t - s)):
+                    lowest = (i, j)
+        for w, t in q.slots:
+            earlier.setdefault(w, []).append((j, t))
+    if lowest is not None:
+        p, q = pls[lowest[0]], pls[lowest[1]]
+        raise ValueError(f"schedule has an acausal crossing between {p} and {q}")
 
 
 # ---------------------------------------------------------------------------

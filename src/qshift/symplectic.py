@@ -222,13 +222,19 @@ class SympMatrix:
         return (self @ lam_ @ self.transpose_subst_inv()) == lam_
 
     def abs_deg(self) -> int:
-        """Max over entries of max{deg, |delay|}; entries must be polynomial."""
+        """Max over entries of max{deg, |delay|}; entries must be polynomial.
+
+        Zero entries count 0, so only the nonzero ones are measured.
+        """
         best = 0
         for row in self._rows:
             for e in row:
                 if isinstance(e, RationalTransfer):
                     raise ValueError("absolute degree requires polynomial entries")
-                best = max(best, e.abs_deg)
+                if e:
+                    d = e.abs_deg
+                    if d > best:
+                        best = d
         return best
 
     def latency_shift(self) -> int:

@@ -16,6 +16,7 @@ candidate reaches it, usually at the gates as given.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -43,7 +44,6 @@ from .circuit import (
     ShiftRegisterCircuit,
     _canonical_sections,
     _cascade_all,
-    _wire_users,
     check_schedule,
     instances_commute,
     tap_placements,
@@ -375,10 +375,12 @@ def _cancel_identical_pair(placements):
     acting on the same slots in the same cycle annihilate when each gate
     scheduled between them commutes with them at zero alignment.
     """
-    users = _slot_users(placements)
     copies = {}
     for k, p in enumerate(placements):
         copies.setdefault(p, []).append(k)
+    if len(copies) == len(placements):
+        return None  # no placement occurs twice
+    users = _slot_users(placements)
     for a, p in enumerate(placements):
         for b in copies[p]:
             if b <= a:
@@ -401,31 +403,39 @@ def _earliest_stages(placements):
     (a longest path) places each placement at its least stage, and so
     every stage at its least value over all legal schedules.
 
-    A placement's base is its lowest stage after the move.  Moving
-    placements changes only the alignment at which they are compared:
-    with p' = p.moved_down(a) and q' = q.moved_down(b),
-    ``instances_commute(p', q', s) == instances_commute(p, q, s + b - a)``,
-    so the lookups take the placements as given.  The lookup is pure and
-    a base only rises, so a pair's stage bound is computed first and the
-    pair is looked up only when that bound would raise the base.
+    A placement's base is its lowest stage after the move, and the reach
+    of its slot (w, s) is that slot's stage after the move, base + s -
+    low.  A later slot (w, t) must then sit at or below every reach on w
+    whose instances fail to commute with it, so its base is at least
+    reach - (t - low).  Moving placements changes only the alignment at
+    which they are compared: with p' = p.moved_down(a) and
+    q' = q.moved_down(b), ``instances_commute(p', q', s) ==
+    instances_commute(p, q, s + b - a)``, so the lookups take the
+    placements as given.  Each wire keeps the reaches placed on it so
+    far, deepest first, and a slot scans them until the first pair that
+    fails to commute or until the reach can no longer raise the base;
+    the base is a maximum over the failing pairs, so the scan order
+    cannot change it.
     """
-    lows = [min(s for _, s in p.slots) for p in placements]
-    bases = [0] * len(placements)
-    users = _wire_users(placements)
+    frontier = {}  # wire -> [(-reach, index, stage)], deepest reach first
+    placed = []
     for q, pq in enumerate(placements):
-        low_q = lows[q]
-        for (wq, sq) in pq.slots:
-            for p_idx in users[wq]:
-                if p_idx >= q:
+        slots, a, b = pq.slots, pq.a, pq.b
+        low = a[1] if b is None or a[1] < b[1] else b[1]
+        base = 0
+        for wq, sq in slots:
+            lift = sq - low
+            for neg_reach, k, sp in frontier.get(wq, ()):
+                need = -neg_reach - lift
+                if need <= base:
                     break
-                pp = placements[p_idx]
-                for (wp, sp) in pp.slots:
-                    if wp != wq:
-                        continue
-                    need = bases[p_idx] + (sp - lows[p_idx]) - (sq - low_q)
-                    if need > bases[q] and not instances_commute(pp, pq, sq - sp):
-                        bases[q] = need
-    return [p.moved_down(low - b) for p, low, b in zip(placements, lows, bases)]
+                if not instances_commute(placements[k], pq, sq - sp):
+                    base = need
+                    break
+        for wq, sq in slots:
+            insort(frontier.setdefault(wq, []), (low - base - sq, q, sq))
+        placed.append(pq.moved_down(low - base))
+    return placed
 
 
 def _reduce_section(sec: FiniteSection) -> FiniteSection:
@@ -478,12 +488,16 @@ def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
     (``_earliest_stages``); identical pairs with only commuting gates
     between them cancel, and the two steps repeat until nothing
     cancels.  Then every wire drops the same number of trailing frames,
-    as many as no slot of any wire reaches (a global delay).  Only
-    instances that share a datum are checked (placements indexed by
-    slot and by wire), and each check is a lookup in
-    ``instances_commute``'s memo.  The input schedule must be causal
-    (``check_schedule``).  Gates occurring after a feedback block are
-    frozen, so only the leading finite section is reduced.
+    as many as no slot of any wire reaches (a global delay), and
+    ``check_schedule`` certifies the result.  Only instances that share
+    a datum are checked, and each check is a lookup in
+    ``instances_commute``'s memo.  The scheduler scans each wire's
+    reaches from the deepest down and stops at the first pair that fails
+    to commute or once a reach can no longer raise the placement; the
+    cancellation scan runs only when some placement occurs twice.  The
+    input schedule must be causal (``check_schedule``).  Gates occurring
+    after a feedback block are frozen, so only the leading finite section
+    is reduced.
     """
     sections = list(c.sections)
     if sections and isinstance(sections[0], FiniteSection):
@@ -774,7 +788,7 @@ def _causal_floor(ops, total: SympMatrix) -> int | None:
     """
     if any(g.kind not in _FLOOR_KINDS for g in ops):
         return None
-    return max((-e.delay for row in total.rows for e in row if e), default=0)
+    return -total.min_delay()
 
 
 def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qshift.gf2poly import LaurentPoly, ONE, ZERO, parse_poly as pp
+from qshift.gf2poly import LaurentPoly, ONE, ZERO, RationalTransfer, parse_poly as pp
 from qshift.symplectic import Gate, StabilizerMatrix, SympMatrix, gate_matrix, row_space_equiv
 from qshift import circuit as circuit_mod, synthesis
 from qshift.circuit import (
@@ -459,15 +460,27 @@ def _earliest_stages_full_scan(pls):
     return [p.moved_down(-b) for p, b in zip(shifted, bases)]
 
 
-def _random_placements(rng, count):
+def _check_schedule_full_scan(section):
+    """Every ordered pair and every slot pair, lowest (i, j) reported first."""
+    pls = section.placements
+    for i, p in enumerate(pls):
+        for q in pls[i + 1:]:
+            for (w1, s) in p.slots:
+                for (w2, t) in q.slots:
+                    if w1 == w2 and t < s and not instances_commute(p, q, t - s):
+                        raise ValueError(
+                            f"schedule has an acausal crossing between {p} and {q}")
+
+
+def _random_placements(rng, count, wires=3, depth=3):
     out = []
     while len(out) < count:
         kind = rng.choice(PLACEMENT_KINDS)
-        a = (rng.randint(1, 3), rng.randint(0, 3))
+        a = (rng.randint(1, wires), rng.randint(0, depth))
         if kind in ("H", "P"):
             out.append(Placement(kind, a))
             continue
-        b = (rng.randint(1, 3), rng.randint(0, 3))
+        b = (rng.randint(1, wires), rng.randint(0, depth))
         if b != a:
             out.append(Placement(kind, a, b))
     return out
@@ -481,6 +494,35 @@ def test_indexed_reduction_scans_match_full_scans():
             pls.insert(rng.randint(0, len(pls)), rng.choice(pls))
         assert synthesis._cancel_identical_pair(pls) == _cancel_full_scan(pls)
         assert synthesis._earliest_stages(pls) == _earliest_stages_full_scan(pls)
+
+
+def test_indexed_reduction_scans_match_full_scans_on_long_lists():
+    # css plans schedule up to 45 placements; only long per-wire frontiers
+    # give the earliest-stage scan room to stop early
+    rng = random.Random(2025)
+    for _ in range(120):
+        wires = rng.randint(3, 6)
+        pls = _random_placements(rng, rng.randint(20, 45), wires, rng.randint(2, 6))
+        for _ in range(rng.randint(0, 4)):  # plant copies for the cancellation scan
+            pls.insert(rng.randint(0, len(pls)), rng.choice(pls))
+        assert synthesis._cancel_identical_pair(pls) == _cancel_full_scan(pls)
+        assert synthesis._earliest_stages(pls) == _earliest_stages_full_scan(pls)
+
+
+def test_check_schedule_reports_the_lowest_crossing_pair():
+    # most random sections are acausal; the verdict and the exact pair named
+    # must match a scan of every ordered pair in index order
+    rng = random.Random(2026)
+    failing = 0
+    for _ in range(1500):
+        wires = rng.randint(1, 4)
+        depth = rng.randint(1, 4)
+        pls = _random_placements(rng, rng.randint(2, 12), wires, depth)
+        sec = FiniteSection((depth,) * wires, tuple(pls))
+        expected = _outcome(_check_schedule_full_scan, sec)
+        assert _outcome(circuit_mod.check_schedule, sec) == expected
+        failing += expected is not None
+    assert failing > 750
 
 
 def test_merged_involutions_leave_no_gate():
@@ -596,13 +638,45 @@ def test_span_floor_bounds_reduced_memory(case):
     assert synthesis._span_floor(circ) <= reduce_memory(circ).m
 
 
+def _primitive_sections(g, n):
+    """The sections of one gate's primitive circuit, laid out kind by kind.
+
+    CNOT(i,j)(f) and CPHASE(i,j)(f) put tap D^e from (i, max(e, 0)) to
+    (j, max(-e, 0)) in a block abs_deg(f) deep on every wire; CPHASE1(i)(f)
+    puts tap D^e from (i, e) to (i, 0) in a block deg(f) deep; DELAY l
+    deepens its own wire by l; H and P sit at (i, 0) with no memory;
+    INF_Z and INF_X are feedback blocks.  Zero polynomials lay out nothing.
+    """
+    for w in g.wires:
+        if w > n:
+            raise ValueError(f"wire {w} out of range 1..{n}")
+    i, f = g.wires[0], g.poly
+    if g.kind in ("INF_Z", "INF_X"):
+        return [circuit_mod.FeedbackNode(g.kind[-1], i, f)]
+    if g.kind in ("H", "P"):
+        return [FiniteSection((0,) * n, (Placement(g.kind, (i, 0)),))]
+    if g.kind == "DELAY":
+        depths = [0] * n
+        depths[i - 1] = g.delay_amount
+        return [FiniteSection(tuple(depths), ())]
+    if not f:
+        return []
+    if g.kind == "CPHASE1":
+        taps = [Placement("CPHASE", (i, e), (i, 0)) for e in f.terms]
+        return [FiniteSection((f.deg,) * n, tuple(taps))]
+    j = g.wires[1]
+    taps = [Placement(g.kind, (i, max(e, 0)), (j, max(-e, 0))) for e in f.terms]
+    return [FiniteSection((f.abs_deg,) * n, tuple(taps))]
+
+
 def _block_by_block_cascade(ops, n):
     """One primitive block per gate, merged by ``_canonical_sections``.
 
     The reference for ``_cascade_all``, which places every tap at its
-    final stage in one pass instead.
+    final stage in one pass instead; the blocks come from the per-kind
+    layout above, not from ``build_from_gate``.
     """
-    sections = [sec for gate in ops for sec in build_from_gate(gate, n).sections]
+    sections = [sec for gate in ops for sec in _primitive_sections(gate, n)]
     return ShiftRegisterCircuit(n, circuit_mod._canonical_sections(sections))
 
 
@@ -812,6 +886,40 @@ def _compile_candidates(ops, n, total):
             if v is not None]
 
 
+def _matrix_entries():
+    """Zero, Laurent and rational entries, the rational ones zero at times."""
+    laurent = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(LaurentPoly)
+    den = st.sets(st.integers(1, 3), min_size=1).map(lambda s: LaurentPoly({0} | s))
+    rational = st.builds(RationalTransfer, st.one_of(st.just(ZERO), laurent), den)
+    return st.one_of(st.just(ZERO), st.just(ZERO), laurent, laurent, rational)
+
+
+@st.composite
+def symp_matrices(draw, entries):
+    n = draw(st.integers(1, 3))
+    return SympMatrix(n, [[draw(entries) for _ in range(2 * n)] for _ in range(2 * n)])
+
+
+def _abs_deg_per_entry(m):
+    best = 0
+    for row in m.rows:
+        for e in row:
+            if isinstance(e, RationalTransfer):
+                raise ValueError("absolute degree requires polynomial entries")
+            best = max(best, e.abs_deg)
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(symp_matrices(_matrix_entries()),
+                 symp_matrices(st.lists(st.integers(-4, 4), max_size=3).map(LaurentPoly))))
+def test_abs_deg_and_causal_floor_match_per_entry_references(m):
+    assert _outcome(m.abs_deg) == _outcome(_abs_deg_per_entry, m)
+    expected = max((-e.delay for row in m.rows for e in row if e), default=0)
+    assert synthesis._causal_floor([Gate("H", (1,))], m) == expected
+    assert synthesis._causal_floor([Gate("DELAY", (1,), pp("D"))], m) is None
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(cnot_gate_lists(), finite_gate_lists().map(_floor_gates),
                  mixed_gate_lists().map(_floor_gates)))
@@ -912,3 +1020,35 @@ def test_css_encoder_plans_of_encoded_codes(code):
     transfer, _ = circuit_transfer(circ)
     assert row_space_equiv(fresh.apply(transfer), StabilizerMatrix.from_css(hx, hz))
     assert circ.m >= synthesis._causal_floor(plan.ops, plan.b_overall)
+
+
+def _golden_cascades():
+    """200 seeded CNOT cascades in the shapes of the benchmark's compile cells.
+
+    Cells are (wires, gates) in (3, 3), (3, 4), (4, 4), (4, 5), each with
+    delay-free taps (exponents 0..4) and signed ones (-4..4), 25 per cell;
+    every tap polynomial has 1 to 3 distinct exponents.
+    """
+    rng = random.Random("golden-cascades")
+    for n, count in ((3, 3), (3, 4), (4, 4), (4, 5)):
+        for lo in (0, -4):
+            for _ in range(25):
+                ops = []
+                for _ in range(count):
+                    i, j = rng.sample(range(1, n + 1), 2)
+                    terms = rng.sample(range(lo, 5), rng.randint(1, 3))
+                    ops.append(Gate("CNOT", (i, j), LaurentPoly(terms)))
+                yield ops, n
+
+
+# sha256 over m and circuit_to_text of every compiled golden cascade,
+# recorded before the scheduling kernel was rewritten on per-wire frontiers
+GOLDEN_CASCADE_DIGEST = "2c93e6c493e1248e23cd3397258ba6c772aaf368a1549c118a0c1f02a3786985"
+
+
+def test_compiled_cascades_match_golden_digest():
+    digest = hashlib.sha256()
+    for ops, n in _golden_cascades():
+        c = compile_sequence(ops, n)
+        digest.update(f"{c.m}\n{circuit_to_text(c)}".encode())
+    assert digest.hexdigest() == GOLDEN_CASCADE_DIGEST
