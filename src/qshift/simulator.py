@@ -23,6 +23,7 @@ the simulator's own state and nothing of the symbolic transfer.
 from __future__ import annotations
 
 import marshal
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly, content_lines
@@ -58,12 +59,15 @@ def reset_state(c: ShiftRegisterCircuit) -> SimState:
     return SimState(parts)
 
 
-def _step_finite(sec: FiniteSection, cells, frame):
-    # Each wire's cells rotate in place: the input enters as slot 0, and
-    # slot ``depth`` leaves the wire once the placements have run.
-    for regs, (z, x) in zip(cells, frame):
-        regs.insert(0, [z, x])
-    for p in sec.placements:
+def _run_placements(placements, cells) -> None:
+    """Apply each placement's XOR rule once, in schedule order.
+
+    ``cells[w - 1][s]`` is the [z, x] pair of slot (w, s); it is updated
+    in place.  A wire's cells may be a list over every stage (``step``)
+    or a dict that makes the pairs of touched slots on demand
+    (``responds_at_once``).
+    """
+    for p in placements:
         wa, sa = p.a
         a = cells[wa - 1][sa]
         if p.kind == "H":
@@ -79,6 +83,14 @@ def _step_finite(sec: FiniteSection, cells, frame):
             else:  # CPHASE
                 a[0] ^= b[1]
                 b[0] ^= a[1]
+
+
+def _step_finite(sec: FiniteSection, cells, frame):
+    # Each wire's cells rotate in place: the input enters as slot 0, and
+    # slot ``depth`` leaves the wire once the placements have run.
+    for regs, (z, x) in zip(cells, frame):
+        regs.insert(0, [z, x])
+    _run_placements(sec.placements, cells)
     return [tuple(regs.pop()) for regs in cells]
 
 
@@ -138,6 +150,33 @@ def step(c: ShiftRegisterCircuit, state: SimState, frame_in):
         else:
             frame = _step_feedback(sec, cells, frame)
     return state, frame
+
+
+def responds_at_once(c: ShiftRegisterCircuit) -> bool:
+    """Does some unit impulse at cycle 0 leave the circuit in cycle 0?
+
+    Equivalently, the circuit's absolute transfer has a D^0 term.  All
+    2n impulses run as bit lanes (the ``impulse_response`` convention)
+    through one cycle from the reset state.  A finite section keeps
+    cells only for the slots its placements touch and for the incoming
+    frame, so the test needs no cell per memory frame and takes any m;
+    it does not go through ``step``.  A feedback block at rest passes
+    its feedforward side at once (its tap f_0 is 1) and nothing of its
+    feedback side.
+    """
+    n = c.n
+    frame = [(1 << w, 1 << (n + w)) for w in range(n)]
+    for sec in c.sections:
+        if isinstance(sec, FiniteSection):
+            cells = [defaultdict(lambda: [0, 0]) for _ in range(n)]
+            for regs, (z, x) in zip(cells, frame):
+                regs[0] = [z, x]
+            _run_placements(sec.placements, cells)
+            frame = [tuple(regs.get(d, (0, 0))) for regs, d in zip(cells, sec.depths)]
+        else:
+            z, x = frame[sec.wire - 1]
+            frame[sec.wire - 1] = (0, x) if sec.kind == "Z" else (z, 0)
+    return any(z or x for z, x in frame)
 
 
 @dataclass(frozen=True)

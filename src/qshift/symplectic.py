@@ -347,6 +347,12 @@ def lam(n: int) -> SympMatrix:
     return SympMatrix(n, rows)
 
 
+def check_gate_wires(gate: Gate, n: int) -> None:
+    """Refuse a gate on a wire past the last of ``n``, naming the gate."""
+    if max(gate.wires) > n:
+        raise ValueError(f"gate {gate} references a wire beyond {n}")
+
+
 def gate_columns(gate: Gate, n: int) -> dict:
     """The columns of the gate's closed-form matrix that differ from the identity.
 
@@ -354,8 +360,7 @@ def gate_columns(gate: Gate, n: int) -> dict:
     nonzero entries.  Every gate changes at most two columns, both on
     its own wires.
     """
-    if any(w > n for w in gate.wires):
-        raise ValueError(f"gate {gate} references a wire beyond {n}")
+    check_gate_wires(gate, n)
     i = gate.wires[0] - 1
     zi, xi = i, n + i  # row Z_i / column z_i, row X_i / column x_i
     kind = gate.kind

@@ -9,9 +9,12 @@ legal pipeline stage in one pass, cancels identical gate pairs, and
 deletes memory frames that no gate touches; compilation additionally tries
 equivalent re-decompositions of the same product and keeps the circuit
 with the fewest frames.  A tap-span floor on the reduced memory lets it
-skip candidates that cannot beat the best one so far, and a causal floor
-(the largest advance in the gate product) ends the search as soon as a
-candidate reaches it, usually at the gates as given.
+skip candidates that cannot beat the best one so far.  The search ends
+as soon as a candidate answers an impulse in the same cycle
+(``simulator.responds_at_once``): for lists without DELAY or feedback
+gates that candidate has reached the causal floor (the largest advance
+in the gate product), usually at the gates as given, and the gate
+product itself is multiplied out only when a later candidate needs it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .symplectic import (
     StabilizerMatrix,
     SympMatrix,
     apply_gates,
+    check_gate_wires,
     check_wire_count,
     dual_containing,
     gates_commute,
@@ -48,6 +52,7 @@ from .circuit import (
     instances_commute,
     tap_placements,
 )
+from .simulator import responds_at_once
 
 
 class SynthesisError(ValueError):
@@ -771,24 +776,8 @@ def _cnot_euclid_candidate(ops, n: int, total: SympMatrix):
     return [Gate("CNOT", (src + 1, dst + 1), f) for (src, dst, f) in reversed(rec)]
 
 
+# every candidate built from a list of these kinds has only these kinds too
 _FLOOR_KINDS = frozenset(("CNOT", "CPHASE", "CPHASE1", "H", "P"))
-
-
-def _causal_floor(ops, total: SympMatrix) -> int | None:
-    """Least m of any candidate ``compile_sequence`` can build, or None.
-
-    It is defined only when every gate is CNOT, CPHASE, CPHASE1, H or P
-    (no DELAY, no feedback); every candidate built from such a list has
-    only these kinds too.  Each candidate then cascades to one section of equal depth
-    on every wire whose tap product is exactly ``total``, the gate
-    product; reduction keeps that product and keeps the depths equal, so
-    the reduced transfer is ``total``·D^m.  Causality (certified by
-    ``check_schedule``) makes every exponent of it at least 0, so m is at
-    least ``-e.delay`` for every nonzero entry e of ``total``.
-    """
-    if any(g.kind not in _FLOOR_KINDS for g in ops):
-        return None
-    return -total.min_delay()
 
 
 def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
@@ -799,30 +788,48 @@ def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
     tail, merged gate pairs, and for a CNOT-only product its one gate per
     entry (DAG) and column-eliminated (Euclid) factorizations.  Each is
     cascaded and reduced (``reduce_memory``), and the first candidate
-    with the fewest memory frames wins.  The search stops, before the
-    next candidate is built, once the best m reaches the causal floor
-    (``_causal_floor``), which no candidate can go below; for most inputs
-    without DELAY or feedback gates that happens at the gates as given.
+    with the fewest memory frames wins.
+
+    The search stops, before the next candidate is built, once the best
+    candidate answers an impulse in the same cycle (``responds_at_once``)
+    and every gate is CNOT, CPHASE, CPHASE1, H or P.  Each candidate of
+    such a list cascades to one section of equal depth on every wire
+    whose tap product is the gate product; reduction keeps both, so the
+    reduced absolute transfer is the product times D^m, causal by
+    ``check_schedule``.  A D^0 term in it means m equals the largest
+    advance (negative exponent) in the product, the causal floor that no
+    candidate can go below; for most such inputs the gates as given
+    reach it.  Lists with DELAY or feedback gates try every candidate.
+
     A candidate whose span floor (``_span_floor``) already reaches the
     best m so far cannot win and is not reduced.  A candidate other
     than the gates as given replaces the best only if its gate product
-    equals ``transfer``, the product of ``ops`` (computed when not
-    given), so every candidate implements the same transfer up to a
-    global delay monomial.
+    equals ``transfer``, the product of ``ops``, so every candidate
+    implements the same transfer up to a global delay monomial.  When
+    ``transfer`` is not given, the product is multiplied out the first
+    time a later candidate needs it, and at most once.
     """
     ops = list(ops)
-    total = sequence_transfer(ops, n) if transfer is None else transfer
-    floor = _causal_floor(ops, total)
+    for g in ops:
+        check_gate_wires(g, n)  # before any layout, which would name only the wire
+    stops_at_once = all(g.kind in _FLOOR_KINDS for g in ops)
+    total = transfer
     variants = []
     best = None
+
+    def product():
+        nonlocal total
+        if total is None:
+            total = sequence_transfer(ops, n)
+        return total
 
     def candidates():
         yield ops
         unswapped = _push_swaps_back(ops, n)
         yield unswapped
         yield _simplify_ops(list(unswapped), n)
-        yield _cnot_dag_candidate(ops, n, total)
-        yield _cnot_euclid_candidate(ops, n, total)
+        yield _cnot_dag_candidate(ops, n, product())
+        yield _cnot_euclid_candidate(ops, n, product())
 
     for v in candidates():
         if v is None or v in variants:
@@ -832,9 +839,9 @@ def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
         if best is not None and _span_floor(c) >= best.m:
             continue
         reduced = reduce_memory(c)
-        if best is None or (reduced.m < best.m and sequence_transfer(v, n) == total):
+        if best is None or (reduced.m < best.m and sequence_transfer(v, n) == product()):
             best = reduced
-            if best.m == floor:
+            if stops_at_once and responds_at_once(best):
                 break
     return best
 

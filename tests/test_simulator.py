@@ -20,11 +20,13 @@ from qshift.simulator import (
     impulse_response,
     recommended_horizon,
     reset_state,
+    responds_at_once,
     run,
     step,
     symplectic_product,
     _settle_margin,
 )
+from qshift.synthesis import reduce_memory
 
 from test_circuit import mixed_gate_lists
 
@@ -220,6 +222,22 @@ def test_multi_lane_step_equals_lane_wise_steps(case, data):
         for k, state in enumerate(single):
             _, bits = step(circ, state, [(z >> k & 1, x >> k & 1) for z, x in frame])
             assert bits == [(z >> k & 1, x >> k & 1) for z, x in out]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_gate_lists())
+@example((2, [Gate("H", (1,))]))
+@example((2, [Gate("INF_Z", (1,), pp("1+D")), Gate("CNOT", (1, 2), pp("D"))]))
+def test_responds_at_once_equals_the_first_simulated_cycle(case):
+    n, gates = case
+    circ = _circuit(n, gates)
+    for c in (circ, reduce_memory(circ)):
+        _, frame = step(c, reset_state(c), [(1 << w, 1 << (n + w)) for w in range(n)])
+        at_once = any(z or x for z, x in frame)
+        assert responds_at_once(c) == at_once
+        # the closed form agrees: the absolute transfer has a D^0 term
+        t, lat = circuit_transfer(c)
+        assert at_once == (t.shifted(lat).min_delay() == 0)
 
 
 def test_impulse_response_inf_truncated_series():

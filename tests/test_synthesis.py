@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -20,7 +22,7 @@ from qshift.circuit import (
     identity_circuit,
     instances_commute,
 )
-from qshift.simulator import impulse_response, recommended_horizon
+from qshift.simulator import impulse_response, recommended_horizon, responds_at_once
 from qshift.synthesis import (
     CatastrophicCode,
     NotDualContaining,
@@ -871,6 +873,24 @@ def test_compile_takes_dag_variant_below_the_others():
 # The causal floor that stops the compile search
 
 
+def _causal_floor(ops, total):
+    """Least m of any candidate ``compile_sequence`` can build, or None.
+
+    It is defined only when every gate is CNOT, CPHASE, CPHASE1, H or P
+    (no DELAY, no feedback); every candidate built from such a list has
+    only these kinds too.  Each candidate then cascades to one section of
+    equal depth on every wire whose tap product is exactly ``total``, the
+    gate product; reduction keeps that product and keeps the depths
+    equal, so the reduced transfer is ``total``·D^m.  Causality
+    (certified by ``check_schedule``) makes every exponent of it at
+    least 0, so m is at least ``-e.delay`` for every nonzero entry e of
+    ``total``.
+    """
+    if any(g.kind not in ("CNOT", "CPHASE", "CPHASE1", "H", "P") for g in ops):
+        return None
+    return -total.min_delay()
+
+
 def _floor_gates(case):
     """(n, gates) without the DELAY and feedback gates the floor excludes."""
     n, gates = case
@@ -916,8 +936,8 @@ def _abs_deg_per_entry(m):
 def test_abs_deg_and_causal_floor_match_per_entry_references(m):
     assert _outcome(m.abs_deg) == _outcome(_abs_deg_per_entry, m)
     expected = max((-e.delay for row in m.rows for e in row if e), default=0)
-    assert synthesis._causal_floor([Gate("H", (1,))], m) == expected
-    assert synthesis._causal_floor([Gate("DELAY", (1,), pp("D"))], m) is None
+    assert _causal_floor([Gate("H", (1,))], m) == expected
+    assert _causal_floor([Gate("DELAY", (1,), pp("D"))], m) is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -926,7 +946,7 @@ def test_abs_deg_and_causal_floor_match_per_entry_references(m):
 def test_causal_floor_bounds_every_candidate(case):
     n, gates = case
     total = sequence_transfer(gates, n)
-    floor = synthesis._causal_floor(gates, total)
+    floor = _causal_floor(gates, total)
     assert floor is not None
     for v in _compile_candidates(gates, n, total):
         if v is not gates and sequence_transfer(v, n) != total:
@@ -936,6 +956,8 @@ def test_causal_floor_bounds_every_candidate(case):
         # the reduced circuit's absolute transfer is the product delayed by m
         t, lat = circuit_transfer(reduced)
         assert t.shifted(lat) == total.shifted(reduced.m)
+        # so the one-cycle impulse test that stops the search marks the floor
+        assert responds_at_once(reduced) == (reduced.m == floor)
 
 
 def _count_compile_steps(monkeypatch):
@@ -952,12 +974,71 @@ def _count_compile_steps(monkeypatch):
 
 def test_compile_stops_at_causal_floor(monkeypatch):
     ops = parse_sequence("CNOT 1 2 D^3\n")
-    assert synthesis._causal_floor(ops, sequence_transfer(ops, 2)) == 3
+    assert _causal_floor(ops, sequence_transfer(ops, 2)) == 3
     calls = _count_compile_steps(monkeypatch)
     circ = compile_sequence(ops, 2)
     assert circ.m == 3
     # the gates as given reach the floor: one reduction, no other candidate
     assert calls == {"reduce_memory": 1}
+
+
+def _count_products(monkeypatch):
+    """Record the gate lists multiplied out and the products handed to the factorizations."""
+    products, given = [], []
+
+    def counted(ops, n, _fn=synthesis.sequence_transfer):
+        products.append(list(ops))
+        return _fn(ops, n)
+    monkeypatch.setattr(synthesis, "sequence_transfer", counted)
+    for name in ("_cnot_dag_candidate", "_cnot_euclid_candidate"):
+        def seen(ops, n, total, _fn=getattr(synthesis, name)):
+            given.append(total)
+            return _fn(ops, n, total)
+        monkeypatch.setattr(synthesis, name, seen)
+    return products, given
+
+
+def test_compile_at_the_floor_multiplies_no_gate_product(monkeypatch):
+    products, given = _count_products(monkeypatch)
+    assert compile_sequence(parse_sequence("CNOT 1 2 D^3\n"), 2).m == 3
+    assert products == given == []
+
+
+@pytest.mark.parametrize("text, wires, m, factorizations", [
+    # the DAG candidate reaches the floor m = 5, so Euclid is never built
+    ("CNOT 4 2 D^-2\nCNOT 2 1 D^-3+D^-1+1\nCNOT 3 2 D^-4+D^2+D^4\nCNOT 4 1 D\n", 4, 5, 1),
+    # both factorizations are built; the product is multiplied once for both
+    ("CNOT 1 2 D^-3+D^3\nCNOT 2 4 D+D^2\nCNOT 1 2 D+D^2\n", 4, 4, 2),
+], ids=["dag-reaches-floor", "dag-and-euclid"])
+def test_compile_multiplies_the_gate_product_once(monkeypatch, text, wires, m, factorizations):
+    ops = parse_sequence(text)
+    products, given = _count_products(monkeypatch)
+    assert compile_sequence(ops, wires).m == m
+    assert len(given) == factorizations
+    assert all(total is given[0] for total in given)
+    # the product of the gates as given, then the winner check of the one
+    # later candidate that reduced below the best so far
+    assert len(products) == 2 and products[0] == ops and products[1] != ops
+
+
+def test_compile_names_the_gate_past_the_last_wire():
+    with pytest.raises(ValueError, match=r"^gate CNOT 1 5 1 references a wire beyond 4$"):
+        compile_sequence(parse_sequence("CNOT 1 5 1\n"), 4)
+
+
+def test_compile_at_the_floor_keeps_no_cell_per_frame():
+    # 200 wires of 99999 frames: a dense one-cycle state would hold 2e7 cells
+    ops = parse_sequence("CNOT 1 2 D^99999\n")
+    start = time.perf_counter()
+    assert compile_sequence(ops, 200).m == 99999
+    assert time.perf_counter() - start < 0.5
+    tracemalloc.start()
+    try:
+        compile_sequence(ops, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # bytes; 2e7 cells at even 8 bytes each are 160 MB
 
 
 @pytest.mark.parametrize("text", [
@@ -967,7 +1048,7 @@ def test_compile_stops_at_causal_floor(monkeypatch):
 ], ids=["delay", "inf-z", "inf-x"])
 def test_compile_without_causal_floor_tries_every_candidate(monkeypatch, text):
     ops = parse_sequence(text)
-    assert synthesis._causal_floor(ops, sequence_transfer(ops, 2)) is None
+    assert _causal_floor(ops, sequence_transfer(ops, 2)) is None
     calls = _count_compile_steps(monkeypatch)
     compile_sequence(ops, 2)
     assert {name: k for name, k in calls.items() if name != "reduce_memory"} == {
@@ -1019,7 +1100,7 @@ def test_css_encoder_plans_of_encoded_codes(code):
     circ = plan.circuit()
     transfer, _ = circuit_transfer(circ)
     assert row_space_equiv(fresh.apply(transfer), StabilizerMatrix.from_css(hx, hz))
-    assert circ.m >= synthesis._causal_floor(plan.ops, plan.b_overall)
+    assert circ.m >= _causal_floor(plan.ops, plan.b_overall)
 
 
 def _golden_cascades():
