@@ -43,7 +43,6 @@ from .circuit import (
 )
 from .simulator import (
     PauliStream,
-    SimState,
     impulse_response,
     recommended_horizon,
     reset_state,
@@ -54,9 +53,7 @@ from .simulator import (
 from .synthesis import (
     CatastrophicCode,
     ElemOp,
-    EncoderPlan,
     NotDualContaining,
-    SmithDecomposition,
     SynthesisError,
     compile_sequence,
     constraint_lengths,
@@ -70,5 +67,24 @@ from .synthesis import (
     unencoded_stabilizer,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # gf2poly
+    "D", "LaurentPoly", "ONE", "ParseError", "RationalTransfer", "ZERO",
+    "parse_poly", "poly_divmod", "poly_gcd", "ratio", "series_expand",
+    # symplectic
+    "Gate", "StabilizerMatrix", "SympMatrix", "dual_containing", "gate_matrix",
+    "lam", "parse_gate", "row_space_equiv",
+    # circuit
+    "FeedbackNode", "FiniteSection", "Placement", "ShiftRegisterCircuit",
+    "build_from_gate", "cascade", "circuit_from_text", "circuit_to_text",
+    "circuit_transfer", "identity_circuit",
+    # simulator
+    "PauliStream", "impulse_response", "recommended_horizon", "reset_state",
+    "run", "step", "symplectic_product",
+    # synthesis
+    "CatastrophicCode", "ElemOp", "NotDualContaining", "SynthesisError",
+    "compile_sequence", "constraint_lengths", "css_encoder", "format_sequence",
+    "parse_sequence", "reduce_memory", "sequence_transfer",
+    "smith_normal_form", "typeII_memory_bound", "unencoded_stabilizer",
+]
 __version__ = "0.1.0"

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gf2poly import LaurentPoly, ParseError, content_lines, parse_poly
-from .symplectic import Gate, apply_gates, check_wire_count, gates_commute
+from .gf2poly import LaurentPoly, ParseError, parse_poly
+from .symplectic import Gate, apply_gates, gates_commute, read_header
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
@@ -438,7 +438,7 @@ def _parse_slot(token: str):
 
 
 def circuit_from_text(text: str) -> ShiftRegisterCircuit:
-    n = n_line = None
+    n, lines = read_header(text)
     declared = {}
     sections = []
     depths = None
@@ -453,15 +453,10 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
             finite.append((section_line, sections[-1]))
             depths, placements = None, []
 
-    for lineno, line in content_lines(text):
+    for lineno, line in lines:
         try:
             head, _, rest = line.partition(" ")
-            if head == "n":
-                if n is not None:
-                    raise ParseError(f"repeated 'n' header (first on line {n_line})")
-                n, n_line = int(rest), lineno
-                check_wire_count(n)
-            elif head in ("frames", "latency"):
+            if head in ("frames", "latency"):
                 declared[head] = int(rest)
             elif head == "section":
                 flush()
@@ -494,7 +489,7 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
                 kind = fields[0]
                 kv = dict(f.split("=", 1) for f in fields[1:])
                 sections.append(FeedbackNode(kind, int(kv["wire"]), parse_poly(kv["f"])))
-                if n is not None and sections[-1].wire > n:
+                if sections[-1].wire > n:
                     raise ParseError(f"feedback wire {sections[-1].wire} of {n}")
             else:
                 raise ParseError(f"unrecognized line {line!r}")
@@ -503,8 +498,6 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
         except (KeyError, ValueError, IndexError) as exc:
             raise ParseError(f"line {lineno}: malformed circuit line {line!r}: {exc}") from exc
     flush()
-    if n is None:
-        raise ParseError("missing 'n <wires>' header")
     for lineno, sec in finite:  # circuit_to_text writes only causal schedules
         try:
             if len(sec.depths) != n:

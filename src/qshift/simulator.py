@@ -26,9 +26,9 @@ import marshal
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly, content_lines
+from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly
 from .circuit import FeedbackNode, FiniteSection, ShiftRegisterCircuit
-from .symplectic import SympMatrix, check_wire_count
+from .symplectic import SympMatrix, read_header
 
 MAX_MEMORY_FRAMES = 10_000  # largest circuit memory m the simulator accepts
 MAX_CYCLES = 100_000  # most cycles one simulation may cover: horizon plus settle margin
@@ -49,6 +49,8 @@ class SimState:
 
 
 def reset_state(c: ShiftRegisterCircuit) -> SimState:
+    """All-zero cells for every section; a circuit above MAX_MEMORY_FRAMES is refused first."""
+    _check_size(c, 0)
     parts = []
     for sec in c.sections:
         if isinstance(sec, FiniteSection):
@@ -251,26 +253,12 @@ class PauliStream:
 
     @classmethod
     def from_text(cls, text: str) -> "PauliStream":
-        n = n_line = None
-        zs = xs = None
+        n, lines = read_header(text)
+        zs = [set() for _ in range(n)]
+        xs = [set() for _ in range(n)]
         first = last = None  # lowest and highest frame with a 1 bit
-        for lineno, line in content_lines(text):
-            if line.startswith("n "):
-                if n is not None:
-                    raise ParseError(
-                        f"line {lineno}: repeated 'n' header (first on line {n_line})")
-                n_line = lineno
-                try:
-                    n = int(line.split()[1])
-                except (IndexError, ValueError) as exc:
-                    raise ParseError(f"line {lineno}: bad wire count") from exc
-                check_wire_count(n, lineno)
-                zs = [set() for _ in range(n)]
-                xs = [set() for _ in range(n)]
-                continue
+        for lineno, line in lines:
             if line.startswith("n="):
-                if n is None:
-                    raise ParseError(f"line {lineno}: frame before 'n <wires>' header")
                 try:
                     kv = dict(f.split("=", 1) for f in line.split())
                     t = int(kv["n"])
@@ -302,8 +290,6 @@ class PauliStream:
                             f"limit of {MAX_SPAN} (MAX_SPAN)")
                 continue
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
-        if n is None:
-            raise ParseError("missing 'n <wires>' header")
         return cls(tuple(LaurentPoly(s) for s in zs), tuple(LaurentPoly(s) for s in xs))
 
 

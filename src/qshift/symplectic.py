@@ -118,6 +118,31 @@ def check_wire_count(n: int, lineno: int | None = None) -> None:
         raise ParseError(f"{where}{n} wires exceed the limit of {MAX_WIRES} (MAX_WIRES)")
 
 
+def read_header(text: str):
+    """(n, content lines after the header) of a circuit, stream, code or matrix file.
+
+    The first content line must be ``n <count>`` with a count that passes
+    :func:`check_wire_count`; a later ``n <count>`` line is refused.  Every
+    error names its line.
+    """
+    lines = list(content_lines(text))
+    if not lines:
+        raise ParseError("missing 'n <wires>' header")
+    n_line, head = lines.pop(0)
+    word, _, count = head.partition(" ")
+    if word != "n":
+        raise ParseError(f"line {n_line}: {head!r} before 'n <wires>' header")
+    try:
+        n = int(count)
+    except ValueError as exc:
+        raise ParseError(f"line {n_line}: bad wire count {count!r}") from exc
+    check_wire_count(n, n_line)
+    for lineno, line in lines:
+        if line.startswith("n "):
+            raise ParseError(f"line {lineno}: repeated 'n' header (first on line {n_line})")
+    return n, lines
+
+
 def parse_gate(line: str) -> Gate:
     """Parse one line of the gate-sequence format, e.g. ``CNOT 3 2 1+D^-1``."""
     fields = line.split()
@@ -296,24 +321,15 @@ class SympMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "SympMatrix":
-        lines = list(content_lines(text))
-        if not lines:
-            raise ParseError("matrix file must start with 'n <qubits>'")
-        lineno, head = lines[0]
-        if not head.startswith("n "):
-            raise ParseError(f"line {lineno}: matrix file must start with 'n <qubits>'")
-        try:
-            n = int(head.split()[1])
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"line {lineno}: bad matrix header") from exc
-        check_wire_count(n, lineno)
-        if len(lines) != 1 + 2 * n:
+        n, lines = read_header(text)
+        if len(lines) != 2 * n:
             # the first surplus row, else the last line read
-            lineno = lines[min(len(lines) - 1, max(1 + 2 * n, 0))][0]
+            last = lines[min(len(lines), 2 * n + 1) - 1] if lines else next(content_lines(text))
+            lineno = last[0]
             raise ParseError(
-                f"line {lineno}: expected {2 * n} matrix rows, found {len(lines) - 1}")
+                f"line {lineno}: expected {2 * n} matrix rows, found {len(lines)}")
         rows = []
-        for lineno, ln in lines[1:]:
+        for lineno, ln in lines:
             toks = ln.split()
             if len(toks) != 2 * n:
                 raise ParseError(f"line {lineno}: expected {2 * n} entries per row: {ln!r}")
@@ -538,25 +554,12 @@ class StabilizerMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "StabilizerMatrix":
-        n = n_line = None
+        n, lines = read_header(text)
         hx, hz = [], []
-        for lineno, line in content_lines(text):
-            if line.startswith("n "):
-                if n is not None:
-                    raise ParseError(
-                        f"line {lineno}: repeated 'n' header (first on line {n_line})")
-                n_line = lineno
-                try:
-                    n = int(line.split()[1])
-                except (IndexError, ValueError) as exc:
-                    raise ParseError(f"line {lineno}: bad qubit count") from exc
-                check_wire_count(n, lineno)
-                continue
+        for lineno, line in lines:
             if line == "css":
                 continue
             if line.startswith(("X:", "Z:")):
-                if n is None:
-                    raise ParseError(f"line {lineno}: row before 'n <qubits>' header")
                 toks = line[2:].split()
                 if len(toks) != n:
                     raise ParseError(f"line {lineno}: expected {n} polynomials")
@@ -572,8 +575,6 @@ class StabilizerMatrix:
                 (hx if line[0] == "X" else hz).append(row)
                 continue
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
-        if n is None:
-            raise ParseError("missing 'n <qubits>' header")
         if not hx and not hz:
             raise ParseError("no stabilizer rows")
         return cls.from_css(hx, hz)
@@ -626,7 +627,6 @@ def _solve_combination(basis_rows, target):
         if sel is None:
             continue
         aug[row_at], aug[sel] = aug[sel], aug[row_at]
-        inv = ratio(ONE, ONE)
         piv = aug[row_at][col]
         if isinstance(piv, LaurentPoly):
             inv = ratio(ONE, piv)

@@ -481,3 +481,17 @@ def test_size_limits_refused_before_allocating():
     # the limits themselves are allowed: MAX_CYCLES cycles, 0..MAX_CYCLES - 1
     out = run(c, PauliStream.impulse(1, 1, "Z"), MAX_CYCLES - 1)
     assert out.zs[0] == series_expand((pp("D"), pp("1+D")), MAX_CYCLES - 1)
+
+
+def test_reset_state_refuses_memory_past_the_limit():
+    # reset_state allocates one cell per frame on every wire for step to run on
+    message = (f"circuit memory of {MAX_MEMORY_FRAMES + 1} frames exceeds the simulator "
+               f"limit of {MAX_MEMORY_FRAMES} (MAX_MEMORY_FRAMES)")
+    deep = ShiftRegisterCircuit(2, (FiniteSection((MAX_MEMORY_FRAMES + 1, 0), ()),))
+    long_feedback = build_from_gate(Gate("INF_Z", (1,), LaurentPoly((0, MAX_MEMORY_FRAMES + 1))), 2)
+    for c in (deep, long_feedback):
+        with pytest.raises(ValueError) as exc:
+            reset_state(c)
+        assert str(exc.value) == message
+    at_limit = ShiftRegisterCircuit(2, (FiniteSection((MAX_MEMORY_FRAMES, 0), ()),))
+    assert len(reset_state(at_limit).parts[0][0]) == MAX_MEMORY_FRAMES

@@ -430,8 +430,9 @@ def test_matrix_text_round_trip():
 @pytest.mark.parametrize("text, message", [
     ("# identity\nn 1\n1 0\n0 Q\n", "line 4, column 2: bad polynomial term 'Q'"),
     ("n 1\n1 0\n1/0 1\n", "line 3, column 1: zero denominator"),
-    ("\nn x\n1 0\n0 1\n", "line 2: bad matrix header"),
-    ("1 0\n0 1\n", "line 1: matrix file must start with 'n <qubits>'"),
+    ("\nn x\n1 0\n0 1\n", "line 2: bad wire count 'x'"),
+    ("1 0\n0 1\n", "line 1: '1 0' before 'n <wires>' header"),
+    ("n 1\n# no rows\n", "line 1: expected 2 matrix rows, found 0"),
     ("n 1\n1 0\n", "line 2: expected 2 matrix rows, found 1"),
     ("n 1\n1 0\n0 1\n\n1 1\n", "line 5: expected 2 matrix rows, found 3"),
     ("n 1\n1 0 0\n0 1\n", "line 2: expected 2 entries per row"),

@@ -1,9 +1,13 @@
-"""Byte-stable round trips of the five text formats: write, read, write again."""
+"""Byte-stable round trips of the five text formats: write, read, write again.
 
+The four formats that open with an ``n <count>`` header share one header rule.
+"""
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshift.gf2poly import LaurentPoly
-from qshift.symplectic import StabilizerMatrix, SympMatrix
+from qshift.gf2poly import LaurentPoly, ParseError
+from qshift.symplectic import MAX_WIRES, StabilizerMatrix, SympMatrix
 from qshift.circuit import build_from_gate, cascade, circuit_from_text, circuit_to_text, identity_circuit
 from qshift.simulator import PauliStream
 from qshift.synthesis import format_sequence, parse_sequence, sequence_transfer
@@ -104,3 +108,49 @@ def _frame_text(stream):
 def test_stream_text_matches_frames(stream):
     # cycles before 0 are written too
     assert stream.to_text() == _frame_text(stream)
+
+
+# each reader with records that it accepts on one wire after ``n 1``
+HEADED_READERS = {
+    "circuit": (circuit_from_text, "section depths=1\ngate P s=0 a=1@0\n"),
+    "stream": (PauliStream.from_text, "n=0 z=1 x=0\n"),
+    "code": (StabilizerMatrix.from_text, "css\nX: 1\n"),
+    "matrix": (SympMatrix.from_text, "1 0\n0 1\n"),
+}
+
+
+@pytest.mark.parametrize("reader", HEADED_READERS)
+@pytest.mark.parametrize("header, message", [
+    ("# typed in\nN 1\n", "line 2: 'N 1' before 'n <wires>' header"),
+    ("n x\n", "line 1: bad wire count 'x'"),
+    ("n 1.5\n", "line 1: bad wire count '1.5'"),
+    ("\nn 0\n", "line 2: 0 wires; a header needs at least 1"),
+    ("n -3\n", "line 1: -3 wires; a header needs at least 1"),
+    (f"n {MAX_WIRES + 1}\n",
+     f"line 1: {MAX_WIRES + 1} wires exceed the limit of {MAX_WIRES} (MAX_WIRES)"),
+    ("n 1\n# again\nn 1\n", "line 3: repeated 'n' header (first on line 1)"),
+], ids=["not-first", "not-integer", "fraction", "zero", "negative",
+        "above-max-wires", "repeated"])
+def test_header_rule_is_shared_by_every_reader(reader, header, message):
+    read, records = HEADED_READERS[reader]
+    read("n 1\n" + records)  # the records alone are well formed
+    with pytest.raises(ParseError) as exc:
+        read(header + records)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("reader", HEADED_READERS)
+def test_header_must_open_the_file_and_come_once(reader):
+    read, records = HEADED_READERS[reader]
+    with pytest.raises(ParseError) as exc:
+        read("# comment only\n\n")
+    assert str(exc.value) == "missing 'n <wires>' header"
+    # a record before the header, and a repeated header after the records
+    first = records.splitlines()[0]
+    with pytest.raises(ParseError) as exc:
+        read(records + "n 1\n")
+    assert str(exc.value) == f"line 1: {first!r} before 'n <wires>' header"
+    with pytest.raises(ParseError) as exc:
+        read("n 1\n" + records + "n 1\n" + records)
+    k = 2 + len(records.splitlines())
+    assert str(exc.value) == f"line {k}: repeated 'n' header (first on line 1)"
