@@ -439,7 +439,7 @@ def _parse_slot(token: str):
 
 def circuit_from_text(text: str) -> ShiftRegisterCircuit:
     n, lines = read_header(text)
-    declared = {}
+    declared = {}  # "frames" or "latency" -> (value, line)
     sections = []
     depths = None
     placements = []
@@ -457,7 +457,10 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
         try:
             head, _, rest = line.partition(" ")
             if head in ("frames", "latency"):
-                declared[head] = int(rest)
+                if head in declared:
+                    raise ParseError(f"repeated {head!r} line (first on line "
+                                     f"{declared[head][1]})")
+                declared[head] = (int(rest), lineno)
             elif head == "section":
                 flush()
                 if not rest.startswith("depths="):
@@ -506,6 +509,6 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     c = ShiftRegisterCircuit(n, tuple(sections))
-    if "frames" in declared and declared["frames"] != c.m:
-        raise ParseError(f"declared frames {declared['frames']} but circuit has {c.m}")
+    if "frames" in declared and declared["frames"][0] != c.m:
+        raise ParseError(f"declared frames {declared['frames'][0]} but circuit has {c.m}")
     return c

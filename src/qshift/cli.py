@@ -79,33 +79,22 @@ def _compare_matrices(observed: SympMatrix, expected: SympMatrix,
     """Match modulo a global monomial on the exact window both sides cover."""
     if observed.n != expected.n:
         return False, f"wire count {observed.n} != {expected.n}"
-    size = 2 * observed.n
-    shift = 0
-    if not strict:
-        found = None
-        for i in range(size):
-            for j in range(size):
-                a, b = observed.entry(i, j), expected.entry(i, j)
-                if a and b:
-                    found = b.delay - a.delay
-                    break
-            if found is not None:
-                break
-        shift = found or 0
+    # pairs zero on both sides agree through any window; only the rest are
+    # expanded, in row-major order
+    pairs = [(i, j, got, want)
+             for i, (orow, erow) in enumerate(zip(observed.rows, expected.rows))
+             for j, (got, want) in enumerate(zip(orow, erow)) if got or want]
+    shift = 0 if strict else next(
+        (want.delay - got.delay for _, _, got, want in pairs if got and want), 0)
     # observed * D^shift is exact through horizon + shift; expected is exact
     window = horizon + min(shift, 0)
     if window < 0:
         raise ValueError(f"horizon {horizon} is too short to compare modulo "
                          f"D^{shift}; pass a larger --horizon")
-    for i in range(size):
-        for j in range(size):
-            a = series_expand(observed.entry(i, j).shift(shift), window)
-            b = series_expand(expected.entry(i, j), window)
-            if a != b:
-                return False, (f"entry ({i}, {j}): got "
-                               f"{observed.entry(i, j)}, expected "
-                               f"{expected.entry(i, j)}"
-                               + (f" (granted shift D^{shift})" if shift else ""))
+    for i, j, got, want in pairs:
+        if series_expand(got.shift(shift), window) != series_expand(want, window):
+            return False, (f"entry ({i}, {j}): got {got}, expected {want}"
+                           + (f" (granted shift D^{shift})" if shift else ""))
     return True, f"agrees through exponent {window}" + (
         f" modulo D^{shift}" if shift else "")
 

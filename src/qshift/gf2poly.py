@@ -244,6 +244,10 @@ def content_lines(text: str):
 
 def parse_poly(text: str) -> LaurentPoly:
     """Parse the textual polynomial syntax (whitespace-insensitive)."""
+    if text == "0":  # most matrix entries; no compaction or regex needed
+        return ZERO
+    if text == "1":
+        return ONE
     compact = "".join(text.split())
     if not compact:
         raise ParseError("empty polynomial")
@@ -475,6 +479,10 @@ def _clmul(a: int, b: int) -> int:
 
 def entry_parse(token: str):
     """Parse a transfer entry: a polynomial, or ``num/den`` for a rational one."""
+    if token == "0":
+        return ZERO
+    if token == "1":
+        return ONE
     if "/" in token:
         num, _, den = token.partition("/")
         return ratio(parse_poly(num), parse_poly(den))

@@ -14,10 +14,15 @@ deterministic finite-state machine.  If the state after cycle t equals
 the state after an earlier cycle t0 (both at or past the last input
 cycle), every later output repeats the outputs of cycles t0+1..t with
 period t - t0.  ``impulse_response`` and ``run`` therefore step only
-until the state repeats and replay that block for the remaining cycles,
-or stop outright when the whole block is quiet; the drained all-zero
-state of a finite-depth circuit is the period-1 case.  The rule reads
-the simulator's own state and nothing of the symbolic transfer.
+until the state repeats, or stop outright when the whole block is quiet;
+the drained all-zero state of a finite-depth circuit is the period-1
+case.  States are recorded from the last input cycle plus the summed
+depth of the finite sections on, when the input has left every one of
+them; any later start is as exact and at most costs cycles.  The
+repeating block is decoded once, and each output mask is extended by
+repeating its bits through the horizon rather than frame by frame.  The
+rule reads the simulator's own state and nothing of the symbolic
+transfer.
 """
 
 from __future__ import annotations
@@ -257,6 +262,7 @@ class PauliStream:
         zs = [set() for _ in range(n)]
         xs = [set() for _ in range(n)]
         first = last = None  # lowest and highest frame with a 1 bit
+        seen = {}  # cycle -> line of its frame
         for lineno, line in lines:
             if line.startswith("n="):
                 try:
@@ -265,6 +271,9 @@ class PauliStream:
                     zbits, xbits = kv["z"], kv["x"]
                 except (KeyError, ValueError) as exc:
                     raise ParseError(f"line {lineno}: malformed frame line") from exc
+                if seen.setdefault(t, lineno) != lineno:
+                    raise ParseError(f"line {lineno}: repeated frame 'n={t}' "
+                                     f"(first on line {seen[t]})")
                 if len(zbits) != n or len(xbits) != n:
                     raise ParseError(f"line {lineno}: expected {n} bits per field")
                 for w in range(n):
@@ -303,25 +312,29 @@ def _check_size(c: ShiftRegisterCircuit, cycles: int) -> None:
                          f"limit of {MAX_CYCLES} (MAX_CYCLES)")
 
 
-def _output_frames(c: ShiftRegisterCircuit, frame_at, last: int, cycles: int):
-    """Yield the output frames of cycles 0, 1, ... from a reset state.
+def _output_frames(c: ShiftRegisterCircuit, frame_at, last: int, cycles: int, record):
+    """Step up to ``cycles`` cycles from a reset state; return (stepped, block).
 
     Cycle t is fed ``frame_at(t)`` up to the last input cycle ``last`` and
-    a quiet frame after it.  From ``last`` on, the state after each cycle
-    is recorded with the output frames; on the first repeated state the
-    recorded block since its earlier visit is replayed (see the module
-    docstring) up to ``cycles`` frames, and an all-quiet block ends the
-    frames early, since every later output is quiet.
+    a quiet frame after it, and ``record(t, frame)`` gets each stepped
+    output frame.  The state after each cycle is recorded from ``last``
+    plus the summed depth of the finite sections on, when the input has
+    left every one of them.  On the first repeated state stepping stops:
+    the outputs of cycles ``stepped``, ``stepped + 1``, ... repeat
+    ``block``, the last ``len(block)`` stepped frames (module docstring).
+    ``block`` is empty when every later output is quiet or when all
+    ``cycles`` were stepped.
     """
     state = reset_state(c)
     quiet = [(0, 0)] * c.n
+    start = last + sum(sec.m for sec in c.sections if isinstance(sec, FiniteSection))
     seen = {}  # recorded state -> cycle after which it held
-    tail = []  # output frames of cycles last, last + 1, ...
+    tail = []  # output frames of cycles start, start + 1, ...
     room = _SNAPSHOT_BYTES
     for t in range(cycles):
         _, frame = step(c, state, frame_at(t) if t <= last else quiet)
-        yield frame
-        if t < last or room <= 0:
+        record(t, frame)
+        if t < start or room <= 0:
             continue
         tail.append(frame)
         # version 2 writes no object references, so equal states give equal bytes
@@ -330,19 +343,36 @@ def _output_frames(c: ShiftRegisterCircuit, frame_at, last: int, cycles: int):
         if t0 == t:
             room -= len(key)
             continue
-        block = tail[t0 + 1 - last:]  # the outputs of cycles t0 + 1 .. t
+        block = tail[t0 + 1 - start:]  # the outputs of cycles t0 + 1 .. t
         if not any(z or x for out in block for z, x in out):
-            return
-        for s in range(cycles - t - 1):
-            yield block[s % len(block)]
-        return
+            block = []
+        return t + 1, block
+    return cycles, []
+
+
+def _extend(mask: int, stepped: int, period: int, end: int) -> int:
+    """``mask`` with the bits of its last stepped period repeated through bit ``end - 1``.
+
+    ``mask`` has no bit at ``stepped`` or above; the period is bits
+    ``stepped - period`` .. ``stepped - 1``.  Each pass doubles the run.
+    """
+    start = stepped - period
+    bits = mask >> start
+    if not bits:
+        return mask
+    width = period
+    while width < end - start:
+        bits |= bits << width
+        width *= 2
+    return mask | (bits & ((1 << (end - start)) - 1)) << start
 
 
 def run(c: ShiftRegisterCircuit, stream: PauliStream, horizon: int) -> PauliStream:
     """Feed the stream from a reset state and collect outputs at cycles 0..horizon.
 
     Cycles are simulated only until the state after the last input cycle
-    repeats; the outputs of the rest are replayed (module docstring).
+    repeats; the bits of the repeating block are then repeated through the
+    horizon (module docstring).
     """
     if stream.n != c.n:
         raise ValueError("stream width mismatch")
@@ -358,14 +388,19 @@ def run(c: ShiftRegisterCircuit, stream: PauliStream, horizon: int) -> PauliStre
     out_x = [0] * n
     inputs = [[(int(z), int(x)) for z, x in zip(col[:n], col[n:])]
               for col in stream._columns(0, stream.max_exp)]  # inputs[t] == stream.frame(t)
-    frames = _output_frames(c, inputs.__getitem__, stream.max_exp, horizon + 1)
-    for t, frame in enumerate(frames):
+
+    def record(t, frame):
         bit = 1 << t
         for w, (z, x) in enumerate(frame):
             if z:
                 out_z[w] |= bit
             if x:
                 out_x[w] |= bit
+
+    stepped, block = _output_frames(c, inputs.__getitem__, stream.max_exp, horizon + 1, record)
+    if block:
+        out_z, out_x = ([_extend(m, stepped, len(block), horizon + 1) for m in out]
+                        for out in (out_z, out_x))
     return PauliStream(tuple(_poly(m, 0) for m in out_z),
                        tuple(_poly(m, 0) for m in out_x))
 
@@ -396,20 +431,22 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
     quiet settling window past the horizon is required; activity there
     raises ``horizon insufficient`` at the first late cycle of the lowest
     late lane, i.e. of the first late impulse in Z1..Zn, X1..Xn order.
-    Cycles are simulated only until the state repeats and the outputs of
-    the rest are replayed, which is exact (module docstring).
+    Cycles are simulated only until the state repeats; the bits of the
+    repeating block are then repeated through the horizon, and its frames
+    fill the settling window, which is exact (module docstring).
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     n = c.n
-    extra = 0 if c.has_feedback else _settle_margin(c)
-    _check_size(c, horizon + extra + 1)
+    cycles = horizon + 1 + (0 if c.has_feedback else _settle_margin(c))
+    _check_size(c, cycles)
     impulses = [(1 << w, 1 << (n + w)) for w in range(n)]
     masks = [[0] * (2 * n) for _ in range(2 * n)]  # [lane][column], bit t: cycle t
     late = 0
     late_at = None
-    frames = _output_frames(c, lambda t: impulses, 0, horizon + extra + 1)
-    for t, frame in enumerate(frames):
+
+    def record(t, frame):
+        nonlocal late, late_at
         if t > horizon:
             active = 0
             for z, x in frame:
@@ -419,7 +456,7 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
                 late |= new
                 if new & (late & -late):  # the lowest late lane is new
                     late_at = t
-            continue
+            return
         bit = 1 << t
         for w, (z, x) in enumerate(frame):
             for col, lanes in ((w, z), (n + w, x)):
@@ -427,6 +464,15 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
                     low = lanes & -lanes
                     masks[low.bit_length() - 1][col] |= bit
                     lanes ^= low
+
+    stepped, block = _output_frames(c, lambda t: impulses, 0, cycles, record)
+    if block:
+        if stepped <= horizon:
+            masks = [[_extend(m, stepped, len(block), horizon + 1) for m in row]
+                     for row in masks]
+        # the settling window stays per cycle, so the first late cycle is named
+        for t in range(max(stepped, horizon + 1), cycles):
+            record(t, block[(t - stepped) % len(block)])
     if late:
         raise ValueError(f"horizon insufficient: output active at cycle {late_at}")
     absolute = SympMatrix(n, [[_poly(m, 0) for m in row] for row in masks])

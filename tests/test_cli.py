@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from qshift.cli import main
+from qshift.cli import _compare_matrices, main
+from qshift.symplectic import SympMatrix
 
 CSS_CODE = "n 3\ncss\nX: 1 D 1+D\nZ: D 1 1+D\n"
 
@@ -175,6 +176,21 @@ def test_verify_horizon_shorter_than_granted_advance(tmp_path, capsys):
     exp.write_text(FEEDBACK_ADVANCE_MATRIX.replace("\n1 0 0 0\n", "\nD^-8 0 0 0\n"))
     assert main(["verify", str(circ), str(exp), "--horizon", "3"]) == 2
     assert "--horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("one, strict, message", [
+    ("1", True, "entry (1, 3): got 0, expected D/1+D"),
+    ("D", False, "entry (1, 3): got 0, expected D/1+D (granted shift D^-1)"),
+])
+def test_compare_reports_first_mismatch_past_zero_pairs(one, strict, message):
+    # pairs that are zero on both sides are skipped; the first mismatch in
+    # row-major order (observed 0, expected nonzero) comes after several of
+    # them and before a second mismatch at (3, 2)
+    observed = SympMatrix.from_text(
+        f"n 2\n{one} 0 0 0\n0 {one} 0 0\n0 0 {one} 0\n0 0 0 {one}\n")
+    expected = SympMatrix.from_text("n 2\n1 0 0 0\n0 1 0 D/1+D\n0 0 1 0\n0 0 D^2 1\n")
+    assert _compare_matrices(observed, expected, 20, strict) == (False, message)
+    assert _compare_matrices(observed, observed, 20, strict) == (True, "agrees through exponent 20")
 
 
 def test_verify_rejects_negative_horizon(tmp_path, capsys):

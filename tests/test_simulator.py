@@ -24,6 +24,7 @@ from qshift.simulator import (
     run,
     step,
     symplectic_product,
+    _output_frames,
     _settle_margin,
 )
 from qshift.synthesis import reduce_memory
@@ -424,6 +425,30 @@ def test_replay_of_periodic_responses(kind, f):
             _reference_impulse_response(circ, horizon)
         if horizon >= stream.max_exp:
             assert run(circ, stream, horizon) == _reference_run(circ, stream, horizon)
+
+
+@pytest.mark.parametrize("kind", ["INF_Z", "INF_X"])
+@pytest.mark.parametrize("f", ["1+D^2", "1+D+D^3", "1+D^2+D^3", "1+D^3"])
+def test_periodic_tail_through_long_horizons(kind, f):
+    # the repeating block is decoded once and its bits repeated to the
+    # horizon: long horizons, windows that end inside a period, and ones
+    # that end before the first repeated state is stepped
+    circ = _circuit(2, [Gate("CNOT", (2, 1), pp("D^2")), Gate(kind, (1,), pp(f))])
+    stream = PauliStream((pp("1+D^3"), ZERO), (ZERO, pp("D")))
+    impulses = [(1 << w, 1 << (2 + w)) for w in range(2)]
+    _, block = _output_frames(circ, lambda t: impulses, 0, 5001, lambda t, frame: None)
+    active = [any(z or x for z, x in out) for out in block]
+    assert len(block) > 1 and any(active) and not all(active)
+    for response, reference, frame_at, last in (
+            (impulse_response, _reference_impulse_response, lambda t: impulses, 0),
+            (lambda c, h: run(c, stream, h), lambda c, h: _reference_run(c, stream, h),
+             stream.frame, stream.max_exp)):
+        # cycles 0 .. stepped - 1 are stepped, the last of them repeats a state
+        stepped, block = _output_frames(circ, frame_at, last, 5001, lambda t, frame: None)
+        period = max(len(block), 1)  # an empty block is a quiet tail
+        for horizon in (500, 5000, stepped + 7 * period, stepped + 8 * period - 2,
+                        stepped - 1, stepped - 2):
+            assert response(circ, horizon) == reference(circ, horizon)
 
 
 @pytest.mark.parametrize("budget", [0, 40, 400])

@@ -154,3 +154,28 @@ def test_header_must_open_the_file_and_come_once(reader):
         read("n 1\n" + records + "n 1\n" + records)
     k = 2 + len(records.splitlines())
     assert str(exc.value) == f"line {k}: repeated 'n' header (first on line 1)"
+
+
+@pytest.mark.parametrize("text, message", [
+    # the second line used to be ORed into the first: z=11
+    ("n 2\nn=0 z=10 x=00\nn=0 z=01 x=00\n", "line 3: repeated frame 'n=0' (first on line 2)"),
+    ("n 2\nn=4 z=00 x=00\n# same cycle, quiet\nn=1 z=00 x=10\nn=4 z=00 x=00\n",
+     "line 5: repeated frame 'n=4' (first on line 2)"),
+], ids=["active", "quiet"])
+def test_stream_refuses_a_repeated_cycle(text, message):
+    with pytest.raises(ParseError) as exc:
+        PauliStream.from_text(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("head, first, again", [
+    ("frames", 1, 0),  # the last one used to win, accepting a 0-frame circuit
+    ("frames", 1, 1),
+    ("latency", 0, 0),
+])
+def test_circuit_refuses_a_repeated_declaration(head, first, again):
+    body = "section depths=1\ngate P s=0 a=1@0\n"
+    circuit_from_text(f"n 1\n{head} {first}\n" + body)
+    with pytest.raises(ParseError) as exc:
+        circuit_from_text(f"n 1\n{head} {first}\n\n{body}{head} {again}\n")
+    assert str(exc.value) == f"line 6: repeated '{head}' line (first on line 2)"
