@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2poly import LaurentPoly, ParseError, parse_poly
-from .symplectic import Gate, apply_gates, gates_commute, read_header
+from .symplectic import Gate, apply_gates, gates_commute, read_fields, read_header
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
@@ -475,7 +475,7 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
                     raise ParseError("gate line outside a section")
                 fields = rest.split()
                 kind = fields[0]
-                kv = dict(f.split("=", 1) for f in fields[1:])
+                kv = read_fields(fields[1:])
                 a = _parse_slot(kv["a"])
                 b = _parse_slot(kv["b"]) if "b" in kv else None
                 p = Placement(kind, a, b)
@@ -490,7 +490,7 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
                 flush()
                 fields = rest.split()
                 kind = fields[0]
-                kv = dict(f.split("=", 1) for f in fields[1:])
+                kv = read_fields(fields[1:])
                 sections.append(FeedbackNode(kind, int(kv["wire"]), parse_poly(kv["f"])))
                 if sections[-1].wire > n:
                     raise ParseError(f"feedback wire {sections[-1].wire} of {n}")

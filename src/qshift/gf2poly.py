@@ -5,12 +5,15 @@ offset: bit k of the mask is the coefficient of D^(offset + k).  A nonzero
 mask is odd, so the offset is the lowest exponent; ``1 + D + D^2`` is
 (0b111, 0), ``D^-1 + D^2`` is (0b1001, -1), and zero is (0, 0).  Negative
 exponents (advances) are allowed everywhere.  Addition is an aligned XOR
-and multiplication a carry-less shift-XOR; both are exact.  A mask costs a
-bit per exponent in its span deg - delay, so a polynomial built from
-exponents or read from text may span at most ``MAX_SPAN`` (100,000), and
-arithmetic refuses, before allocating, a result that would span more than
-``MAX_ARITH_SPAN`` (1,000,000): a sum of two far-apart monomials, a
-product, an ordinary polynomial held for division, or a series expansion.
+and multiplication a carry-less shift-XOR; both are exact.  Units cost no
+bit work: a product with a monomial D^k (the unit 1 included) is the
+other factor shifted by k, D -> D^-1 of D^k is D^-k, and division by 1
+returns the dividend with remainder 0.  A mask costs a bit per exponent
+in its span deg - delay, so a polynomial built from exponents or read from
+text may span at most ``MAX_SPAN`` (100,000), and arithmetic refuses,
+before allocating, a result that would span more than ``MAX_ARITH_SPAN``
+(1,000,000): a sum of two far-apart monomials, a product, an ordinary
+polynomial held for division, or a series expansion.
 
 ``RationalTransfer`` represents a ratio of Laurent polynomials in reduced
 form with a delay-free denominator.  Ratios appear as transfer-matrix
@@ -140,11 +143,16 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._mask or not other._mask:
+        a, b = self._mask, other._mask
+        if not a or not b:
             return ZERO
-        _check_arith_span(self._mask.bit_length() + other._mask.bit_length() - 2)
+        if a == 1:  # a monomial factor is a shift, and never widens the span
+            return other if not self._off else _poly(b, other._off + self._off, True)
+        if b == 1:
+            return self if not other._off else _poly(a, self._off + other._off, True)
+        _check_arith_span(a.bit_length() + b.bit_length() - 2)
         # odd times odd is odd
-        return _poly(_clmul(self._mask, other._mask), self._off + other._off, True)
+        return _poly(_clmul(a, b), self._off + other._off, True)
 
     __rmul__ = __mul__
 
@@ -158,6 +166,8 @@ class LaurentPoly:
         """Substitute D -> D^-1: negate every exponent (reverse the bits)."""
         if not self._mask:
             return self
+        if self._mask == 1:
+            return self if not self._off else _poly(1, -self._off, True)
         return _poly(int(bin(self._mask)[:1:-1], 2), -self.deg, True)
 
     @property
@@ -293,7 +303,10 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly):
     """Euclidean division over GF(2)[D]; operands must have delay >= 0."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q, r = _divmod_bits(_ordinary_bits(a), _ordinary_bits(b))
+    bits = _ordinary_bits(a)  # refuses a negative delay or a span past the limit
+    if b._mask == 1 and not b._off:  # division by the unit 1
+        return a, ZERO
+    q, r = _divmod_bits(bits, _ordinary_bits(b))
     return _poly(q, 0), _poly(r, 0)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly
 from .circuit import FeedbackNode, FiniteSection, ShiftRegisterCircuit
-from .symplectic import SympMatrix, read_header
+from .symplectic import SympMatrix, read_fields, read_header
 
 MAX_MEMORY_FRAMES = 10_000  # largest circuit memory m the simulator accepts
 MAX_CYCLES = 100_000  # most cycles one simulation may cover: horizon plus settle margin
@@ -266,9 +266,11 @@ class PauliStream:
         for lineno, line in lines:
             if line.startswith("n="):
                 try:
-                    kv = dict(f.split("=", 1) for f in line.split())
+                    kv = read_fields(line.split())
                     t = int(kv["n"])
                     zbits, xbits = kv["z"], kv["x"]
+                except ParseError as exc:  # a repeated field
+                    raise ParseError(f"line {lineno}: {exc}") from exc
                 except (KeyError, ValueError) as exc:
                     raise ParseError(f"line {lineno}: malformed frame line") from exc
                 if seen.setdefault(t, lineno) != lineno:

@@ -9,11 +9,12 @@ the X block.  Wires are numbered from 1.
 Closed-form matrices for every elementary gate are produced by
 :func:`gate_matrix`; validity is the shift-invariant symplectic
 condition  m . L . m^T(D^-1) = L  with L = [[0, I], [I, 0]].  The same
-closed forms, kept as the few columns each gate changes
-(:func:`gate_columns`), let :func:`apply_gates` multiply out a gate
-sequence on sparse columns without dense matrix products, and :func:`gates_commute`
-decide whether two gates commute; the circuit layer decides placement
-commutation with it too.
+closed forms, written as one table of elementary column operations per
+gate (:func:`gate_actions`: add g times one column to another, swap two,
+or scale one), build :func:`gate_matrix`, let :func:`apply_gates`
+multiply out a gate sequence in place on sparse columns without dense
+matrix products, and let :func:`gates_commute` decide whether two gates
+commute; the circuit layer decides placement commutation with it too.
 """
 
 from __future__ import annotations
@@ -143,6 +144,15 @@ def read_header(text: str):
     return n, lines
 
 
+def read_fields(words) -> dict:
+    """The ``key=value`` words of a record line as a dict, refusing a repeated key."""
+    kv = dict(w.split("=", 1) for w in words)
+    if len(kv) != len(words):
+        keys = [w.split("=", 1)[0] for w in words]
+        raise ParseError(f"repeated field {next(k for k in keys if keys.count(k) > 1)!r}")
+    return kv
+
+
 def parse_gate(line: str) -> Gate:
     """Parse one line of the gate-sequence format, e.g. ``CNOT 3 2 1+D^-1``."""
     fields = line.split()
@@ -188,6 +198,14 @@ def row_times(row, rows) -> list:
     return out
 
 
+def _format_rows(rows, n: int) -> str:
+    """One ``[ z part | x part ]`` line per row, every entry right-aligned to one width."""
+    cells = [[str(e) for e in row] for row in rows]
+    width = max((len(c) for row in cells for c in row), default=1)
+    return "\n".join(f"[ {' '.join(c.rjust(width) for c in row[:n])} | "
+                     f"{' '.join(c.rjust(width) for c in row[n:])} ]" for row in cells)
+
+
 class SympMatrix:
     """2n x 2n polynomial (or rational) matrix acting by postmultiplication."""
 
@@ -214,10 +232,6 @@ class SympMatrix:
     @property
     def is_polynomial(self) -> bool:
         return all(isinstance(e, LaurentPoly) for row in self._rows for e in row)
-
-    def z_block(self):
-        n = self.n
-        return [list(self._rows[i][:n]) for i in range(n)]
 
     def x_block(self):
         n = self.n
@@ -249,14 +263,15 @@ class SympMatrix:
     def abs_deg(self) -> int:
         """Max over entries of max{deg, |delay|}; entries must be polynomial.
 
-        Zero entries count 0, so only the nonzero ones are measured.
+        Zero entries count 0, so the shared ``ZERO`` entries are skipped
+        unread; a rational entry, zero or not, is refused.
         """
         best = 0
         for row in self._rows:
             for e in row:
-                if isinstance(e, RationalTransfer):
-                    raise ValueError("absolute degree requires polynomial entries")
-                if e:
+                if e is not ZERO:
+                    if isinstance(e, RationalTransfer):
+                        raise ValueError("absolute degree requires polynomial entries")
                     d = e.abs_deg
                     if d > best:
                         best = d
@@ -264,27 +279,19 @@ class SympMatrix:
 
     def latency_shift(self) -> int:
         """Smallest global exponent L minimizing abs_deg of self * D^-L."""
-        degs = []
-        dels = []
-        for row in self._rows:
-            for e in row:
-                if isinstance(e, RationalTransfer):
-                    raise ValueError("latency normalization requires polynomial entries")
-                if e:
-                    degs.append(e.deg)
-                    dels.append(e.delay)
-        if not degs:
+        entries = [e for row in self._rows for e in row if e is not ZERO]
+        if any(isinstance(e, RationalTransfer) for e in entries):
+            raise ValueError("latency normalization requires polynomial entries")
+        entries = [e for e in entries if e]
+        if not entries:
             return 0
         # max(hi - L, L - lo) is least at the midpoint; on a tie (hi + lo
         # odd) the lower one
-        return (max(degs) + min(dels)) // 2
+        return (max(e.deg for e in entries) + min(e.delay for e in entries)) // 2
 
     def min_delay(self) -> int:
         """Smallest series exponent over nonzero entries (rational-aware)."""
-        vals = [e.delay for row in self._rows for e in row if e]
-        if not vals:
-            return 0
-        return min(vals)
+        return min((e.delay for row in self._rows for e in row if e), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, SympMatrix):
@@ -343,15 +350,7 @@ class SympMatrix:
         return cls(n, rows)
 
     def __str__(self) -> str:
-        n = self.n
-        cells = [[str(e) for e in row] for row in self._rows]
-        width = max(len(c) for row in cells for c in row)
-        out = []
-        for i, row in enumerate(cells):
-            left = " ".join(c.rjust(width) for c in row[:n])
-            right = " ".join(c.rjust(width) for c in row[n:])
-            out.append(f"[ {left} | {right} ]")
-        return "\n".join(out)
+        return _format_rows(self._rows, self.n)
 
 
 def lam(n: int) -> SympMatrix:
@@ -369,72 +368,55 @@ def check_gate_wires(gate: Gate, n: int) -> None:
         raise ValueError(f"gate {gate} references a wire beyond {n}")
 
 
-def gate_columns(gate: Gate, n: int) -> dict:
-    """The columns of the gate's closed-form matrix that differ from the identity.
+def gate_actions(gate: Gate, n: int) -> tuple:
+    """The gate's closed-form matrix as elementary column operations on I.
 
-    Maps a column index to ``{row index: entry}`` over that column's
-    nonzero entries.  Every gate changes at most two columns, both on
-    its own wires.
+    Each action is ``("add", dst, g, src)`` (column dst += g * column src),
+    ``("swap", a, None, b)`` or ``("scale", c, g, c)``; adds of a zero
+    polynomial and scales by 1 are left out.  No add reads a column that
+    an action of the same gate writes, so the actions may be applied one
+    after another, in place.
     """
     check_gate_wires(gate, n)
     i = gate.wires[0] - 1
-    zi, xi = i, n + i  # row Z_i / column z_i, row X_i / column x_i
+    zi, xi = i, n + i  # column z_i, column x_i
     kind = gate.kind
     f = gate.poly
     if kind in ("CNOT", "CPHASE"):
+        if not f:
+            return ()
         j = gate.wires[1] - 1
         zj, xj = j, n + j
         if kind == "CNOT":  # x_j += f x_i, z_i += f(D^-1) z_j
-            cols = {xj: {xj: ONE, xi: f}, zi: {zi: ONE, zj: f.subst_inv()}}
-        else:  # z_j += f x_i, z_i += f(D^-1) x_j
-            cols = {zj: {zj: ONE, xi: f}, zi: {zi: ONE, xj: f.subst_inv()}}
-    elif kind == "CPHASE1":
-        cols = {zi: {zi: ONE, xi: f + f.subst_inv()}}
-    elif kind == "H":
-        cols = {zi: {xi: ONE}, xi: {zi: ONE}}
-    elif kind == "P":
-        cols = {zi: {zi: ONE, xi: ONE}}
-    elif kind == "DELAY":
-        cols = {zi: {zi: f}, xi: {xi: f}}
-    elif kind == "INF_Z":
-        cols = {zi: {zi: ratio(ONE, f.subst_inv())}, xi: {xi: f}}
-    else:  # INF_X
-        cols = {zi: {zi: f}, xi: {xi: ratio(ONE, f.subst_inv())}}
-    return {c: {r: e for r, e in col.items() if e} for c, col in cols.items()}
+            return (("add", xj, f, xi), ("add", zi, f.subst_inv(), zj))
+        # z_j += f x_i, z_i += f(D^-1) x_j
+        return (("add", zj, f, xi), ("add", zi, f.subst_inv(), xj))
+    if kind == "CPHASE1":  # z_i += (f + f(D^-1)) x_i
+        return (("add", zi, f + f.subst_inv(), xi),) if f else ()
+    if kind == "P":  # z_i += x_i
+        return (("add", zi, ONE, xi),)
+    if kind == "H":  # exchange z_i and x_i
+        return (("swap", zi, None, xi),)
+    if kind == "DELAY":  # z_i and x_i times D^l
+        return (("scale", zi, f, zi), ("scale", xi, f, xi)) if f != ONE else ()
+    # INF_Z: z_i times 1/f(D^-1), x_i times f; INF_X the other way round
+    inv = ratio(ONE, f.subst_inv())
+    z, x = (inv, f) if kind == "INF_Z" else (f, inv)
+    return (("scale", zi, z, zi), ("scale", xi, x, xi))
 
 
 def gate_matrix(gate: Gate, n: int) -> SympMatrix:
-    """The 2n x 2n closed-form matrix of one elementary gate."""
-    rows = [[ONE if i == j else ZERO for j in range(2 * n)] for i in range(2 * n)]
-    for c, col in gate_columns(gate, n).items():
-        for r in range(2 * n):
-            rows[r][c] = col.get(r, ZERO)
-    return SympMatrix(n, rows)
+    """The 2n x 2n closed-form matrix of one elementary gate: I with its actions."""
+    return apply_gates((gate,), n)
 
 
 def apply_gates(gates, n: int) -> SympMatrix:
     """``gate_matrix(g1, n) @ gate_matrix(g2, n) @ ...`` without dense products.
 
     The product is held as sparse columns ``{row: entry}``, starting from
-    the identity's.  Postmultiplying by a gate rewrites only the columns
-    its matrix changes (``gate_columns``): each new column is the sum of
-    the current columns its entries select, times those entries, so a
-    gate costs one entry operation per nonzero entry it reads, not one
-    per row of the 2n.  Entries are exact, so the result equals the dense
-    product; it is laid out densely once, at the end.
+    the identity's, and laid out densely once, at the end.
     """
-    cols = [{c: ONE} for c in range(2 * n)]
-    for gate in gates:
-        new = []
-        for c, gate_col in gate_columns(gate, n).items():
-            acc = {}
-            for k, g in gate_col.items():
-                for r, a in cols[k].items():
-                    term = a if g is ONE else a * g
-                    acc[r] = acc[r] + term if r in acc else term
-            new.append((c, {r: e for r, e in acc.items() if e}))
-        for c, col in new:
-            cols[c] = col
+    cols = _apply_actions([{c: ONE} for c in range(2 * n)], gates, n)
     rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
     for c, col in enumerate(cols):
         for r, e in col.items():
@@ -442,39 +424,49 @@ def apply_gates(gates, n: int) -> SympMatrix:
     return SympMatrix(n, rows)
 
 
-def _gate_offset(gate: Gate, n: int) -> dict:
-    """``gate_matrix(gate, n) - I`` as ``{column: {row: entry}}``, zeros dropped."""
-    out = {}
-    for c, col in gate_columns(gate, n).items():
-        col = {**col, c: col.get(c, ZERO) + ONE}
-        out[c] = {r: e for r, e in col.items() if e}
-    return out
+def _apply_actions(cols, gates, n: int):
+    """Postmultiply the sparse columns ``cols`` by each gate in turn, in place.
 
-
-def _sparse_product(a: dict, b: dict) -> dict:
-    """``a @ b`` for column-sparse matrices, as ``{(row, column): entry}``."""
-    out = {}
-    for c, col_b in b.items():
-        for k, g in col_b.items():
-            for r, e in a.get(k, {}).items():
-                key = (r, c)
-                out[key] = out[key] + e * g if key in out else e * g
-    return {key: e for key, e in out.items() if e}
+    A gate's actions (``gate_actions``) run one after another: an add puts
+    g times each entry of column src (the entry itself when g is 1) into
+    column dst, a swap exchanges two columns, a scale multiplies one.  This
+    is exact because no add reads a column that the same gate writes.  A
+    gate so costs one entry operation per nonzero entry it reads, and with
+    the monomial products of ``gf2poly`` most of those are shifts.
+    """
+    for gate in gates:
+        for op, dst, g, src in gate_actions(gate, n):
+            if op == "add":
+                col = cols[dst]
+                for r, a in cols[src].items():
+                    if g is not ONE:
+                        a = a * g
+                    if r not in col:
+                        col[r] = a
+                    elif e := col[r] + a:
+                        col[r] = e
+                    else:
+                        del col[r]
+            elif op == "swap":
+                cols[dst], cols[src] = cols[src], cols[dst]
+            else:
+                cols[dst] = {r: e * g for r, e in cols[dst].items()}
+    return cols
 
 
 def gates_commute(a: Gate, b: Gate, n: int) -> bool:
     """Do the closed-form matrices of two gates on ``n`` wires commute?
 
-    With M_a = I + A and M_b = I + B, M_a M_b = M_b M_a exactly when
-    AB = BA.  A and B are nonzero only on the at most two columns each
-    gate changes (``gate_columns``, with ONE added on the diagonal over
-    GF(2)), so the two products are compared as sparse dicts of at most
-    a few entries instead of as dense 2n x 2n matrices.
+    The two products are multiplied out from the gates' actions, once in
+    each order, on the columns of I that the actions read or write (the z
+    and x columns of the gates' wires), and compared; no dense 2n x 2n
+    matrix is built.
     """
     if not set(a.wires) & set(b.wires):
         return True  # each gate matrix differs from I only on its own wires
-    off_a, off_b = _gate_offset(a, n), _gate_offset(b, n)
-    return _sparse_product(off_a, off_b) == _sparse_product(off_b, off_a)
+    own = {c for w in a.wires + b.wires for c in (w - 1, n + w - 1)}
+    ab, ba = ({c: {c: ONE} for c in own} for _ in range(2))
+    return _apply_actions(ab, (a, b), n) == _apply_actions(ba, (b, a), n)
 
 
 class StabilizerMatrix:
@@ -580,15 +572,7 @@ class StabilizerMatrix:
         return cls.from_css(hx, hz)
 
     def __str__(self) -> str:
-        n = self.n
-        cells = [[str(e) for e in row] for row in self._rows]
-        width = max((len(c) for row in cells for c in row), default=1)
-        out = []
-        for row in cells:
-            left = " ".join(c.rjust(width) for c in row[:n])
-            right = " ".join(c.rjust(width) for c in row[n:])
-            out.append(f"[ {left} | {right} ]")
-        return "\n".join(out)
+        return _format_rows(self._rows, self.n)
 
 
 def pairing(a_rows, b_rows) -> list:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshift.gf2poly import LaurentPoly, ONE, ZERO, ParseError, parse_poly as pp
+from qshift.gf2poly import LaurentPoly, ONE, ZERO, ParseError, parse_poly as pp, ratio
 from qshift.symplectic import Gate, SympMatrix, gate_matrix
 from qshift import circuit as circuit_mod
 from qshift.circuit import (
@@ -316,10 +316,50 @@ def test_instances_commute_memo_matches_reference():
     assert 0 < len(circuit_mod._COMMUTE_MEMO) <= 6 * len(PLACEMENT_KINDS) ** 2
 
 
+def closed_form(gate, n):
+    """The dense 2n x 2n matrix of one gate, entry by entry.
+
+    Written from the gates' rules, independently of ``symplectic``'s
+    action table: rows are the input generators Z_1..Z_n, X_1..X_n and
+    columns the outputs z_1..z_n, x_1..x_n.  With f~ = f(D^-1):
+    CNOT(i,j)(f) maps X_i to X_i X_j^f and Z_j to Z_j Z_i^f~;
+    CPHASE(i,j)(f) maps X_i to X_i Z_j^f and X_j to X_j Z_i^f~;
+    CPHASE1(i)(f) maps X_i to X_i Z_i^(f+f~); P maps X_i to X_i Z_i;
+    H exchanges Z_i and X_i; DELAY D^l multiplies both by D^l; INF_Z(f)
+    multiplies Z_i by 1/f~ and X_i by f, INF_X the other way round.
+    """
+    rows = [[ONE if r == c else ZERO for c in range(2 * n)] for r in range(2 * n)]
+    f = gate.poly
+    f_inv = None if f is None else LaurentPoly([-e for e in f.terms])  # f(D^-1)
+    i = gate.wires[0] - 1
+    zi, xi = i, n + i
+    if gate.kind in ("CNOT", "CPHASE"):
+        j = gate.wires[1] - 1
+        zj, xj = j, n + j
+        if gate.kind == "CNOT":
+            rows[xi][xj], rows[zj][zi] = f, f_inv
+        else:
+            rows[xi][zj], rows[xj][zi] = f, f_inv
+    elif gate.kind == "CPHASE1":
+        rows[xi][zi] = f + f_inv
+    elif gate.kind == "P":
+        rows[xi][zi] = ONE
+    elif gate.kind == "H":
+        rows[zi][zi] = rows[xi][xi] = ZERO
+        rows[zi][xi] = rows[xi][zi] = ONE
+    elif gate.kind == "DELAY":
+        rows[zi][zi] = rows[xi][xi] = f
+    else:
+        feedback = ratio(ONE, f_inv)
+        z, x = (feedback, f) if gate.kind == "INF_Z" else (f, feedback)
+        rows[zi][zi], rows[xi][xi] = z, x
+    return SympMatrix(n, rows)
+
+
 def _dense_fold(gates, n):
     t = SympMatrix.identity(n)
     for g in gates:
-        t = t @ gate_matrix(g, n)
+        t = t @ closed_form(g, n)
     return t
 
 

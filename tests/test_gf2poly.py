@@ -12,6 +12,9 @@ from qshift.gf2poly import (
     ParseError,
     RationalTransfer,
     ZERO,
+    _clmul,
+    _divmod_bits,
+    _poly,
     parse_poly,
     poly_divmod,
     poly_gcd,
@@ -394,3 +397,51 @@ def test_series_expand_matches_sets(xs, ys, horizon):
     _same(got, _set_series(a, b, horizon))
     r = ratio(LaurentPoly(xs), LaurentPoly(ys))
     _same(series_expand(r, horizon), _set_series(a, b, horizon))
+
+
+# ---------------------------------------------------------------------------
+# Unit and monomial fast paths against the bit-level references they skip.
+
+
+def _bits_equal(p, mask, off):
+    """``p`` is the polynomial with bit k of ``mask`` the coefficient of D^(off + k)."""
+    ref = _poly(mask, off)
+    assert (p._mask, p._off) == (ref._mask, ref._off)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EXPS, st.integers(-50, 50), st.booleans())
+def test_unit_and_monomial_fast_paths_match_bit_references(xs, k, unit):
+    p = LaurentPoly(xs)
+    m = ONE if unit else LaurentPoly.monomial(k)
+    for product in (p * m, m * p):
+        _bits_equal(product, _clmul(p._mask, m._mask), p._off + m._off)
+    if not m._off and p._mask > 1:  # times 1, a polynomial is returned as it is
+        assert p * m is p and m * p is p
+    _bits_equal(m.subst_inv(), int(bin(m._mask)[:1:-1], 2), -m.deg)
+    o = LaurentPoly([abs(e) for e in xs])  # an ordinary polynomial
+    q, r = _divmod_bits(o._mask << o._off, 1)
+    quotient, remainder = poly_divmod(o, ONE)
+    _bits_equal(quotient, q, 0)
+    _bits_equal(remainder, r, 0)
+
+
+def test_fast_paths_keep_the_refusals():
+    # a monomial factor never widens the span, so the product limit is unchanged
+    limit = MAX_ARITH_SPAN
+    message = "polynomial arithmetic span 1000001 exceeds the limit of 1000000 .MAX_ARITH_SPAN."
+    wide = ONE + ONE.shift(limit)
+    assert (wide * D.shift(-7)).terms == (-6, limit - 6)
+    assert ONE * wide is wide
+    with pytest.raises(ValueError, match=message):
+        (ONE + D) * wide
+    # division by 1 still reads the dividend as an ordinary polynomial first
+    with pytest.raises(ValueError, match=message):
+        poly_divmod(ONE.shift(limit + 1), ONE)
+    with pytest.raises(ValueError) as exc:
+        poly_divmod(pp("D^-1+1"), ONE)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "divmod operands must be ordinary polynomials (delay >= 0)"
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(ONE, ZERO)
+    assert poly_divmod(ZERO, ONE) == (ZERO, ZERO)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from qshift.symplectic import (
     SympMatrix,
     apply_gates,
     dual_containing,
-    gate_columns,
     gate_matrix,
     gates_commute,
     lam,
@@ -18,8 +18,9 @@ from qshift.symplectic import (
     parse_gate,
     row_space_equiv,
 )
+from qshift.synthesis import sequence_transfer
 
-from test_circuit import gate_lists_with_identities
+from test_circuit import closed_form, gate_lists_with_identities
 
 
 def cnot(i, j, f, n):
@@ -73,23 +74,21 @@ def block_diag_zx(z_block, x_block):
 def _row_wise_apply(t, gates):
     """``t`` times the gates, each gate rewriting its columns in all 2n rows.
 
-    The dense, row-wise reference for the sparse-column ``apply_gates``.
+    The dense, row-wise reference for the sparse-column ``apply_gates``:
+    a gate's columns are those where its ``closed_form`` differs from the
+    identity, and each new entry sums its row's products with the column.
     """
     n = t.n
+    size = 2 * n
+    eye = SympMatrix.identity(n).rows
     rows = [list(r) for r in t.rows]
     for gate in gates:
-        cols = [(c, tuple(col.items())) for c, col in gate_columns(gate, n).items()]
+        m = closed_form(gate, n).rows
+        changed = [c for c in range(size) if any(m[k][c] != eye[k][c] for k in range(size))]
         for row in rows:
-            new = []
-            for _, col in cols:
-                acc = None
-                for k, g in col:
-                    a = row[k]
-                    if a:
-                        term = a if g is ONE else a * g
-                        acc = term if acc is None else acc + term
-                new.append(ZERO if acc is None else acc)
-            for (c, _), e in zip(cols, new):
+            new = [sum((row[k] * m[k][c] for k in range(size) if row[k] and m[k][c]), ZERO)
+                   for c in changed]
+            for c, e in zip(changed, new):
                 row[c] = e
     return SympMatrix(n, rows)
 
@@ -106,7 +105,7 @@ def test_apply_gates_equals_row_wise_and_dense_products(case, split):
     assert product.to_text() == _row_wise_apply(SympMatrix.identity(n), gates).to_text()
     dense = SympMatrix.identity(n)
     for g in gates:
-        dense = dense @ gate_matrix(g, n)
+        dense = dense @ closed_form(g, n)
     assert product == dense
     # a start other than the identity: the product of a prefix
     k = min(split, len(gates))
@@ -181,6 +180,8 @@ def test_latency_shift():
     rows = [[pp("D"), ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ZERO],
             [ZERO, ZERO, pp("D"), ZERO], [ZERO, ZERO, ZERO, ONE]]
     assert SympMatrix(2, rows).latency_shift() == 0
+    with pytest.raises(ValueError, match="latency normalization requires polynomial"):
+        gate_matrix(Gate("INF_Z", (1,), pp("1+D")), 1).latency_shift()
 
 
 def _latency_shift_by_scan(m):
@@ -299,9 +300,31 @@ def gate_pairs(draw):
 @given(gate_pairs())
 def test_gates_commute_equals_dense_products(case):
     n, a, b = case
-    ma, mb = gate_matrix(a, n), gate_matrix(b, n)
+    ma, mb = closed_form(a, n), closed_form(b, n)
     assert gates_commute(a, b, n) == (ma @ mb == mb @ ma)
     assert gates_commute(b, a, n) == gates_commute(a, b, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_lists_with_identities())
+@example((2, [Gate("CPHASE", (1, 2), pp("D^-1+D^2")), Gate("CPHASE", (2, 1), ZERO),
+              Gate("CPHASE1", (2,), pp("D")), Gate("INF_X", (1,), pp("1+D")),
+              Gate("H", (2,)), Gate("DELAY", (1,), ONE), Gate("INF_Z", (2,), pp("1+D^2")),
+              Gate("CNOT", (2, 1), pp("D^-2")), Gate("P", (1,))]))
+def test_gate_table_matches_closed_forms(case):
+    # gate_matrix, apply_gates and gates_commute all read the one action
+    # table; each must agree with the dense closed forms written out gate
+    # by gate, zero polynomials and feedback gates included
+    n, gates = case
+    forms = [closed_form(g, n) for g in gates]
+    dense = SympMatrix.identity(n)
+    for g, form in zip(gates, forms):
+        assert gate_matrix(g, n) == form, str(g)
+        assert gate_matrix(g, n).to_text() == form.to_text(), str(g)
+        dense = dense @ form
+    assert sequence_transfer(gates, n) == dense
+    for (a, ma), (b, mb) in itertools.combinations(zip(gates, forms), 2):
+        assert gates_commute(a, b, n) == (ma @ mb == mb @ ma), (str(a), str(b))
 
 
 def unencoded_3q():

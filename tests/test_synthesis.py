@@ -1133,3 +1133,37 @@ def test_compiled_cascades_match_golden_digest():
         c = compile_sequence(ops, n)
         digest.update(f"{c.m}\n{circuit_to_text(c)}".encode())
     assert digest.hexdigest() == GOLDEN_CASCADE_DIGEST
+
+
+def _golden_css_codes():
+    """200 seeded codes from ``_random_css_code``: 3 to 6 wires, encoders of
+    1 to 4 CNOTs with exponents 0..3."""
+    rng = random.Random("golden-css")
+    codes = []
+    while len(codes) < 200:
+        n = rng.randint(3, 6)
+        s_x = rng.randint(1, n - 2)
+        code = _random_css_code(rng, n, s_x, rng.randint(1, n - 1 - s_x), 4, 3)
+        if code is not None:
+            codes.append(code)
+    return codes
+
+
+# sha256 over the plan's gate list, memory bound, compiled m and circuit text
+# and the encoding matrix of every golden code (rejections by their message),
+# recorded before gate products took the unit and monomial fast paths
+GOLDEN_CSS_DIGEST = "08c8dcd25bb0c7f5cc562e1d0c06211082f7ce897c0f7b1ab7590708a7f37913"
+
+
+def test_css_encoders_match_golden_digest():
+    digest = hashlib.sha256()
+    for hx, hz in _golden_css_codes():
+        try:
+            plan = css_encoder(hx, hz)
+        except SynthesisError as exc:
+            digest.update(f"rejected {exc}\n".encode())
+            continue
+        c = plan.circuit()
+        digest.update(f"{format_sequence(plan.ops)}\n{plan.memory_bound}\n{c.m}\n"
+                      f"{circuit_to_text(c)}{plan.b_overall.to_text()}".encode())
+    assert digest.hexdigest() == GOLDEN_CSS_DIGEST

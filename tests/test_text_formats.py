@@ -179,3 +179,17 @@ def test_circuit_refuses_a_repeated_declaration(head, first, again):
     with pytest.raises(ParseError) as exc:
         circuit_from_text(f"n 1\n{head} {first}\n\n{body}{head} {again}\n")
     assert str(exc.value) == f"line 6: repeated '{head}' line (first on line 2)"
+
+
+@pytest.mark.parametrize("read, text, message", [
+    # the last value used to win without a word: z=01, cycle 5, the CNOT a=2@1 b=1@0
+    (PauliStream.from_text, "n 2\nn=0 z=10 x=00 z=01\n", "line 2: repeated field 'z'"),
+    (PauliStream.from_text, "n 2\nn=0 z=10 x=00 n=5\n", "line 2: repeated field 'n'"),
+    (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT s=1 a=1@1 b=2@0 a=2@1 b=1@0\n",
+     "line 3: repeated field 'a'"),
+    (circuit_from_text, "n 2\nffb Z wire=1 f=1+D wire=2\n", "line 2: repeated field 'wire'"),
+], ids=["stream-z", "stream-n", "gate", "feedback"])
+def test_repeated_field_is_refused(read, text, message):
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    assert str(exc.value) == message
