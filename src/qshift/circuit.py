@@ -34,10 +34,18 @@ from .symplectic import Gate, apply_gates, gates_commute, read_fields, read_head
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
+# the key=value fields of the text format's gate and ffb lines
+_GATE_FIELDS = frozenset(("s", "a", "b", "f"))
+_FEEDBACK_FIELDS = frozenset(("wire", "f"))
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class Placement:
-    """A single-tap gate between slots; ``a`` is the CNOT source."""
+    """A single-tap gate between slots; ``a`` is the CNOT source.
+
+    A placement is a value: it compares and hashes on ``kind, a, b``, and
+    nothing assigns to one after construction.
+    """
 
     kind: str
     a: tuple
@@ -45,7 +53,7 @@ class Placement:
     slots: tuple = field(init=False, repr=False, compare=False)  # (a,) or (a, b)
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", (self.a,) if self.b is None else (self.a, self.b))
+        self.slots = (self.a,) if self.b is None else (self.a, self.b)
         if self.kind not in PLACEMENT_KINDS:
             raise ValueError(f"unknown placement kind {self.kind!r}")
         if self.kind in ("CNOT", "CPHASE"):
@@ -475,7 +483,7 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
                     raise ParseError("gate line outside a section")
                 fields = rest.split()
                 kind = fields[0]
-                kv = read_fields(fields[1:])
+                kv = read_fields(fields[1:], _GATE_FIELDS)
                 a = _parse_slot(kv["a"])
                 b = _parse_slot(kv["b"]) if "b" in kv else None
                 p = Placement(kind, a, b)
@@ -490,7 +498,7 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
                 flush()
                 fields = rest.split()
                 kind = fields[0]
-                kv = read_fields(fields[1:])
+                kv = read_fields(fields[1:], _FEEDBACK_FIELDS)
                 sections.append(FeedbackNode(kind, int(kv["wire"]), parse_poly(kv["f"])))
                 if sections[-1].wire > n:
                     raise ParseError(f"feedback wire {sections[-1].wire} of {n}")

@@ -40,6 +40,7 @@ MAX_CYCLES = 100_000  # most cycles one simulation may cover: horizon plus settl
 # a long-period feedback circuit may not repeat within the run: past this many
 # bytes of recorded states, stop looking for a repeat and step plainly
 _SNAPSHOT_BYTES = 1 << 25
+_FRAME_FIELDS = frozenset(("n", "z", "x"))  # the fields of a stream frame line
 
 
 @dataclass
@@ -266,10 +267,10 @@ class PauliStream:
         for lineno, line in lines:
             if line.startswith("n="):
                 try:
-                    kv = read_fields(line.split())
+                    kv = read_fields(line.split(), _FRAME_FIELDS)
                     t = int(kv["n"])
                     zbits, xbits = kv["z"], kv["x"]
-                except ParseError as exc:  # a repeated field
+                except ParseError as exc:  # an unknown or repeated field
                     raise ParseError(f"line {lineno}: {exc}") from exc
                 except (KeyError, ValueError) as exc:
                     raise ParseError(f"line {lineno}: malformed frame line") from exc

@@ -44,12 +44,14 @@ _KIND_TO_TEXT = {"INF_Z": "INFZ", "INF_X": "INFX"}
 _TEXT_TO_KIND = {"INFZ": "INF_Z", "INFX": "INF_X"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Gate:
     """One elementary shift-invariant operation.
 
     ``poly`` holds the gate polynomial f(D); for DELAY it holds the
-    monomial D^l encoding the shift amount.
+    monomial D^l encoding the shift amount.  A gate is a value: equal
+    fields give equal, equally hashed gates, and nothing assigns to one
+    after construction.
     """
 
     kind: str
@@ -59,8 +61,7 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        wires = tuple(self.wires)
-        object.__setattr__(self, "wires", wires)
+        wires = self.wires = tuple(self.wires)
         if any(w < 1 for w in wires):
             raise ValueError("wires are numbered from 1")
         if self.kind in ("CNOT", "CPHASE"):
@@ -144,12 +145,18 @@ def read_header(text: str):
     return n, lines
 
 
-def read_fields(words) -> dict:
-    """The ``key=value`` words of a record line as a dict, refusing a repeated key."""
+def read_fields(words, keys: frozenset) -> dict:
+    """The ``key=value`` words of a record line as a dict.
+
+    A key outside ``keys`` or a repeated key is refused, since writing
+    the record back would drop it; the first such key in the line is named.
+    """
     kv = dict(w.split("=", 1) for w in words)
-    if len(kv) != len(words):
-        keys = [w.split("=", 1)[0] for w in words]
-        raise ParseError(f"repeated field {next(k for k in keys if keys.count(k) > 1)!r}")
+    if len(kv) != len(words) or not kv.keys() <= keys:
+        named = [w.split("=", 1)[0] for w in words]
+        key = next(k for k in named if k not in keys or named.count(k) > 1)
+        kind = "unknown" if key not in keys else "repeated"
+        raise ParseError(f"{kind} field {key!r}")
     return kv
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .gf2poly import (
@@ -96,14 +97,27 @@ class SmithDecomposition:
     ``a`` and ``b`` are unimodular accumulations of the row and column
     operations; ``b`` equals the recorded column operations multiplied
     in reverse order, so applying ``col_ops`` in recorded order realizes
-    b^-1.
+    b^-1.  ``b`` is built from ``col_ops`` the first time it is read.
     """
 
     a: tuple
     s: tuple
-    b: tuple
     col_ops: tuple
     monomial_shift: int = 0
+
+    @cached_property
+    def b(self) -> tuple:
+        """``col_ops`` replayed in order on I, each as the row operation it makes of b."""
+        b = _pmat_identity(len(self.s[0]))
+        for op in self.col_ops:
+            if op.kind == "add":  # column dst += f column src: row src += f row dst
+                bs, f = b[op.src], op.f
+                for j, e in enumerate(b[op.dst]):
+                    if e:
+                        bs[j] = bs[j] + f * e
+            else:
+                b[op.src], b[op.dst] = b[op.dst], b[op.src]
+        return tuple(tuple(r) for r in b)
 
     @property
     def diagonal(self):
@@ -133,7 +147,6 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         rows = [[e.shift(shift) for e in r] for r in rows]
 
     a = _pmat_identity(nr)
-    b = _pmat_identity(nc)
     col_ops = []
 
     # the adds skip zero operands: x + f * 0 is x
@@ -155,16 +168,11 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         for r in rows:
             if r[src]:
                 r[dst] = r[dst] + f * r[src]
-        bs, bd = b[src], b[dst]
-        for j in range(nc):
-            if bd[j]:
-                bs[j] = bs[j] + f * bd[j]
         col_ops.append(ElemOp("add", src, dst, f))
 
     def col_swap(i, j):
         for r in rows:
             r[i], r[j] = r[j], r[i]
-        b[i], b[j] = b[j], b[i]
         col_ops.append(ElemOp("swap", i, j))
 
     t = 0
@@ -208,24 +216,18 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             if restarted:
                 continue
             break
-        # successive divisibility of invariant factors
-        culprit = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if rows[i][j] and poly_divmod(rows[i][j], rows[t][t])[1]:
-                    culprit = i
-                    break
+        # successive divisibility of invariant factors; 1 divides every entry
+        if rows[t][t] != ONE:
+            culprit = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
+                            if rows[i][j] and poly_divmod(rows[i][j], rows[t][t])[1]), None)
             if culprit is not None:
-                break
-        if culprit is not None:
-            row_add(t, culprit, ONE)
-            continue
+                row_add(t, culprit, ONE)
+                continue
         t += 1
 
     return SmithDecomposition(
         tuple(tuple(r) for r in a),
         tuple(tuple(r) for r in rows),
-        tuple(tuple(r) for r in b),
         tuple(col_ops),
         shift,
     )
@@ -247,7 +249,6 @@ class EncoderPlan:
     ops: tuple
     b_overall: SympMatrix
     memory_bound: int
-    target: StabilizerMatrix
 
     def circuit(self) -> ShiftRegisterCircuit:
         return compile_sequence(list(self.ops), self.n, transfer=self.b_overall)
@@ -347,7 +348,6 @@ def css_encoder(hx, hz) -> EncoderPlan:
         ops=encode_ops,
         b_overall=b_overall,
         memory_bound=b_overall.abs_deg(),
-        target=StabilizerMatrix.from_css(hx, hz),
     )
 
 
@@ -373,12 +373,17 @@ def _slot_users(placements) -> dict:
     return users
 
 
-def _cancel_identical_pair(placements):
-    """Drop a pair of equal placements separated only by commuting gates.
+def _cancel_identical_pairs(placements):
+    """Drop pairs of equal placements separated only by commuting gates.
 
     Every placement kind is symplectically involutive, so two instances
     acting on the same slots in the same cycle annihilate when each gate
-    scheduled between them commutes with them at zero alignment.
+    scheduled between them commutes with them at zero alignment.  Pairs
+    cancel one at a time, the lowest first placement and then the lowest
+    second one, and the scan starts over after each cancellation, since
+    a dropped pair may have blocked an earlier one.  One index of copies
+    and slot users serves the whole pass: a cancelled pair is deleted
+    from it.  Returns the placements left, or None when nothing cancels.
     """
     copies = {}
     for k, p in enumerate(placements):
@@ -386,15 +391,28 @@ def _cancel_identical_pair(placements):
     if len(copies) == len(placements):
         return None  # no placement occurs twice
     users = _slot_users(placements)
-    for a, p in enumerate(placements):
-        for b in copies[p]:
-            if b <= a:
-                continue
-            # instances at zero alignment overlap only on a shared slot
-            if all(instances_commute(p, placements[q], 0)
-                   for slot in p.slots for q in users[slot] if a < q < b):
-                return [x for i, x in enumerate(placements) if i not in (a, b)]
-    return None
+    dropped = set()
+
+    def first_pair():
+        for a, p in enumerate(placements):
+            same = copies[p]
+            if len(same) > 1 and a not in dropped:
+                for b in same:
+                    # instances at zero alignment overlap only on a shared slot
+                    if b > a and all(instances_commute(p, placements[q], 0)
+                                     for slot in p.slots for q in users[slot] if a < q < b):
+                        return a, b
+        return None
+
+    while (pair := first_pair()) is not None:
+        p = placements[pair[0]]
+        for index in [copies[p]] + [users[slot] for slot in p.slots]:
+            index.remove(pair[0])
+            index.remove(pair[1])
+        dropped.update(pair)
+    if not dropped:
+        return None
+    return [x for i, x in enumerate(placements) if i not in dropped]
 
 
 def _earliest_stages(placements):
@@ -444,15 +462,9 @@ def _earliest_stages(placements):
 
 
 def _reduce_section(sec: FiniteSection) -> FiniteSection:
-    placements = list(sec.placements)
-    cancelled = True
-    while cancelled:
-        placements = _earliest_stages(placements)
-        cancelled = False
-        pair = _cancel_identical_pair(placements)
-        while pair is not None:
-            placements, cancelled = pair, True
-            pair = _cancel_identical_pair(placements)
+    placements = _earliest_stages(sec.placements)
+    while (kept := _cancel_identical_pairs(placements)) is not None:
+        placements = _earliest_stages(kept)
     # drop the trailing frames no slot references, the same number on every wire
     highest = [0] * len(sec.depths)
     for p in placements:
@@ -552,6 +564,14 @@ def _simplify_ops(ops, n: int):
     exactly; only the decomposition into elementary gates changes.
     """
     ops = [g for g in ops if not _gate_is_identity(g)]
+    memo = {}
+
+    def commute(a, b):
+        found = memo.get((a, b))
+        if found is None:
+            found = memo[a, b] = gates_commute(a, b, n)
+        return found
+
     changed = True
     while changed:
         changed = False
@@ -561,9 +581,9 @@ def _simplify_ops(ops, n: int):
                 if merged is None:
                     continue
                 between = ops[a + 1:b]
-                if all(gates_commute(ops[b], q, n) for q in between):
+                if all(commute(ops[b], q) for q in between):
                     spot = a  # b moves back to a
-                elif all(gates_commute(ops[a], q, n) for q in between):
+                elif all(commute(ops[a], q) for q in between):
                     spot = b - 1  # a moves forward to b
                 else:
                     continue

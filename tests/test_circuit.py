@@ -36,6 +36,14 @@ def test_placement_validation():
         Placement("H", (1, 0), (2, 0))
     with pytest.raises(ValueError):
         Placement("CNOT", (1, -1), (2, 0))
+    # a placement is a value: equal fields, equal objects and hashes
+    p, q = Placement("CNOT", (1, 1), (2, 0)), Placement("CNOT", (1, 1), (2, 0))
+    assert p == q and hash(p) == hash(q) and p.slots == ((1, 1), (2, 0))
+    assert p != Placement("CPHASE", (1, 1), (2, 0)) != Placement("CPHASE", (2, 0), (1, 1))
+    assert len({p, q, Placement("CNOT", (1, 1), (2, 0)), Placement("H", (1, 0))}) == 2
+    # check_schedule messages print it
+    assert repr(p) == "Placement(kind='CNOT', a=(1, 1), b=(2, 0))"
+    assert repr(Placement("H", (3, 2))) == "Placement(kind='H', a=(3, 2), b=None)"
 
 
 def test_section_validation():

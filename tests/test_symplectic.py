@@ -40,6 +40,12 @@ def test_gate_validation():
         Gate("H", (1,), ONE)
     with pytest.raises(ValueError):
         Gate("DELAY", (1,), pp("1+D"))
+    # a gate is a value: equal fields, equal objects and hashes
+    g, h = Gate("CNOT", [1, 2], pp("1+D")), Gate("CNOT", (1, 2), pp("D+1"))
+    assert g == h and hash(g) == hash(h) and g.wires == (1, 2)
+    assert g != Gate("CNOT", (2, 1), pp("1+D")) != Gate("CPHASE", (2, 1), pp("1+D"))
+    assert len({g, h, Gate("H", (1,)), Gate("H", (1,))}) == 2
+    assert repr(Gate("H", (1,))) == "Gate(kind='H', wires=(1,), poly=None)"
 
 
 def test_gate_text_round_trip():

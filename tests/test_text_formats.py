@@ -188,7 +188,13 @@ def test_circuit_refuses_a_repeated_declaration(head, first, again):
     (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT s=1 a=1@1 b=2@0 a=2@1 b=1@0\n",
      "line 3: repeated field 'a'"),
     (circuit_from_text, "n 2\nffb Z wire=1 f=1+D wire=2\n", "line 2: repeated field 'wire'"),
-], ids=["stream-z", "stream-n", "gate", "feedback"])
+    # an unknown field used to be read past and dropped when written back
+    (PauliStream.from_text, "n 2\nn=0 z=10 x=01 y=11\n", "line 2: unknown field 'y'"),
+    (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT s=1 a=1@1 b=2@0 q=5\n",
+     "line 3: unknown field 'q'"),
+    (circuit_from_text, "n 2\nffb Z wire=1 f=1+D g=D\n", "line 2: unknown field 'g'"),
+], ids=["stream-z", "stream-n", "gate", "feedback",
+        "stream-unknown", "gate-unknown", "feedback-unknown"])
 def test_repeated_field_is_refused(read, text, message):
     with pytest.raises(ParseError) as exc:
         read(text)
