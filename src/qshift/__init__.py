@@ -52,7 +52,6 @@ from .simulator import (
 )
 from .synthesis import (
     CatastrophicCode,
-    ElemOp,
     NotDualContaining,
     SynthesisError,
     compile_sequence,
@@ -82,7 +81,7 @@ __all__ = [
     "PauliStream", "impulse_response", "recommended_horizon", "reset_state",
     "run", "step", "symplectic_product",
     # synthesis
-    "CatastrophicCode", "ElemOp", "NotDualContaining", "SynthesisError",
+    "CatastrophicCode", "NotDualContaining", "SynthesisError",
     "compile_sequence", "constraint_lengths", "css_encoder", "format_sequence",
     "parse_sequence", "reduce_memory", "sequence_transfer",
     "smith_normal_form", "typeII_memory_bound", "unencoded_stabilizer",

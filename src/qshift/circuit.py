@@ -34,8 +34,9 @@ from .symplectic import Gate, apply_gates, gates_commute, read_fields, read_head
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
-# the key=value fields of the text format's gate and ffb lines
+# the key=value fields of the text format's gate and ffb lines; H and P have one slot
 _GATE_FIELDS = frozenset(("s", "a", "b", "f"))
+_ONE_SLOT_FIELDS = frozenset(("s", "a"))
 _FEEDBACK_FIELDS = frozenset(("wire", "f"))
 
 
@@ -483,7 +484,8 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
                     raise ParseError("gate line outside a section")
                 fields = rest.split()
                 kind = fields[0]
-                kv = read_fields(fields[1:], _GATE_FIELDS)
+                kv = read_fields(fields[1:], _ONE_SLOT_FIELDS if kind in ("H", "P")
+                                 else _GATE_FIELDS)
                 a = _parse_slot(kv["a"])
                 b = _parse_slot(kv["b"]) if "b" in kv else None
                 p = Placement(kind, a, b)
@@ -518,5 +520,6 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
             raise ParseError(f"line {lineno}: {exc}") from exc
     c = ShiftRegisterCircuit(n, tuple(sections))
     if "frames" in declared and declared["frames"][0] != c.m:
-        raise ParseError(f"declared frames {declared['frames'][0]} but circuit has {c.m}")
+        frames, lineno = declared["frames"]
+        raise ParseError(f"line {lineno}: declared frames {frames} but circuit has {c.m}")
     return c

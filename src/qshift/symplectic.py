@@ -205,6 +205,20 @@ def row_times(row, rows) -> list:
     return out
 
 
+def add_row(dst_row, src_row, f) -> None:
+    """``dst_row += f * src_row`` in place; zero entries of ``src_row`` are skipped."""
+    for j, e in enumerate(src_row):
+        if e:
+            dst_row[j] = dst_row[j] + f * e
+
+
+def add_column(rows, dst: int, src: int, f) -> None:
+    """Column ``dst`` += ``f`` * column ``src`` of ``rows``, in place; zero entries are skipped."""
+    for r in rows:
+        if r[src]:
+            r[dst] = r[dst] + f * r[src]
+
+
 def _format_rows(rows, n: int) -> str:
     """One ``[ z part | x part ]`` line per row, every entry right-aligned to one width."""
     cells = [[str(e) for e in row] for row in rows]
@@ -626,8 +640,7 @@ def _solve_combination(basis_rows, target):
         aug[row_at] = [e * inv for e in aug[row_at]]
         for r in range(width):
             if r != row_at and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a + factor * b for a, b in zip(aug[r], aug[row_at])]
+                add_row(aug[r], aug[row_at], aug[r][col])
         pivots.append((row_at, col))
         row_at += 1
     # consistency: rows without pivots must have zero RHS

@@ -36,6 +36,8 @@ from .symplectic import (
     Gate,
     StabilizerMatrix,
     SympMatrix,
+    add_column,
+    add_row,
     apply_gates,
     check_gate_wires,
     check_wire_count,
@@ -80,14 +82,9 @@ def _pmat_identity(k):
 # Smith normal form over GF(2)[D]
 
 
-@dataclass(frozen=True)
-class ElemOp:
-    """Elementary operation: add (dst += f * src) or swap of rows/columns."""
-
-    kind: str
-    src: int
-    dst: int
-    f: LaurentPoly | None = None
+def _swap_adds(i: int, j: int) -> tuple:
+    """The three unit column adds that exchange columns i and j over GF(2)."""
+    return ((i, j, ONE), (j, i, ONE), (i, j, ONE))
 
 
 @dataclass(frozen=True)
@@ -95,9 +92,11 @@ class SmithDecomposition:
     """a . s . b == original matrix shifted by D^monomial_shift.
 
     ``a`` and ``b`` are unimodular accumulations of the row and column
-    operations; ``b`` equals the recorded column operations multiplied
-    in reverse order, so applying ``col_ops`` in recorded order realizes
-    b^-1.  ``b`` is built from ``col_ops`` the first time it is read.
+    operations.  ``col_ops`` records every column operation as an add
+    ``(src, dst, f)``, column dst += f * column src with f nonzero, a
+    swap as the three unit adds of ``_swap_adds``; applying them in
+    recorded order realizes b^-1, and ``b`` is their inverses multiplied
+    in reverse order, built from ``col_ops`` the first time it is read.
     """
 
     a: tuple
@@ -109,14 +108,8 @@ class SmithDecomposition:
     def b(self) -> tuple:
         """``col_ops`` replayed in order on I, each as the row operation it makes of b."""
         b = _pmat_identity(len(self.s[0]))
-        for op in self.col_ops:
-            if op.kind == "add":  # column dst += f column src: row src += f row dst
-                bs, f = b[op.src], op.f
-                for j, e in enumerate(b[op.dst]):
-                    if e:
-                        bs[j] = bs[j] + f * e
-            else:
-                b[op.src], b[op.dst] = b[op.dst], b[op.src]
+        for src, dst, f in self.col_ops:  # column dst += f column src: row src += f row dst
+            add_row(b[src], b[dst], f)
         return tuple(tuple(r) for r in b)
 
     @property
@@ -149,15 +142,9 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     a = _pmat_identity(nr)
     col_ops = []
 
-    # the adds skip zero operands: x + f * 0 is x
     def row_add(dst, src, f):
-        rd, rs = rows[dst], rows[src]
-        for j in range(nc):
-            if rs[j]:
-                rd[j] = rd[j] + f * rs[j]
-        for r in a:
-            if r[dst]:
-                r[src] = r[src] + f * r[dst]
+        add_row(rows[dst], rows[src], f)
+        add_column(a, src, dst, f)
 
     def row_swap(i, j):
         rows[i], rows[j] = rows[j], rows[i]
@@ -165,15 +152,25 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             r[i], r[j] = r[j], r[i]
 
     def col_add(dst, src, f):
-        for r in rows:
-            if r[src]:
-                r[dst] = r[dst] + f * r[src]
-        col_ops.append(ElemOp("add", src, dst, f))
+        add_column(rows, dst, src, f)
+        col_ops.append((src, dst, f))
 
     def col_swap(i, j):
         for r in rows:
             r[i], r[j] = r[j], r[i]
-        col_ops.append(ElemOp("swap", i, j))
+        col_ops.extend(_swap_adds(i, j))
+
+    def clear(count, entry, add, swap):
+        """Reduce the pivot's line; True when a remainder is swapped into the pivot."""
+        for k in range(count):
+            if k != t and entry(k):
+                q, _ = poly_divmod(entry(k), rows[t][t])
+                if q:
+                    add(k, t, q)
+                if entry(k):
+                    swap(t, k)  # remainder has smaller degree
+                    return True
+        return False
 
     t = 0
     while t < min(nr, nc):
@@ -191,31 +188,10 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             row_swap(t, pi)
         if pj != t:
             col_swap(t, pj)
-        while True:
-            restarted = False
-            for i in range(nr):
-                if i != t and rows[i][t]:
-                    q, _ = poly_divmod(rows[i][t], rows[t][t])
-                    if q:
-                        row_add(i, t, q)
-                    if rows[i][t]:
-                        row_swap(t, i)  # remainder has smaller degree
-                        restarted = True
-                        break
-            if restarted:
-                continue
-            for j in range(nc):
-                if j != t and rows[t][j]:
-                    q, _ = poly_divmod(rows[t][j], rows[t][t])
-                    if q:
-                        col_add(j, t, q)
-                    if rows[t][j]:
-                        col_swap(t, j)
-                        restarted = True
-                        break
-            if restarted:
-                continue
-            break
+        # the pivot's column, then its row, until neither swaps in a remainder
+        while (clear(nr, lambda i: rows[i][t], row_add, row_swap)
+               or clear(nc, lambda j: rows[t][j], col_add, col_swap)):
+            pass
         # successive divisibility of invariant factors; 1 divides every entry
         if rows[t][t] != ONE:
             culprit = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
@@ -254,28 +230,17 @@ class EncoderPlan:
         return compile_sequence(list(self.ops), self.n, transfer=self.b_overall)
 
 
-def _x_col_op_gates(op: ElemOp, offset: int):
-    """CNOT gates whose X-side column action realizes ``op``."""
-    i = op.src + offset + 1
-    j = op.dst + offset + 1
-    if op.kind == "add":
-        if not op.f:
-            return []
-        return [Gate("CNOT", (i, j), op.f)]
-    return [Gate("CNOT", (i, j), ONE), Gate("CNOT", (j, i), ONE),
-            Gate("CNOT", (i, j), ONE)]
+def _x_gate(src: int, dst: int, f) -> Gate:
+    """The CNOT whose X-side column action is column dst += f * column src."""
+    return Gate("CNOT", (src + 1, dst + 1), f)
 
 
-def _z_col_op_gates(op: ElemOp, offset: int):
-    """CNOT gates whose Z-side column action realizes ``op``."""
-    i = op.src + offset + 1
-    j = op.dst + offset + 1
-    if op.kind == "add":
-        if not op.f:
-            return []
-        return [Gate("CNOT", (j, i), op.f.subst_inv())]
-    return [Gate("CNOT", (j, i), ONE), Gate("CNOT", (i, j), ONE),
-            Gate("CNOT", (j, i), ONE)]
+def _z_gate(src: int, dst: int, f, offset: int = 0) -> Gate:
+    """The CNOT whose Z-side column action is column dst += f * column src.
+
+    Column 0 is wire ``offset`` + 1.
+    """
+    return Gate("CNOT", (dst + offset + 1, src + offset + 1), f.subst_inv())
 
 
 def _normalize_row(row):
@@ -322,8 +287,7 @@ def css_encoder(hx, hz) -> EncoderPlan:
         if any(d != ONE for d in sm_x.diagonal):
             raise CatastrophicCode(
                 "X check matrix is catastrophic (Smith diagonal not all 1)")
-        for op in sm_x.col_ops:
-            decode_ops.extend(_x_col_op_gates(op, 0))
+        decode_ops += [_x_gate(*op) for op in sm_x.col_ops]
         h_til = sm_x.b[s_x:]  # rows below the X check image
     else:
         h_til = _pmat_identity(n)
@@ -337,8 +301,7 @@ def css_encoder(hx, hz) -> EncoderPlan:
         if any(d != ONE for d in sm_h.diagonal):
             raise CatastrophicCode(
                 "Z check matrix is catastrophic (Smith diagonal not all 1)")
-        for op in sm_h.col_ops:
-            decode_ops.extend(_z_col_op_gates(op, s_x))
+        decode_ops += [_z_gate(*op, s_x) for op in sm_h.col_ops]
 
     # every CNOT-type elementary gate is self-inverse over GF(2)
     encode_ops = tuple(reversed(decode_ops))
@@ -601,10 +564,7 @@ def _edge_product_matches(order, edges, target, n):
     """Cheap check that the ordered one-gate-per-entry product equals target."""
     work = _pmat_identity(n)
     for (i, j) in order:
-        f = edges[(i, j)]
-        for r in range(n):
-            if work[r][i]:
-                work[r][j] = work[r][j] + f * work[r][i]
+        add_column(work, j, i, edges[(i, j)])
     return work == target
 
 
@@ -714,8 +674,7 @@ def _push_swaps_back(ops, n: int):
     for w in range(1, n + 1):
         while pending[w] != w:
             v = pending[w]
-            tail.extend((Gate("CNOT", (w, v), ONE), Gate("CNOT", (v, w), ONE),
-                         Gate("CNOT", (w, v), ONE)))
+            tail.extend(_x_gate(*op) for op in _swap_adds(w - 1, v - 1))
             pending[w], pending[v] = pending[v], pending[w]
     return ops + tail
 
@@ -742,17 +701,13 @@ def _cnot_euclid_candidate(ops, n: int, total: SympMatrix):
     rec = []
 
     def col_add(dst, src, f):
-        if not f:
-            return
-        for row in work:
-            if row[src]:
-                row[dst] = row[dst] + f * row[src]
-        rec.append((src, dst, f))
+        if f:
+            add_column(work, dst, src, f)
+            rec.append((src, dst, f))
 
     def col_swap(i, j):
-        col_add(j, i, ONE)
-        col_add(i, j, ONE)
-        col_add(j, i, ONE)
+        for src, dst, f in _swap_adds(i, j):
+            col_add(dst, src, f)
 
     for r in range(n - 1, -1, -1):
         while True:
@@ -793,7 +748,7 @@ def _cnot_euclid_candidate(ops, n: int, total: SympMatrix):
     if any(work[i][j] != (ONE if i == j else ZERO)
            for i in range(n) for j in range(n)):
         return None
-    return [Gate("CNOT", (src + 1, dst + 1), f) for (src, dst, f) in reversed(rec)]
+    return [_x_gate(*op) for op in reversed(rec)]
 
 
 # every candidate built from a list of these kinds has only these kinds too

@@ -21,12 +21,12 @@ from qshift.circuit import (
     identity_circuit,
     instances_commute,
 )
-from qshift.synthesis import ElemOp, _z_col_op_gates, sequence_transfer
+from qshift.synthesis import _z_gate, sequence_transfer
 
 
 def conj_cnot_circuit(i, j, f, n):
     """Block of the Z-side column operation adding f times column i to column j."""
-    return circuit_mod._cascade_all(_z_col_op_gates(ElemOp("add", i - 1, j - 1, f), 0), n)
+    return circuit_mod._cascade_all([_z_gate(i - 1, j - 1, f)], n)
 
 
 def test_placement_validation():
@@ -482,3 +482,6 @@ def test_section_errors_are_located():
         circuit_from_text("n 2\nffb Z wire=1 f=1+D\nsection depths=1\n")
     with pytest.raises(ParseError, match=r"^line 2: feedback wire 3 of 2"):
         circuit_from_text("n 2\nffb Z wire=3 f=1+D\n")
+    with pytest.raises(ParseError) as exc:
+        circuit_from_text("n 2\nframes 5\nsection depths=1,1\ngate CNOT s=1 a=1@1 b=2@0 f=D\n")
+    assert str(exc.value) == "line 2: declared frames 5 but circuit has 1"

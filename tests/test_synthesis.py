@@ -70,12 +70,10 @@ def _b_inverse(sm):
     """Identity with the recorded column operations replayed in order."""
     k = len(sm.b)
     out = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
-    for op in sm.col_ops:
+    for src, dst, f in sm.col_ops:
         for row in out:
-            if op.kind == "swap":
-                row[op.src], row[op.dst] = row[op.dst], row[op.src]
-            elif row[op.src]:
-                row[op.dst] = row[op.dst] + op.f * row[op.src]
+            if row[src]:
+                row[dst] = row[dst] + f * row[src]
     return out
 
 
@@ -141,6 +139,25 @@ def test_smith_round_trip_randomized():
         for k in range(len(d) - 1):
             if d[k] and d[k + 1]:
                 assert not poly_divmod(d[k + 1], d[k])[1]
+
+
+def test_smith_col_ops_are_the_gates_actions():
+    # the X-side and Z-side gates of the recorded adds act on their block as b^-1
+    rng = random.Random(2020)
+    for trial in range(120):
+        nr = rng.randint(1, 3)
+        nc = rng.randint(2, 5)
+        lo = -2 if trial % 2 else 0
+        m = [[LaurentPoly(rng.sample(range(lo, 4), rng.randint(0, 2))) for _ in range(nc)]
+             for _ in range(nr)]
+        if not any(any(r) for r in m):
+            continue
+        sm = smith_normal_form(m)
+        b_inv = _b_inverse(sm)
+        x_side = sequence_transfer([synthesis._x_gate(*op) for op in sm.col_ops], nc)
+        z_side = sequence_transfer([synthesis._z_gate(*op) for op in sm.col_ops], nc)
+        assert x_side.x_block() == b_inv
+        assert [list(r[:nc]) for r in z_side.rows[:nc]] == b_inv
 
 
 def test_smith_laurent_normalization():

@@ -193,8 +193,11 @@ def test_circuit_refuses_a_repeated_declaration(head, first, again):
     (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT s=1 a=1@1 b=2@0 q=5\n",
      "line 3: unknown field 'q'"),
     (circuit_from_text, "n 2\nffb Z wire=1 f=1+D g=D\n", "line 2: unknown field 'g'"),
+    # a one-slot gate used to accept a tap polynomial and drop it when written back
+    (circuit_from_text, "n 1\nsection depths=0\ngate H s=0 a=1@0 f=garbage\n",
+     "line 3: unknown field 'f'"),
 ], ids=["stream-z", "stream-n", "gate", "feedback",
-        "stream-unknown", "gate-unknown", "feedback-unknown"])
+        "stream-unknown", "gate-unknown", "feedback-unknown", "one-slot-unknown"])
 def test_repeated_field_is_refused(read, text, message):
     with pytest.raises(ParseError) as exc:
         read(text)
