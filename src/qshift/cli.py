@@ -74,6 +74,17 @@ def _load_circuit(path: str, report: RunReport) -> ShiftRegisterCircuit:
     return circuit_from_text(_read(path, report))
 
 
+def _emit(report: RunReport, circuit: ShiftRegisterCircuit, out) -> None:
+    """Write the circuit's text to ``out``, or add it to the report."""
+    text = circuit_to_text(circuit)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        report.outputs.append(("circuit written to", out))
+    else:
+        report.outputs.append(("circuit", text.rstrip("\n")))
+
+
 def _compare_matrices(observed: SympMatrix, expected: SympMatrix,
                       horizon: int, strict: bool):
     """Match modulo a global monomial on the exact window both sides cover."""
@@ -99,25 +110,23 @@ def _compare_matrices(observed: SympMatrix, expected: SympMatrix,
         f" modulo D^{shift}" if shift else "")
 
 
+def _encode(stab: StabilizerMatrix, report: RunReport):
+    """A CSS code's encoder plan and compiled circuit; adds the bound verdict."""
+    plan = css_encoder(*stab.css_parts)
+    circuit = plan.circuit()
+    report.verdicts.append(("memory within bound", circuit.m <= plan.memory_bound,
+                            f"{circuit.m} <= {plan.memory_bound}"))
+    return plan, circuit
+
+
 def cmd_synth(args) -> RunReport:
     report = RunReport(command=f"synth {args.code}")
-    stab = StabilizerMatrix.from_text(_read(args.code, report))
-    hx, hz = stab.css_parts
-    plan = css_encoder(hx, hz)
-    circuit = plan.circuit()
-    text = circuit_to_text(circuit)
+    plan, circuit = _encode(StabilizerMatrix.from_text(_read(args.code, report)), report)
     report.outputs.append(("gate sequence", format_sequence(plan.ops).rstrip("\n")))
     report.outputs.append(("memory frames (reduced circuit)", circuit.m))
     report.outputs.append(("memory bound (abs deg of encoding matrix)",
                            plan.memory_bound))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        report.outputs.append(("circuit written to", args.out))
-    else:
-        report.outputs.append(("circuit", text.rstrip("\n")))
-    report.verdicts.append(("memory within bound", circuit.m <= plan.memory_bound,
-                            f"{circuit.m} <= {plan.memory_bound}"))
+    _emit(report, circuit, args.out)
     return report
 
 
@@ -137,7 +146,14 @@ def cmd_verify(args) -> RunReport:
 def cmd_simulate(args) -> RunReport:
     report = RunReport(command=f"simulate {args.circuit} {args.stream}")
     circuit = _load_circuit(args.circuit, report)
-    stream = PauliStream.from_text(_read(args.stream, report))
+    text = _read(args.stream, report)
+    stream = PauliStream.from_text(text)
+    first = min((p.delay for p in stream.zs + stream.xs if p), default=0)
+    if first < 0:  # run refuses it too, without the frame's line
+        line = next(k for k, ln in content_lines(text)
+                    if ln.startswith("n=") and int(ln.split()[0][2:]) == first)
+        raise ParseError(f"line {line}: stream has a frame at cycle {first}; "
+                         "a simulated stream starts at cycle 0")
     horizon = args.horizon if args.horizon is not None else (
         recommended_horizon(circuit) + stream.max_exp)
     report.outputs.append(("horizon", horizon))
@@ -150,14 +166,8 @@ def cmd_reduce(args) -> RunReport:
     report = RunReport(command=f"reduce {args.circuit}")
     circuit = _load_circuit(args.circuit, report)
     reduced = reduce_memory(circuit)
-    text = circuit_to_text(reduced)
     report.outputs.append(("memory frames", f"{circuit.m} -> {reduced.m}"))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        report.outputs.append(("circuit written to", args.out))
-    else:
-        report.outputs.append(("circuit", text.rstrip("\n")))
+    _emit(report, reduced, args.out)
     report.verdicts.append(("memory never increases", reduced.m <= circuit.m,
                             f"{reduced.m} <= {circuit.m}"))
     return report
@@ -177,14 +187,9 @@ def cmd_memory(args) -> RunReport:
                                " ".join(str(v) for v in nus)))
         report.outputs.append(("overall constraint length nu", nu))
         report.outputs.append(("memory m (max nu_i)", m))
-        hx, hz = stab.css_parts
-        plan = css_encoder(hx, hz)
-        circuit = plan.circuit()
+        plan, circuit = _encode(stab, report)
         report.outputs.append(("abs-degree bound", plan.memory_bound))
         report.outputs.append(("reduced circuit frames", circuit.m))
-        report.verdicts.append(("memory within bound",
-                                circuit.m <= plan.memory_bound,
-                                f"{circuit.m} <= {plan.memory_bound}"))
     else:
         ops = parse_sequence(text)
         circuit = compile_sequence(ops, max(w for g in ops for w in g.wires))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import permutations
 
 from .gf2poly import (
@@ -250,15 +250,33 @@ def _normalize_row(row):
     return list(row)
 
 
+def _css_phase(rows, width: int, side: str, gate):
+    """Decoding gates and Smith decomposition of one phase's rows, ``width`` wide.
+
+    Each column operation (src, dst, f) becomes ``gate(src, dst, f)``.  No
+    rows give no gates and the decomposition of one zero row, whose b is I.
+    """
+    if not rows:
+        return [], SmithDecomposition(((ONE,),), ((ZERO,) * width,), ())
+    sm = smith_normal_form(rows)
+    if sm.rank != len(rows):
+        raise SynthesisError(f"{side} check rows are linearly dependent")
+    if any(d != ONE for d in sm.diagonal):
+        raise CatastrophicCode(
+            f"{side} check matrix is catastrophic (Smith diagonal not all 1)")
+    return [gate(*op) for op in sm.col_ops], sm
+
+
 def css_encoder(hx, hz) -> EncoderPlan:
     """CNOT-only encoder plan for a dual-containing CSS check-matrix pair.
 
     ``hx`` holds the X-type generator rows and ``hz`` the Z-type rows.
-    Smith decompositions of the two phases yield elementary column
-    operations (reversed, they decode the code back to fresh ancillas);
-    the returned plan's gates, applied in order to the unencoded
-    stabilizer, produce a stabilizer row-space equivalent to the code.
-    The plan's encoding matrix is the ordered product of those gates.
+    One phase routine (``_css_phase``) runs on ``hx``, then on the Z rows
+    paired with the X phase's complement (the rows of its ``b`` below the
+    X check image); reversed, the two phases' gates decode the code back
+    to fresh ancillas.  The returned plan's gates, applied in order to the
+    unencoded stabilizer, produce a stabilizer row-space equivalent to
+    the code, and its encoding matrix is their ordered product.
     """
     hx = [list(r) for r in hx]
     hz = [list(r) for r in hz]
@@ -279,32 +297,12 @@ def css_encoder(hx, hz) -> EncoderPlan:
     if s_x + s_z > n:
         raise SynthesisError(f"{s_x}+{s_z} generators exceed {n} qubits")
 
-    decode_ops = []
-    if s_x:
-        sm_x = smith_normal_form(hx)
-        if sm_x.rank != s_x:
-            raise SynthesisError("X check rows are linearly dependent")
-        if any(d != ONE for d in sm_x.diagonal):
-            raise CatastrophicCode(
-                "X check matrix is catastrophic (Smith diagonal not all 1)")
-        decode_ops += [_x_gate(*op) for op in sm_x.col_ops]
-        h_til = sm_x.b[s_x:]  # rows below the X check image
-    else:
-        h_til = _pmat_identity(n)
-
-    if s_z:
-        hhat = [_normalize_row(r) for r in pairing(hz, h_til)]
-        sm_h = smith_normal_form(hhat)
-        # the pairing with the unimodular b is injective, so rank(hhat) = rank(hz)
-        if sm_h.rank != s_z:
-            raise SynthesisError("Z check rows are linearly dependent")
-        if any(d != ONE for d in sm_h.diagonal):
-            raise CatastrophicCode(
-                "Z check matrix is catastrophic (Smith diagonal not all 1)")
-        decode_ops += [_z_gate(*op, s_x) for op in sm_h.col_ops]
-
+    decode_x, sm_x = _css_phase(hx, n, "X", _x_gate)
+    hhat = [_normalize_row(r) for r in pairing(hz, sm_x.b[s_x:])]
+    # the pairing with the unimodular b is injective, so rank(hhat) = rank(hz)
+    decode_z, _ = _css_phase(hhat, n - s_x, "Z", partial(_z_gate, offset=s_x))
     # every CNOT-type elementary gate is self-inverse over GF(2)
-    encode_ops = tuple(reversed(decode_ops))
+    encode_ops = tuple(reversed(decode_x + decode_z))
     b_overall = sequence_transfer(encode_ops, n)
     return EncoderPlan(
         n=n,
@@ -501,15 +499,11 @@ def _merge_gates(a: Gate, b: Gate):
     """
     if a.kind != b.kind:
         return None
-    if a.kind == "CNOT" and a.wires == b.wires:
-        merged = Gate("CNOT", a.wires, a.poly + b.poly)
-    elif a.kind == "CPHASE" and a.wires == b.wires:
-        merged = Gate("CPHASE", a.wires, a.poly + b.poly)
+    if a.kind in ("CNOT", "CPHASE", "CPHASE1") and a.wires == b.wires:
+        merged = Gate(a.kind, a.wires, a.poly + b.poly)
     elif a.kind == "CPHASE" and a.wires == b.wires[::-1]:
         # CPHASE(j,i)(f) == CPHASE(i,j)(f(D^-1))
         merged = Gate("CPHASE", a.wires, a.poly + b.poly.subst_inv())
-    elif a.kind == "CPHASE1" and a.wires == b.wires:
-        merged = Gate("CPHASE1", a.wires, a.poly + b.poly)
     elif a.kind == "DELAY" and a.wires == b.wires:
         merged = Gate("DELAY", a.wires,
                       LaurentPoly.monomial(a.delay_amount + b.delay_amount))

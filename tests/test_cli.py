@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from qshift.circuit import circuit_from_text
 from qshift.cli import _compare_matrices, main
+from qshift.simulator import PauliStream, run
 from qshift.symplectic import SympMatrix
 
 CSS_CODE = "n 3\ncss\nX: 1 D 1+D\nZ: D 1 1+D\n"
@@ -222,6 +224,27 @@ def test_simulate_hadamard(tmp_path, capsys):
     out = capsys.readouterr().out
     # H exchanges z and x on wire 1
     assert "n=0 z=00 x=11" in out
+
+
+@pytest.mark.parametrize("text, line, cycle", [
+    ("n 2\nn=0 z=10 x=00\nn=-1 z=00 x=01\n", 3, -1),
+    # the lowest cycle is named, in any spelling; a frame of zeros does not count
+    ("n 2\n# early\nn=-1 z=01 x=00\nn=-5 z=00 x=00\nn=-03 z=10 x=00\n", 5, -3),
+], ids=["one", "lowest"])
+def test_simulate_locates_frame_before_cycle_zero(tmp_path, capsys, text, line, cycle):
+    message = f"stream has a frame at cycle {cycle}; a simulated stream starts at cycle 0"
+    circ = tmp_path / "id.circuit"
+    circ.write_text("n 2\n")
+    stream = tmp_path / "early.stream"
+    stream.write_text(text)
+    assert main(["simulate", str(circ), str(stream), "--horizon", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line {line}: {message}\n"
+    assert captured.out == ""
+    # the library refuses the stream with the same words, without a line
+    with pytest.raises(ValueError) as exc:
+        run(circuit_from_text("n 2\n"), PauliStream.from_text(text), 4)
+    assert str(exc.value) == message
 
 
 def test_reduce_command(tmp_path, capsys):

@@ -233,6 +233,17 @@ def test_css_encoder_rejects_catastrophic():
         css_encoder([[pp("D"), ZERO]], [[ZERO, pp("D")]])
 
 
+@pytest.mark.parametrize("hx, hz, phase", [
+    ([[pp("1+D"), pp("1+D")]], [], "X"),
+    ([], [[pp("1+D"), pp("1+D")]], "Z"),
+])
+def test_css_encoder_catastrophic_message(hx, hz, phase):
+    # Smith diagonal 1+D, which is not a unit even over GF(2)[D, D^-1]
+    with pytest.raises(CatastrophicCode) as exc:
+        css_encoder(hx, hz)
+    assert str(exc.value) == f"{phase} check matrix is catastrophic (Smith diagonal not all 1)"
+
+
 def test_css_encoder_rejects_no_check_rows():
     with pytest.raises(SynthesisError, match="^no check rows$"):
         css_encoder([], [])
@@ -1202,3 +1213,48 @@ def test_css_encoders_match_golden_digest():
         digest.update(f"{format_sequence(plan.ops)}\n{plan.memory_bound}\n{c.m}\n"
                       f"{circuit_to_text(c)}{plan.b_overall.to_text()}".encode())
     assert digest.hexdigest() == GOLDEN_CSS_DIGEST
+
+
+def _one_sided_css_codes():
+    """100 seeded codes with check rows on one side only, 2 to 5 wires.
+
+    Even draws come from ``_random_css_code`` with every ancilla in |+>,
+    odd draws are random delay-free rows (some dependent, some
+    catastrophic); each code keeps its rows as X checks or moves them to
+    the Z side with even odds.
+    """
+    rng = random.Random("one-sided-css")
+    codes = []
+    while len(codes) < 100:
+        n = rng.randint(2, 5)
+        s = rng.randint(1, n)
+        if len(codes) % 2:
+            rows = [[LaurentPoly(rng.sample(range(3), rng.randint(0, 2))) for _ in range(n)]
+                    for _ in range(s)]
+        else:
+            rows, _ = _random_css_code(rng, n, s, 0, 4, 3)
+        codes.append((rows, []) if rng.random() < 0.5 else ([], rows))
+    return codes
+
+
+# sha256 over the fields of GOLDEN_CSS_DIGEST, with each rejection's class,
+# for the one-sided codes; recorded before the encoder phases became one routine
+ONE_SIDED_CSS_DIGEST = "d063d59fb5102d204c43e1d1252726c38b8c202b92b199f894cda261b8d4e7b6"
+
+
+def test_one_sided_css_encoders_match_golden_digest():
+    digest = hashlib.sha256()
+    kinds = set()
+    for hx, hz in _one_sided_css_codes():
+        try:
+            plan = css_encoder(hx, hz)
+        except SynthesisError as exc:
+            kinds.add(type(exc))
+            digest.update(f"rejected {type(exc).__name__} {exc}\n".encode())
+            continue
+        c = plan.circuit()
+        digest.update(f"{format_sequence(plan.ops)}\n{plan.memory_bound}\n{c.m}\n"
+                      f"{circuit_to_text(c)}{plan.b_overall.to_text()}".encode())
+    # dependent and catastrophic rows were both drawn
+    assert kinds == {SynthesisError, CatastrophicCode}
+    assert digest.hexdigest() == ONE_SIDED_CSS_DIGEST
