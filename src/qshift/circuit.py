@@ -12,13 +12,14 @@ infinite-depth operation; gates never reach inside it.
 A placement between slots (wa, sa) and (wb, sb) realizes the monomial
 transfer D^(sa-sb) between the two wire streams, so a delay-line CNOT
 block with taps f_e at source stages e implements CNOT(i,j)(f) behind a
-global delay.  Cascading concatenates sections, merging adjacent finite
-sections by offsetting the second schedule one pipeline downstream.
-Gates become circuits in one place, ``_cascade_all``, which lays a whole
-gate list out in one pass with the same result: ``tap_placements`` takes
-the stages at which a block starts on its two wires, so each tap is
-placed once, at its final stage, instead of once per merge.  The
-primitive circuit of one gate (``build_from_gate``) is its one-gate case.
+global delay.  Every layout goes through one pass, ``_cascade_all``: it
+takes gates and sections in order, and each finite block starts one
+pipeline downstream of the run before it.  ``tap_placements`` takes the
+stages at which a gate's block starts on its two wires, so each tap is
+placed once, at its final stage.  A section's placements move down by
+the same offsets.  The primitive circuit of one gate
+(``build_from_gate``) is its one-gate case, and ``cascade`` and
+``synthesis.reduce_memory`` lay out the sections of circuits.
 
 The symbolic transfer (``circuit_transfer``) is the ordered product of
 every section's gates, multiplied out on sparse columns by
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2poly import LaurentPoly, ParseError, parse_poly
-from .symplectic import Gate, apply_gates, gates_commute, read_fields, read_header
+from .symplectic import Gate, apply_gates, check_gate_wires, gates_commute, read_fields, read_header
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
@@ -99,10 +100,6 @@ class FiniteSection:
     @property
     def m(self) -> int:
         return max(self.depths, default=0)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.placements and all(d == 0 for d in self.depths)
 
 
 @dataclass(frozen=True)
@@ -177,47 +174,6 @@ def identity_circuit(n: int) -> ShiftRegisterCircuit:
     return ShiftRegisterCircuit(n, ())
 
 
-def _canonical_sections(sections):
-    """Merge runs of adjacent finite sections and drop trivial ones."""
-    out = []
-    for sec in sections:
-        if isinstance(sec, FiniteSection):
-            if sec.is_trivial:
-                continue
-            if out and isinstance(out[-1], list):
-                out[-1].append(sec)
-                continue
-            sec = [sec]
-        out.append(sec)
-    return tuple(_merge_finite(sec) if isinstance(sec, list) else sec for sec in out)
-
-
-def _merge_finite(run) -> FiniteSection:
-    """One section for a run of finite sections, each one pipeline downstream."""
-    if len(run) == 1:
-        return run[0]
-    offsets = run[0].depths
-    placements = list(run[0].placements)
-
-    def shift_slot(slot):
-        wire, stage = slot
-        return (wire, stage + offsets[wire - 1])
-
-    for sec in run[1:]:
-        placements.extend(
-            Placement(p.kind, shift_slot(p.a), None if p.b is None else shift_slot(p.b))
-            for p in sec.placements)
-        offsets = tuple(a + b for a, b in zip(offsets, sec.depths))
-    return FiniteSection(offsets, tuple(placements))
-
-
-def cascade(c1: ShiftRegisterCircuit, c2: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
-    """Connect the outputs of ``c1`` to the inputs of ``c2``."""
-    if c1.n != c2.n:
-        raise ValueError(f"wire-count mismatch: {c1.n} vs {c2.n}")
-    return ShiftRegisterCircuit(c1.n, _canonical_sections(c1.sections + c2.sections))
-
-
 # ---------------------------------------------------------------------------
 # Gate layout
 
@@ -232,47 +188,65 @@ def tap_placements(kind: str, i: int, j: int, f: LaurentPoly,
     return [Placement(kind, (i, si + max(e, 0)), (j, sj + max(-e, 0))) for e in f.terms]
 
 
-def _cascade_all(ops, n: int) -> ShiftRegisterCircuit:
-    """``cascade`` of the primitive circuits of ``ops``, laid out in one pass.
+def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
+    """The cascade of ``blocks`` (gates and sections, in order), laid out in one pass.
 
     ``offsets`` holds each wire's depth so far in the current run of
-    finite gates, which is where the next block's stage 0 lies on that
-    wire; every tap is placed there at once, one ``Placement`` per tap
-    (``tap_placements``), and a block of tap span d then deepens every
-    wire by d (a DELAY only its own wire).  A CPHASE1 tap D^e (e >= 1)
-    couples (i, e) to (i, 0).  H and P sit on the incoming frame.  A
-    feedback gate closes the run as one ``FiniteSection`` and passes
-    through as a ``FeedbackNode``.  Gates with a zero polynomial lay out
-    nothing.
+    finite blocks, which is where the next block's stage 0 lies on that
+    wire.  A gate's taps are placed there at once, one ``Placement`` per
+    tap (``tap_placements``), and a block of tap span d then deepens
+    every wire by d (a DELAY only its own wire).  A CPHASE1 tap D^e
+    (e >= 1) couples (i, e) to (i, 0).  H and P sit on the incoming
+    frame.  A ``FiniteSection``'s placements move down by the offsets and
+    its depths add to them.  A feedback gate or ``FeedbackNode`` closes
+    the run, which becomes one ``FiniteSection`` unless it has no
+    placements and no depth (a section that makes up its run alone is
+    kept as it is), and passes through as a ``FeedbackNode``.  Gates
+    with a zero polynomial lay out nothing.
     """
     sections = []
     offsets, placements = [0] * n, []
+    first = None  # the section that opened the run, if one did
 
     def close_run():
-        nonlocal offsets, placements
+        nonlocal offsets, placements, first
         if placements or any(offsets):
-            sections.append(FiniteSection(tuple(offsets), tuple(placements)))
+            alone = (first is not None and first.depths == tuple(offsets)
+                     and len(first.placements) == len(placements))  # nothing joined it
+            sections.append(first if alone else FiniteSection(tuple(offsets), tuple(placements)))
             offsets, placements = [0] * n, []
+        first = None
 
-    for g in ops:
-        for w in g.wires:  # ``Gate`` has checked w >= 1 and distinct pairs
-            if w > n:
-                raise ValueError(f"wire {w} out of range 1..{n}")
-        kind, i = g.kind, g.wires[0]
-        if kind in ("INF_Z", "INF_X"):
+    for b in blocks:
+        if isinstance(b, Gate):
+            check_gate_wires(b, n)
+            kind, i = b.kind, b.wires[0]
+            if kind in ("INF_Z", "INF_X"):
+                close_run()
+                sections.append(FeedbackNode(kind[-1], i, b.poly))
+            elif kind in ("H", "P"):
+                placements.append(Placement(kind, (i, offsets[i - 1])))
+            elif kind == "DELAY":
+                offsets[i - 1] += b.delay_amount
+            elif b.poly:
+                j = b.wires[-1]
+                placements.extend(tap_placements(
+                    "CPHASE" if kind == "CPHASE1" else kind, i, j, b.poly,
+                    offsets[i - 1], offsets[j - 1]))
+                span = b.poly.abs_deg
+                offsets = [o + span for o in offsets]
+        elif isinstance(b, FiniteSection):
+            if any(offsets):
+                placements.extend(
+                    Placement(p.kind, *((w, s + offsets[w - 1]) for w, s in p.slots))
+                    for p in b.placements)
+            else:
+                first = first if placements else b
+                placements.extend(b.placements)
+            offsets = [o + d for o, d in zip(offsets, b.depths)]
+        else:
             close_run()
-            sections.append(FeedbackNode("Z" if kind == "INF_Z" else "X", i, g.poly))
-        elif kind in ("H", "P"):
-            placements.append(Placement(kind, (i, offsets[i - 1])))
-        elif kind == "DELAY":
-            offsets[i - 1] += g.delay_amount
-        elif g.poly:
-            j = g.wires[-1]
-            placements.extend(tap_placements(
-                "CPHASE" if kind == "CPHASE1" else kind, i, j, g.poly,
-                offsets[i - 1], offsets[j - 1]))
-            span = g.poly.abs_deg
-            offsets = [o + span for o in offsets]
+            sections.append(b)
     close_run()
     return ShiftRegisterCircuit(n, tuple(sections))
 
@@ -286,6 +260,13 @@ def build_from_gate(gate: Gate, n: int) -> ShiftRegisterCircuit:
     feedback block.
     """
     return _cascade_all((gate,), n)
+
+
+def cascade(c1: ShiftRegisterCircuit, c2: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
+    """Connect the outputs of ``c1`` to the inputs of ``c2``."""
+    if c1.n != c2.n:
+        raise ValueError(f"wire-count mismatch: {c1.n} vs {c2.n}")
+    return _cascade_all(c1.sections + c2.sections, c1.n)
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +387,22 @@ def _section_gates(sec) -> list:
     return gates
 
 
+def latency_exponent(c: ShiftRegisterCircuit, absolute) -> int:
+    """The latency of ``c`` read off its absolute transfer ``absolute``:
+    the smallest series exponent for circuits with feedback blocks, else
+    the global exponent minimizing the absolute degree (smallest on ties).
+    """
+    return absolute.min_delay() if c.has_feedback else absolute.latency_shift()
+
+
 def circuit_transfer(c: ShiftRegisterCircuit):
     """Exact transfer matrix and latency exponent of the circuit.
 
-    Returns (matrix, latency): the absolute transfer equals matrix * D^latency.
-    Finite-depth circuits normalize to the global exponent minimizing the
-    absolute degree (smallest such exponent on ties); circuits with
-    feedback blocks normalize to the smallest observed series exponent.
+    Returns (matrix, latency): the absolute transfer equals matrix *
+    D^latency, with the latency from ``latency_exponent``.
     """
     t = apply_gates([g for sec in c.sections for g in _section_gates(sec)], c.n)
-    lat = t.min_delay() if c.has_feedback else t.latency_shift()
+    lat = latency_exponent(c, t)
     return t.shifted(-lat), lat
 
 

@@ -78,8 +78,11 @@ def _emit(report: RunReport, circuit: ShiftRegisterCircuit, out) -> None:
     """Write the circuit's text to ``out``, or add it to the report."""
     text = circuit_to_text(circuit)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc}") from exc
         report.outputs.append(("circuit written to", out))
     else:
         report.outputs.append(("circuit", text.rstrip("\n")))

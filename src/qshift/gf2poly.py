@@ -40,7 +40,7 @@ _TERM_RE = re.compile(r"^(?:1|D|D\^(-?\d+))$")
 
 # Longest span deg - delay of a polynomial built from exponents or read from
 # text: a mask holds one bit per exponent in the span.  No longer span can be
-# simulated (the simulator's MAX_CYCLES has the same value).
+# simulated: the simulator's MAX_CYCLES is defined as MAX_SPAN.
 MAX_SPAN = 100_000
 # Longest span an arithmetic result may have: room for several products of
 # such polynomials and a series expansion past them, while no mask exceeds

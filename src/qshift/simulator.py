@@ -32,11 +32,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly
-from .circuit import FeedbackNode, FiniteSection, ShiftRegisterCircuit
+from .circuit import FeedbackNode, FiniteSection, ShiftRegisterCircuit, latency_exponent
 from .symplectic import SympMatrix, read_fields, read_header
 
 MAX_MEMORY_FRAMES = 10_000  # largest circuit memory m the simulator accepts
-MAX_CYCLES = 100_000  # most cycles one simulation may cover: horizon plus settle margin
+MAX_CYCLES = MAX_SPAN  # most cycles one simulation may cover: horizon plus settle margin
 # a long-period feedback circuit may not repeat within the run: past this many
 # bytes of recorded states, stop looking for a repeat and step plainly
 _SNAPSHOT_BYTES = 1 << 25
@@ -427,7 +427,8 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
     """Empirical transfer matrix from per-wire Z and X unit impulses.
 
     Returns (latency, matrix) where the observed absolute response equals
-    matrix * D^latency, truncated at the horizon.  All 2n impulses run in
+    matrix * D^latency, truncated at the horizon, with the latency from
+    ``circuit.latency_exponent``.  All 2n impulses run in
     one pass as bit lanes of the frame: lane k carries Z on wire k+1 for
     k < n and X on wire k-n+1 for k >= n, and row k of the matrix is
     decoded from the set bits of lane k.  For finite-depth circuits a
@@ -479,7 +480,7 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
     if late:
         raise ValueError(f"horizon insufficient: output active at cycle {late_at}")
     absolute = SympMatrix(n, [[_poly(m, 0) for m in row] for row in masks])
-    lat = absolute.min_delay() if c.has_feedback else absolute.latency_shift()
+    lat = latency_exponent(c, absolute)
     return lat, absolute.shifted(-lat)
 
 

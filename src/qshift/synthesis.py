@@ -39,7 +39,6 @@ from .symplectic import (
     add_column,
     add_row,
     apply_gates,
-    check_gate_wires,
     check_wire_count,
     dual_containing,
     gates_commute,
@@ -49,7 +48,6 @@ from .symplectic import (
 from .circuit import (
     FiniteSection,
     ShiftRegisterCircuit,
-    _canonical_sections,
     _cascade_all,
     check_schedule,
     instances_commute,
@@ -480,7 +478,7 @@ def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
     sections = list(c.sections)
     if sections and isinstance(sections[0], FiniteSection):
         sections[0] = _reduce_section(sections[0])
-    return ShiftRegisterCircuit(c.n, _canonical_sections(tuple(sections)))
+    return _cascade_all(sections, c.n)
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +777,6 @@ def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
     time a later candidate needs it, and at most once.
     """
     ops = list(ops)
-    for g in ops:
-        check_gate_wires(g, n)  # before any layout, which would name only the wire
     stops_at_once = all(g.kind in _FLOOR_KINDS for g in ops)
     total = transfer
     variants = []

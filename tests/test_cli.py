@@ -514,5 +514,19 @@ def test_fuzz_corpus_no_crash(tmp_path, capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["synth", "reduce"])
+def test_unwritable_output_path(command, code_file, circuit_file, tmp_path, capsys):
+    # exit 2 with one error line, as for an unreadable input, and no report
+    target = tmp_path / "missing-dir" / "out.circuit"
+    capsys.readouterr()
+    source = code_file if command == "synth" else circuit_file
+    assert main([command, source, "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_missing_file():
     assert main(["synth", "/nonexistent/path.code"]) == 2

@@ -652,8 +652,9 @@ def test_reduce_memory_equals_greedy_move_loop(case):
         circ = cascade(circ, build_from_gate(g, n))
     reduced = reduce_memory(circ)
     expected = [_greedy_reduce_section(sec) for sec in circ.sections]
+    # a section left with no placements and no depth on any wire is dropped
     assert reduced == ShiftRegisterCircuit(
-        n, tuple(sec for sec in expected if not sec.is_trivial))
+        n, tuple(sec for sec in expected if sec.placements or any(sec.depths)))
     t0, _ = circuit_transfer(circ)
     t1, _ = circuit_transfer(reduced)
     assert t0.equal_mod_monomial(t1) is not None
@@ -695,9 +696,8 @@ def _primitive_sections(g, n):
     deepens its own wire by l; H and P sit at (i, 0) with no memory;
     INF_Z and INF_X are feedback blocks.  Zero polynomials lay out nothing.
     """
-    for w in g.wires:
-        if w > n:
-            raise ValueError(f"wire {w} out of range 1..{n}")
+    if any(w > n for w in g.wires):
+        raise ValueError(f"gate {g} references a wire beyond {n}")
     i, f = g.wires[0], g.poly
     if g.kind in ("INF_Z", "INF_X"):
         return [circuit_mod.FeedbackNode(g.kind[-1], i, f)]
@@ -717,15 +717,40 @@ def _primitive_sections(g, n):
     return [FiniteSection((f.abs_deg,) * n, tuple(taps))]
 
 
+def _merge_runs(sections, n):
+    """The circuit of ``sections`` under the run-merging rule of cascading.
+
+    A finite section with no placements and no depth on any wire is
+    skipped; a finite section that follows another is merged into it one
+    pipeline downstream, its slots on wire w moved by the depth of w in
+    the section before, and the depths of the two added; a feedback node
+    passes through and ends the run.
+    """
+    out = []
+    for sec in sections:
+        if isinstance(sec, FiniteSection):
+            if not sec.placements and not any(sec.depths):
+                continue
+            if out and isinstance(out[-1], FiniteSection):
+                prev = out[-1]
+                moved = tuple(
+                    Placement(p.kind, *((w, s + prev.depths[w - 1]) for w, s in p.slots))
+                    for p in sec.placements)
+                sec = FiniteSection(tuple(a + b for a, b in zip(prev.depths, sec.depths)),
+                                    prev.placements + moved)
+                out.pop()
+        out.append(sec)
+    return ShiftRegisterCircuit(n, tuple(out))
+
+
 def _block_by_block_cascade(ops, n):
-    """One primitive block per gate, merged by ``_canonical_sections``.
+    """One primitive block per gate, merged by ``_merge_runs``.
 
     The reference for ``_cascade_all``, which places every tap at its
     final stage in one pass instead; the blocks come from the per-kind
     layout above, not from ``build_from_gate``.
     """
-    sections = [sec for gate in ops for sec in _primitive_sections(gate, n)]
-    return ShiftRegisterCircuit(n, circuit_mod._canonical_sections(sections))
+    return _merge_runs([sec for gate in ops for sec in _primitive_sections(gate, n)], n)
 
 
 def _outcome(fn, *args):
@@ -753,6 +778,101 @@ def test_cascade_all_equals_block_by_block_cascade(case, narrow):
     if narrow == 0:
         assert expected == _cascade_gates(gates, n)
         assert circuit_to_text(circuit_mod._cascade_all(gates, n)) == circuit_to_text(expected)
+
+
+@st.composite
+def section_lists(draw):
+    """(n, sections, cut): finite sections of every shape and feedback nodes.
+
+    A finite section is trivial (no placements, no depth), only delays
+    (depth on some wire, no placements) or holds up to three placements
+    on slots within its depths.  ``cut`` splits the list in two circuits.
+    """
+    n = draw(st.integers(1, 3))
+    wire = st.integers(1, n)
+    sections = []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(("trivial", "delay", "placements", "placements",
+                                      "feedback")))
+        if shape == "feedback":
+            rest = draw(st.sets(st.integers(1, 3), min_size=1))
+            sections.append(circuit_mod.FeedbackNode(
+                draw(st.sampled_from("ZX")), draw(wire), LaurentPoly({0} | rest)))
+            continue
+        depths = (0,) * n
+        if shape != "trivial":
+            depths = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                                .filter(lambda ds: shape == "placements" or any(ds))))
+        placements = []
+        for _ in range(draw(st.integers(1, 3)) if shape == "placements" else 0):
+            kind = draw(st.sampled_from(PLACEMENT_KINDS))
+            wa, wb = draw(wire), draw(wire)
+            a, b = (wa, draw(st.integers(0, depths[wa - 1]))), None
+            if kind not in ("H", "P"):
+                b = (wb, draw(st.integers(0, depths[wb - 1])))
+                if a == b:
+                    continue
+            placements.append(Placement(kind, a, b))
+        sections.append(FiniteSection(depths, tuple(placements)))
+    return n, sections, draw(st.integers(0, len(sections)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(section_lists())
+@example((2, [FiniteSection((0, 0), ()), FiniteSection((1, 0), ()),
+              FiniteSection((0, 2), (Placement("CNOT", (1, 0), (2, 2)),)),
+              FiniteSection((1, 1), (Placement("H", (2, 1)),)),
+              circuit_mod.FeedbackNode("Z", 2, pp("1+D")), FiniteSection((0, 0), ()),
+              FiniteSection((0, 1), ()), FiniteSection((0, 0), (Placement("P", (1, 0)),))],
+          3))
+@example((1, [circuit_mod.FeedbackNode("X", 1, pp("1+D^2")), FiniteSection((2,), ()),
+              circuit_mod.FeedbackNode("Z", 1, pp("1+D"))], 1))
+def test_section_layout_equals_run_merging(case):
+    # cascade and reduce_memory lay sections out through _cascade_all; the
+    # reference merges them run by run
+    n, sections, cut = case
+    c1 = ShiftRegisterCircuit(n, tuple(sections[:cut]))
+    c2 = ShiftRegisterCircuit(n, tuple(sections[cut:]))
+    assert cascade(c1, c2) == _merge_runs(sections, n)
+    circ = ShiftRegisterCircuit(n, tuple(sections))
+    if sections and isinstance(sections[0], FiniteSection):
+        if _outcome(circuit_mod.check_schedule, sections[0]) is not None:
+            return  # reduce_memory takes causal schedules only
+        sections = [_greedy_reduce_section(sections[0])] + sections[1:]
+    assert reduce_memory(circ) == _merge_runs(sections, n)
+
+
+@st.composite
+def block_lists(draw):
+    """(n, blocks): the sections of ``section_lists`` with gates spliced in."""
+    n, blocks, _ = draw(section_lists())
+    wire = st.integers(1, n)
+    for _ in range(draw(st.integers(0, 4))):
+        kinds = ("CNOT", "CPHASE1", "H", "DELAY", "INF_Z")
+        kind = draw(st.sampled_from(kinds if n > 1 else kinds[1:]))  # CNOT needs two wires
+        i = draw(wire)
+        if kind == "CNOT":
+            taps = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+            g = Gate(kind, (i, draw(wire.filter(lambda w: w != i))), LaurentPoly(taps))
+        elif kind == "DELAY":
+            g = Gate(kind, (i,), LaurentPoly.monomial(draw(st.integers(0, 2))))
+        else:
+            g = Gate(kind, (i,), {"CPHASE1": pp("D"), "INF_Z": pp("1+D")}.get(kind))
+        blocks.insert(draw(st.integers(0, len(blocks))), g)
+    return n, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_lists())
+@example((2, [FiniteSection((1, 1), (Placement("CNOT", (1, 1), (2, 0)),)),
+              circuit_mod.FeedbackNode("Z", 1, pp("1+D")), Gate("CNOT", (2, 1), pp("D"))]))
+def test_cascade_all_lays_out_gates_and_sections_together(case):
+    # each gate is its primitive block; the run after a feedback block is
+    # laid out afresh even when it has the shape of the run before it
+    n, blocks = case
+    expected = [sec for b in blocks
+                for sec in (_primitive_sections(b, n) if isinstance(b, Gate) else [b])]
+    assert circuit_mod._cascade_all(blocks, n) == _merge_runs(expected, n)
 
 
 # The compile search as it was before its lower bounds: every ordering of
