@@ -91,8 +91,6 @@ def _emit(report: RunReport, circuit: ShiftRegisterCircuit, out) -> None:
 def _compare_matrices(observed: SympMatrix, expected: SympMatrix,
                       horizon: int, strict: bool):
     """Match modulo a global monomial on the exact window both sides cover."""
-    if observed.n != expected.n:
-        return False, f"wire count {observed.n} != {expected.n}"
     # pairs zero on both sides agree through any window; only the rest are
     # expanded, in row-major order
     pairs = [(i, j, got, want)
@@ -137,6 +135,9 @@ def cmd_verify(args) -> RunReport:
     report = RunReport(command=f"verify {args.circuit} {args.expected}")
     circuit = _load_circuit(args.circuit, report)
     expected = SympMatrix.from_text(_read(args.expected, report))
+    if expected.n != circuit.n:
+        raise ParseError(f"matrix declares n {expected.n} but the circuit has "
+                         f"{circuit.n} wires")
     horizon = args.horizon if args.horizon is not None else recommended_horizon(circuit)
     report.outputs.append(("horizon", horizon))
     lat, observed = impulse_response(circuit, horizon)
@@ -195,11 +196,13 @@ def cmd_memory(args) -> RunReport:
         report.outputs.append(("reduced circuit frames", circuit.m))
     else:
         ops = parse_sequence(text)
-        circuit = compile_sequence(ops, max(w for g in ops for w in g.wires))
+        n = max(w for g in ops for w in g.wires)
+        # the absolute-degree bound only governs CNOT-only cascades
+        total = sequence_transfer(ops, n) if all(g.kind == "CNOT" for g in ops) else None
+        circuit = compile_sequence(ops, n, transfer=total)
         report.outputs.append(("reduced circuit frames", circuit.m))
-        if all(g.kind == "CNOT" for g in ops):
-            # the absolute-degree bound only governs CNOT-only cascades
-            bound = sequence_transfer(ops, circuit.n).abs_deg()
+        if total is not None:
+            bound = total.abs_deg()
             report.outputs.append(("abs-degree bound", bound))
             report.verdicts.append(("memory within bound", circuit.m <= bound,
                                     f"{circuit.m} <= {bound}"))

@@ -8,13 +8,12 @@ a delay-line block.  Reduction schedules every gate at its earliest
 legal pipeline stage in one pass, cancels identical gate pairs, and
 deletes memory frames that no gate touches; compilation additionally tries
 equivalent re-decompositions of the same product and keeps the circuit
-with the fewest frames.  A tap-span floor on the reduced memory lets it
-skip candidates that cannot beat the best one so far.  The search ends
-as soon as a candidate answers an impulse in the same cycle
-(``simulator.responds_at_once``): for lists without DELAY or feedback
-gates that candidate has reached the causal floor (the largest advance
-in the gate product), usually at the gates as given, and the gate
-product itself is multiplied out only when a later candidate needs it.
+with the fewest frames.  The search ends as soon as a candidate answers
+an impulse in the same cycle (``simulator.responds_at_once``): for lists
+without DELAY or feedback gates that candidate has reached the causal
+floor (the largest advance in the gate product), usually at the gates as
+given, and the gate product itself is multiplied out only when a later
+candidate needs it.
 """
 
 from __future__ import annotations
@@ -435,28 +434,6 @@ def _reduce_section(sec: FiniteSection) -> FiniteSection:
     return reduced
 
 
-def _span_floor(c: ShiftRegisterCircuit) -> int:
-    """Lower bound on ``reduce_memory(c).m``, read off the placements.
-
-    Scheduling moves a placement whole, so it keeps the span between its
-    two stages, and cancellation drops only pairs of equal placements.
-    A shape (kind and slots relative to its lowest stage) that occurs an
-    odd number of times therefore leaves a survivor, and the reduced
-    section holds its span.  Sections after the first are not reduced.
-    """
-    sections = c.sections
-    if not sections or not isinstance(sections[0], FiniteSection):
-        return c.m
-    odd = set()
-    for p in sections[0].placements:
-        if p.b is not None:
-            (wa, sa), (wb, sb) = p.a, p.b
-            low = min(sa, sb)
-            odd ^= {(p.kind, wa, sa - low, wb, sb - low)}
-    floor = max((sa + sb for _, _, sa, _, sb in odd), default=0)
-    return floor + sum(sec.m for sec in sections[1:])
-
-
 def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
     """Commute gates toward the input and delete untouched trailing frames.
 
@@ -568,8 +545,10 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
     exactly (cross terms may cancel) are searched and the first one whose
     earliest-stage schedule reaches the lowest stage wins; the search
     stops at an ordering that reaches the largest tap exponent |e|, since
-    a placement of tap D^e spans |e| stages.  ``total`` is the transfer
-    of ``ops``.
+    a placement of tap D^e spans |e| stages.  Some ordering always
+    matches: sorted by descending topological position of the source, every
+    edge out of a wire comes before every edge into it, so that product has
+    no cross terms.  ``total`` is the transfer of ``ops``.
     """
     if not ops or not all(g.kind == "CNOT" for g in ops):
         return None
@@ -622,8 +601,6 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
             best_m, best = m, order
             if m == floor:
                 break
-    if best is None:
-        return None
     return [Gate("CNOT", (i + 1, j + 1), edges[(i, j)]) for i, j in best]
 
 
@@ -768,13 +745,11 @@ def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
     candidate can go below; for most such inputs the gates as given
     reach it.  Lists with DELAY or feedback gates try every candidate.
 
-    A candidate whose span floor (``_span_floor``) already reaches the
-    best m so far cannot win and is not reduced.  A candidate other
-    than the gates as given replaces the best only if its gate product
-    equals ``transfer``, the product of ``ops``, so every candidate
-    implements the same transfer up to a global delay monomial.  When
-    ``transfer`` is not given, the product is multiplied out the first
-    time a later candidate needs it, and at most once.
+    A candidate other than the gates as given replaces the best only if
+    its gate product equals ``transfer``, the product of ``ops``, so every
+    candidate implements the same transfer up to a global delay monomial.
+    When ``transfer`` is not given, the product is multiplied out the
+    first time a later candidate needs it, and at most once.
     """
     ops = list(ops)
     stops_at_once = all(g.kind in _FLOOR_KINDS for g in ops)
@@ -800,10 +775,7 @@ def compile_sequence(ops, n: int, *, transfer: SympMatrix | None = None
         if v is None or v in variants:
             continue
         variants.append(v)
-        c = _cascade_all(v, n)
-        if best is not None and _span_floor(c) >= best.m:
-            continue
-        reduced = reduce_memory(c)
+        reduced = reduce_memory(_cascade_all(v, n))
         if best is None or (reduced.m < best.m and sequence_transfer(v, n) == product()):
             best = reduced
             if stops_at_once and responds_at_once(best):

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from qshift import cli, synthesis
 from qshift.circuit import circuit_from_text
 from qshift.cli import _compare_matrices, main
 from qshift.simulator import PauliStream, run
@@ -193,6 +194,19 @@ def test_compare_reports_first_mismatch_past_zero_pairs(one, strict, message):
     expected = SympMatrix.from_text("n 2\n1 0 0 0\n0 1 0 D/1+D\n0 0 1 0\n0 0 D^2 1\n")
     assert _compare_matrices(observed, expected, 20, strict) == (False, message)
     assert _compare_matrices(observed, observed, 20, strict) == (True, "agrees through exponent 20")
+
+
+def test_verify_refuses_matrix_of_other_width(tmp_path, capsys):
+    # refused as an input error before any cycle is simulated, not reported
+    # as a failed verification
+    circ = tmp_path / "fb.circuit"
+    circ.write_text(FEEDBACK_ADVANCE_CIRCUIT)
+    exp = tmp_path / "one.matrix"
+    exp.write_text("n 1\n1 0\n0 1\n")
+    assert main(["verify", str(circ), str(exp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix declares n 1 but the circuit has 2 wires\n"
 
 
 def test_verify_rejects_negative_horizon(tmp_path, capsys):
@@ -468,6 +482,29 @@ def test_memory_command_fgg(tmp_path, capsys):
     assert "reduced circuit frames: 5" in out
     # mixed CNOT and controlled-phase sequences carry no abs-degree bound
     assert "abs-degree bound" not in out
+
+
+# only the DAG factorization reaches m = 5 (test_compile_takes_dag_variant_below_the_others)
+DAG_SEQUENCE = "CNOT 4 2 D^-2\nCNOT 2 1 D^-3+D^-1+1\nCNOT 3 2 D^-4+D^2+D^4\nCNOT 4 1 D\n"
+
+
+def test_memory_multiplies_the_input_list_once(tmp_path, capsys, monkeypatch):
+    seq = tmp_path / "dag.seq"
+    seq.write_text(DAG_SEQUENCE)
+    products = []
+
+    def counted(ops, n, _fn=synthesis.sequence_transfer):
+        products.append(list(ops))
+        return _fn(ops, n)
+    # cli and synthesis each hold a binding of sequence_transfer
+    monkeypatch.setattr(cli, "sequence_transfer", counted)
+    monkeypatch.setattr(synthesis, "sequence_transfer", counted)
+    assert main(["memory", str(seq)]) == 0
+    out = capsys.readouterr().out
+    assert "reduced circuit frames: 5\n" in out
+    assert "abs-degree bound: 7\n" in out
+    listed = synthesis.parse_sequence(DAG_SEQUENCE)
+    assert sum(ops == listed for ops in products) == 1
 
 
 def test_memory_command_code(code_file, capsys):

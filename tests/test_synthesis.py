@@ -679,14 +679,6 @@ def _cascade_gates(gates, n):
     return circ
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(finite_gate_lists(), mixed_gate_lists()))
-def test_span_floor_bounds_reduced_memory(case):
-    n, gates = case
-    circ = _cascade_gates(gates, n)
-    assert synthesis._span_floor(circ) <= reduce_memory(circ).m
-
-
 def _primitive_sections(g, n):
     """The sections of one gate's primitive circuit, laid out kind by kind.
 
@@ -1004,6 +996,38 @@ def test_dag_candidate_equals_exhaustive_orderings():
         above_floor += expected[1] > floor
         assert synthesis._cnot_dag_candidate(ops, n, total) == expected[0]
     assert above_floor >= 25
+
+
+def _unit_acyclic(x, n):
+    """Whether x has unit diagonal and its off-diagonal wire graph has no cycle."""
+    if any(x[i][i] != ONE for i in range(n)):
+        return False
+    left = set(range(n))
+    while left:
+        # wires with no edge into them from the wires left
+        sources = {j for j in left if not any(x[i][j] for i in left if i != j)}
+        if not sources:
+            return False
+        left -= sources
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnot_gate_lists())
+@example((4, parse_sequence("CNOT 4 2 D^-2\nCNOT 2 1 D^-3+D^-1+1\n"
+                            "CNOT 3 2 D^-4+D^2+D^4\nCNOT 4 1 D\n")))
+# acyclic, but the diagonal is D^-2, D^2
+@example((2, parse_sequence("CNOT 1 2 D^-1\nCNOT 2 1 D^-1+D\nCNOT 1 2 D\n")))
+def test_dag_candidate_exists_exactly_for_unit_acyclic_products(case):
+    # the ordering with every edge out of a wire before every edge into it
+    # has no cross terms, so a unit, acyclic X block always gets a candidate
+    n, gates = case
+    total = sequence_transfer(gates, n)
+    dag = synthesis._cnot_dag_candidate(gates, n, total)
+    if _unit_acyclic(total.x_block(), n):
+        assert dag is not None and sequence_transfer(dag, n) == total
+    else:
+        assert dag is None
 
 
 def test_encoder_circuits_equal_exhaustive_selection():
