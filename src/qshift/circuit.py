@@ -21,6 +21,18 @@ the same offsets.  The primitive circuit of one gate
 (``build_from_gate``) is its one-gate case, and ``cascade`` and
 ``synthesis.reduce_memory`` lay out the sections of circuits.
 
+Values are checked once, where they enter the package: the public
+constructors of ``Placement``, ``FiniteSection``, ``ShiftRegisterCircuit``
+and ``FeedbackNode``, ``Placement.moved_down`` and the reader
+``circuit_from_text`` refuse a bad kind, slot, depth, wire or section
+(the reader builds each section once it has checked every line of it).
+The layout pass and the section reducer (``synthesis._earliest_stages``
+and ``_reduce_section``) build only from values already checked, so they
+use the unchecked constructors ``_placement``, ``_moved_down``,
+``_section`` and ``_circuit``: they trust that a gate's wires passed
+``check_gate_wires``, that layout offsets and scheduled stages are never
+negative, and that a reduced section's depths cover every slot it keeps.
+
 The symbolic transfer (``circuit_transfer``) is the ordered product of
 every section's gates, multiplied out on sparse columns by
 ``apply_gates``.
@@ -68,11 +80,32 @@ class Placement:
                 raise ValueError(f"bad slot ({wire}, {stage})")
 
     def moved_down(self, k: int = 1) -> "Placement":
-        if k == 0:
-            return self
-        a = (self.a[0], self.a[1] - k)
-        b = None if self.b is None else (self.b[0], self.b[1] - k)
-        return Placement(self.kind, a, b)
+        """This placement ``k`` stages shallower, checked as a new one."""
+        p = _moved_down(self, k)
+        return p if p is self else Placement(p.kind, p.a, p.b)
+
+
+# The unchecked constructors skip ``__post_init__`` for values built from
+# checked ones (see the module docstring), as ``gf2poly._poly`` does for
+# polynomials.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _placement(kind: str, a: tuple, b: tuple | None = None) -> Placement:
+    """``Placement(kind, a, b)`` without its checks."""
+    p = _new(Placement)
+    p.kind, p.a, p.b = kind, a, b
+    p.slots = (a,) if b is None else (a, b)
+    return p
+
+
+def _moved_down(p: Placement, k: int) -> Placement:
+    """``p.moved_down(k)`` without its checks; every stage must stay >= 0."""
+    if k == 0:
+        return p
+    return _placement(p.kind, (p.a[0], p.a[1] - k),
+                      None if p.b is None else (p.b[0], p.b[1] - k))
 
 
 def _check_slots(p: Placement, depths) -> None:
@@ -100,6 +133,14 @@ class FiniteSection:
     @property
     def m(self) -> int:
         return max(self.depths, default=0)
+
+
+def _section(depths: tuple, placements: tuple) -> FiniteSection:
+    """``FiniteSection(depths, placements)`` without its checks."""
+    sec = _new(FiniteSection)
+    _set(sec, "depths", depths)
+    _set(sec, "placements", placements)
+    return sec
 
 
 @dataclass(frozen=True)
@@ -170,6 +211,14 @@ class ShiftRegisterCircuit:
         return best
 
 
+def _circuit(n: int, sections: tuple) -> ShiftRegisterCircuit:
+    """``ShiftRegisterCircuit(n, sections)`` without its checks."""
+    c = _new(ShiftRegisterCircuit)
+    _set(c, "n", n)
+    _set(c, "sections", sections)
+    return c
+
+
 def identity_circuit(n: int) -> ShiftRegisterCircuit:
     return ShiftRegisterCircuit(n, ())
 
@@ -184,8 +233,11 @@ def tap_placements(kind: str, i: int, j: int, f: LaurentPoly,
 
     ``si`` and ``sj`` are the stages at which the block's stage 0 lies on
     wires i and j (nonzero when the block sits downstream of others).
+    The placements are built unchecked: ``kind`` is CNOT or CPHASE, the
+    wires are those of a checked gate (i == j only for CPHASE1, whose
+    taps are D^e with e >= 1) and ``si``, ``sj`` are not negative.
     """
-    return [Placement(kind, (i, si + max(e, 0)), (j, sj + max(-e, 0))) for e in f.terms]
+    return [_placement(kind, (i, si + max(e, 0)), (j, sj + max(-e, 0))) for e in f.terms]
 
 
 def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
@@ -213,7 +265,7 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
         if placements or any(offsets):
             alone = (first is not None and first.depths == tuple(offsets)
                      and len(first.placements) == len(placements))  # nothing joined it
-            sections.append(first if alone else FiniteSection(tuple(offsets), tuple(placements)))
+            sections.append(first if alone else _section(tuple(offsets), tuple(placements)))
             offsets, placements = [0] * n, []
         first = None
 
@@ -225,7 +277,7 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
                 close_run()
                 sections.append(FeedbackNode(kind[-1], i, b.poly))
             elif kind in ("H", "P"):
-                placements.append(Placement(kind, (i, offsets[i - 1])))
+                placements.append(_placement(kind, (i, offsets[i - 1])))
             elif kind == "DELAY":
                 offsets[i - 1] += b.delay_amount
             elif b.poly:
@@ -238,7 +290,7 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
         elif isinstance(b, FiniteSection):
             if any(offsets):
                 placements.extend(
-                    Placement(p.kind, *((w, s + offsets[w - 1]) for w, s in p.slots))
+                    _placement(p.kind, *((w, s + offsets[w - 1]) for w, s in p.slots))
                     for p in b.placements)
             else:
                 first = first if placements else b
@@ -248,7 +300,7 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
             close_run()
             sections.append(b)
     close_run()
-    return ShiftRegisterCircuit(n, tuple(sections))
+    return _circuit(n, tuple(sections))
 
 
 def build_from_gate(gate: Gate, n: int) -> ShiftRegisterCircuit:
@@ -443,9 +495,10 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
     finite = []  # (line of the section header, section)
 
     def flush():
+        # each gate line passed _check_slots and the section line the depth check
         nonlocal depths, placements
         if depths is not None:
-            sections.append(FiniteSection(tuple(depths), tuple(placements)))
+            sections.append(_section(tuple(depths), tuple(placements)))
             finite.append((section_line, sections[-1]))
             depths, placements = None, []
 

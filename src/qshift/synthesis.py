@@ -48,6 +48,8 @@ from .circuit import (
     FiniteSection,
     ShiftRegisterCircuit,
     _cascade_all,
+    _moved_down,
+    _section,
     check_schedule,
     instances_commute,
     tap_placements,
@@ -415,7 +417,7 @@ def _earliest_stages(placements):
                     break
         for wq, sq in slots:
             insort(frontier.setdefault(wq, []), (low - base - sq, q, sq))
-        placed.append(pq.moved_down(low - base))
+        placed.append(_moved_down(pq, low - base))
     return placed
 
 
@@ -429,7 +431,8 @@ def _reduce_section(sec: FiniteSection) -> FiniteSection:
         for wire, stage in p.slots:
             highest[wire - 1] = max(highest[wire - 1], stage)
     k = min((d - h for d, h in zip(sec.depths, highest)), default=0)
-    reduced = FiniteSection(tuple(d - k for d in sec.depths), tuple(placements))
+    # d - k >= h on every wire, so every slot lies within the new depths
+    reduced = _section(tuple(d - k for d in sec.depths), tuple(placements))
     check_schedule(reduced)
     return reduced
 

@@ -31,12 +31,22 @@ def conj_cnot_circuit(i, j, f, n):
 
 
 def test_placement_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown placement kind 'SWAP'"):
+        Placement("SWAP", (1, 0), (2, 0))
+    with pytest.raises(ValueError, match="CNOT placement needs two distinct slots"):
         Placement("CNOT", (1, 0), (1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="CPHASE placement needs two distinct slots"):
+        Placement("CPHASE", (1, 0))
+    with pytest.raises(ValueError, match="H placement takes one slot"):
         Placement("H", (1, 0), (2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("bad slot (1, -1)")):
         Placement("CNOT", (1, -1), (2, 0))
+    with pytest.raises(ValueError, match=re.escape("bad slot (0, 0)")):
+        Placement("P", (0, 0))
+    # the public move is checked as a new placement
+    with pytest.raises(ValueError, match=re.escape("bad slot (1, -1)")):
+        Placement("CNOT", (1, 0), (2, 0)).moved_down(1)
+    assert Placement("CNOT", (1, 2), (2, 1)).moved_down(1) == Placement("CNOT", (1, 1), (2, 0))
     # a placement is a value: equal fields, equal objects and hashes
     p, q = Placement("CNOT", (1, 1), (2, 0)), Placement("CNOT", (1, 1), (2, 0))
     assert p == q and hash(p) == hash(q) and p.slots == ((1, 1), (2, 0))
@@ -48,12 +58,23 @@ def test_placement_validation():
 
 
 def test_section_validation():
-    with pytest.raises(ValueError):
+    cnot = Placement("CNOT", (1, 0), (2, 1))
+    with pytest.raises(ValueError, match="placement references wire 2 of 1"):
+        FiniteSection((1,), (cnot,))
+    with pytest.raises(ValueError, match="placement references stage 2 beyond depth 1 on wire 1"):
         FiniteSection((1, 1), (Placement("CNOT", (1, 2), (2, 0)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative pipeline depth"):
+        FiniteSection((1, -1), ())
+    with pytest.raises(ValueError, match="feedback polynomial must have delay 0"):
         FeedbackNode("Z", 1, ONE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad feedback wire 0"):
         FeedbackNode("Z", 0, pp("1+D"))
+    with pytest.raises(ValueError, match="section wire count mismatch"):
+        ShiftRegisterCircuit(3, (FiniteSection((1, 1), (cnot,)),))
+    with pytest.raises(ValueError, match="feedback wire out of range"):
+        ShiftRegisterCircuit(2, (FeedbackNode("Z", 3, pp("1+D")),))
+    with pytest.raises(TypeError, match="unknown section"):
+        ShiftRegisterCircuit(2, (Gate("H", (1,)),))
 
 
 def test_cnot_circuit_plain():

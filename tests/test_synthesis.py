@@ -12,11 +12,13 @@ from qshift.symplectic import Gate, StabilizerMatrix, SympMatrix, gate_matrix, r
 from qshift import circuit as circuit_mod, synthesis
 from qshift.circuit import (
     PLACEMENT_KINDS,
+    FeedbackNode,
     FiniteSection,
     Placement,
     ShiftRegisterCircuit,
     build_from_gate,
     cascade,
+    circuit_from_text,
     circuit_to_text,
     circuit_transfer,
     identity_circuit,
@@ -658,6 +660,55 @@ def test_reduce_memory_equals_greedy_move_loop(case):
     t0, _ = circuit_transfer(circ)
     t1, _ = circuit_transfer(reduced)
     assert t0.equal_mod_monomial(t1) is not None
+
+
+def _rebuilt(c):
+    """``c`` rebuilt through the public constructors, which check every value."""
+    return ShiftRegisterCircuit(c.n, tuple(
+        FeedbackNode(sec.kind, sec.wire, sec.poly) if isinstance(sec, FeedbackNode)
+        else FiniteSection(tuple(sec.depths),
+                           tuple(Placement(p.kind, p.a, p.b) for p in sec.placements))
+        for sec in c.sections))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(finite_gate_lists(), mixed_gate_lists()))
+def test_layout_and_reduction_build_valid_values(case):
+    # the layout and reduction passes build their placements, sections and
+    # circuits unchecked; each must be a value the public constructors accept
+    n, gates = case
+    chain = identity_circuit(n)
+    for g in gates:
+        chain = cascade(chain, build_from_gate(g, n))
+    laid_out = circuit_mod._cascade_all(gates, n)
+    for c in (laid_out, chain, reduce_memory(laid_out), compile_sequence(gates, n)):
+        rebuilt = _rebuilt(c)
+        assert rebuilt == c
+        assert [p.slots for p in rebuilt.placements] == [p.slots for p in c.placements]
+
+
+def test_layout_and_reduction_check_no_slot(monkeypatch):
+    # values built from checked gates and sections are not checked again;
+    # the circuit reader checks each gate line once
+    checked = []
+
+    def counted(p, depths, _fn=circuit_mod._check_slots):
+        checked.append(p)
+        return _fn(p, depths)
+    monkeypatch.setattr(circuit_mod, "_check_slots", counted)
+    ops = parse_sequence(FGG_SEQUENCE)
+    compiled = compile_sequence(ops, 3)
+    laid_out = circuit_mod._cascade_all(ops, 3)
+    assert reduce_memory(laid_out).m < laid_out.m
+    # gate by gate, as the impulse-verify workload builds its circuits
+    chain = identity_circuit(3)
+    for g in ops:
+        chain = cascade(chain, build_from_gate(g, 3))
+    assert chain == laid_out
+    assert checked == []
+    text = circuit_to_text(compiled)
+    assert circuit_from_text(text) == compiled
+    assert len(checked) == text.count("\ngate ") > 0
 
 
 def test_compile_keeps_simplified_variant():
