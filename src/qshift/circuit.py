@@ -25,7 +25,8 @@ Values are checked once, where they enter the package: the public
 constructors of ``Placement``, ``FiniteSection``, ``ShiftRegisterCircuit``
 and ``FeedbackNode``, ``Placement.moved_down`` and the reader
 ``circuit_from_text`` refuse a bad kind, slot, depth, wire or section
-(the reader builds each section once it has checked every line of it).
+(the reader builds each section once it has checked every line of it),
+and the constructors store sequence fields as tuples, as ``Gate`` does.
 The layout pass and the section reducer (``synthesis._earliest_stages``
 and ``_reduce_section``) build only from values already checked, so they
 use the unchecked constructors ``_placement``, ``_moved_down``,
@@ -43,7 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2poly import LaurentPoly, ParseError, parse_poly
-from .symplectic import Gate, apply_gates, check_gate_wires, gates_commute, read_fields, read_header
+from .symplectic import (Gate, apply_gates, check_feedback_poly, check_gate_wires, gates_commute,
+                         read_fields, read_header)
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
@@ -67,7 +69,9 @@ class Placement:
     slots: tuple = field(init=False, repr=False, compare=False)  # (a,) or (a, b)
 
     def __post_init__(self):
-        self.slots = (self.a,) if self.b is None else (self.a, self.b)
+        a = self.a = tuple(self.a)
+        b = self.b = None if self.b is None else tuple(self.b)
+        self.slots = (a,) if b is None else (a, b)
         if self.kind not in PLACEMENT_KINDS:
             raise ValueError(f"unknown placement kind {self.kind!r}")
         if self.kind in ("CNOT", "CPHASE"):
@@ -125,6 +129,8 @@ class FiniteSection:
     placements: tuple
 
     def __post_init__(self):
+        _set(self, "depths", tuple(self.depths))
+        _set(self, "placements", tuple(self.placements))
         if any(d < 0 for d in self.depths):
             raise ValueError("negative pipeline depth")
         for p in self.placements:
@@ -156,9 +162,7 @@ class FeedbackNode:
             raise ValueError("feedback kind must be 'Z' or 'X'")
         if self.wire < 1:
             raise ValueError(f"bad feedback wire {self.wire}; wires are numbered from 1")
-        f = self.poly
-        if not f or f.delay != 0 or f.deg < 1:
-            raise ValueError("feedback polynomial must have delay 0 and degree >= 1")
+        check_feedback_poly(self.poly)
 
     @property
     def m(self) -> int:
@@ -171,6 +175,7 @@ class ShiftRegisterCircuit:
     sections: tuple
 
     def __post_init__(self):
+        _set(self, "sections", tuple(self.sections))
         for sec in self.sections:
             if isinstance(sec, FiniteSection):
                 if len(sec.depths) != self.n:
@@ -252,22 +257,17 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
     frame.  A ``FiniteSection``'s placements move down by the offsets and
     its depths add to them.  A feedback gate or ``FeedbackNode`` closes
     the run, which becomes one ``FiniteSection`` unless it has no
-    placements and no depth (a section that makes up its run alone is
-    kept as it is), and passes through as a ``FeedbackNode``.  Gates
-    with a zero polynomial lay out nothing.
+    placements and no depth, and passes through as a ``FeedbackNode``.
+    Gates with a zero polynomial lay out nothing.
     """
     sections = []
     offsets, placements = [0] * n, []
-    first = None  # the section that opened the run, if one did
 
     def close_run():
-        nonlocal offsets, placements, first
+        nonlocal offsets, placements
         if placements or any(offsets):
-            alone = (first is not None and first.depths == tuple(offsets)
-                     and len(first.placements) == len(placements))  # nothing joined it
-            sections.append(first if alone else _section(tuple(offsets), tuple(placements)))
+            sections.append(_section(tuple(offsets), tuple(placements)))
             offsets, placements = [0] * n, []
-        first = None
 
     for b in blocks:
         if isinstance(b, Gate):
@@ -279,7 +279,7 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
             elif kind in ("H", "P"):
                 placements.append(_placement(kind, (i, offsets[i - 1])))
             elif kind == "DELAY":
-                offsets[i - 1] += b.delay_amount
+                offsets[i - 1] += b.poly.deg
             elif b.poly:
                 j = b.wires[-1]
                 placements.extend(tap_placements(
@@ -293,7 +293,6 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
                     _placement(p.kind, *((w, s + offsets[w - 1]) for w, s in p.slots))
                     for p in b.placements)
             else:
-                first = first if placements else b
                 placements.extend(b.placements)
             offsets = [o + d for o, d in zip(offsets, b.depths)]
         else:
@@ -558,7 +557,8 @@ def circuit_from_text(text: str) -> ShiftRegisterCircuit:
             check_schedule(sec)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    c = ShiftRegisterCircuit(n, tuple(sections))
+    # every section and ffb line was checked where it was read
+    c = _circuit(n, tuple(sections))
     if "frames" in declared and declared["frames"][0] != c.m:
         frames, lineno = declared["frames"]
         raise ParseError(f"line {lineno}: declared frames {frames} but circuit has {c.m}")

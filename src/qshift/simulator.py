@@ -409,13 +409,8 @@ def run(c: ShiftRegisterCircuit, stream: PauliStream, horizon: int) -> PauliStre
 
 
 def _settle_margin(c: ShiftRegisterCircuit) -> int:
-    cells = 0
-    for sec in c.sections:
-        if isinstance(sec, FiniteSection):
-            cells += sum(sec.depths)
-        else:
-            cells += sec.m
-    return 2 * cells + len(c.sections) + 2
+    """Quiet cycles that ``impulse_response`` steps past the horizon, without feedback."""
+    return 2 * sum(sum(sec.depths) for sec in c.sections) + len(c.sections) + 2
 
 
 def recommended_horizon(c: ShiftRegisterCircuit) -> int:
@@ -437,7 +432,9 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
     late lane, i.e. of the first late impulse in Z1..Zn, X1..Xn order.
     Cycles are simulated only until the state repeats; the bits of the
     repeating block are then repeated through the horizon, and its frames
-    fill the settling window, which is exact (module docstring).
+    fill the settling window, which is exact (module docstring).  That
+    window's replay serves only a finite section that never drains, such
+    as an acausal schedule built through the API; a causal one goes quiet.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")

@@ -33,7 +33,14 @@ from .gf2poly import (
     ratio,
 )
 
-GATE_KINDS = ("CNOT", "CPHASE", "CPHASE1", "H", "P", "DELAY", "INF_Z", "INF_X")
+# Each gate kind's shape: its wire count, and its last field, which is a
+# polynomial f, a shift l (held as the monomial D^l) or nothing.  The gate
+# constructor, ``parse_gate`` and the README's gate-sequence format follow it.
+GATE_SHAPES = {
+    "CNOT": (2, "f"), "CPHASE": (2, "f"), "CPHASE1": (1, "f"), "H": (1, None),
+    "P": (1, None), "DELAY": (1, "l"), "INF_Z": (1, "f"), "INF_X": (1, "f"),
+}
+GATE_KINDS = tuple(GATE_SHAPES)
 
 # Most wires a text file may declare, or a gate sequence reach: a transfer is
 # a dense 2n x 2n matrix, so its work and memory grow with n^2.
@@ -49,7 +56,7 @@ class Gate:
     """One elementary shift-invariant operation.
 
     ``poly`` holds the gate polynomial f(D); for DELAY it holds the
-    monomial D^l encoding the shift amount.  A gate is a value: equal
+    monomial D^l, so its shift l is ``poly.deg``.  A gate is a value: equal
     fields give equal, equally hashed gates, and nothing assigns to one
     after construction.
     """
@@ -59,56 +66,35 @@ class Gate:
     poly: LaurentPoly | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        kind, f = self.kind, self.poly
+        if kind not in GATE_SHAPES:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        count, last = GATE_SHAPES[kind]
         wires = self.wires = tuple(self.wires)
-        if any(w < 1 for w in wires):
+        if len(wires) != count or count == 2 and wires[0] == wires[1]:
+            raise ValueError(f"{kind} acts on {'one wire' if count == 1 else 'two distinct wires'}")
+        if wires[0] < 1 or wires[-1] < 1:
             raise ValueError("wires are numbered from 1")
-        if self.kind in ("CNOT", "CPHASE"):
-            if len(wires) != 2 or wires[0] == wires[1]:
-                raise ValueError(f"{self.kind} needs two distinct wires")
-            if self.poly is None:
-                raise ValueError(f"{self.kind} needs a polynomial")
-        elif self.kind == "CPHASE1":
-            if len(wires) != 1:
-                raise ValueError("CPHASE1 acts on one wire")
-            if self.poly is None:
-                raise ValueError("CPHASE1 needs a polynomial")
-            if self.poly and self.poly.delay < 1:
-                raise ValueError("self-phase at lag 0 is a P gate")
-        elif self.kind in ("H", "P"):
-            if len(wires) != 1:
-                raise ValueError(f"{self.kind} acts on one wire")
-            if self.poly is not None:
-                raise ValueError(f"{self.kind} takes no polynomial")
-        elif self.kind == "DELAY":
-            if len(wires) != 1:
-                raise ValueError("DELAY acts on one wire")
-            if self.poly is None or not self.poly.is_monomial or self.poly.deg < 0:
-                raise ValueError("DELAY needs a monomial D^l with l >= 0")
-        else:  # INF_Z / INF_X
-            if len(wires) != 1:
-                raise ValueError(f"{self.kind} acts on one wire")
-            f = self.poly
-            if f is None or not f or f.delay != 0 or f.deg < 1:
-                raise ValueError(
-                    f"{self.kind} needs a monic feedback polynomial with "
-                    "delay 0 and degree >= 1")
-
-    @property
-    def delay_amount(self) -> int:
-        if self.kind != "DELAY":
-            raise ValueError("delay_amount only applies to DELAY gates")
-        return self.poly.deg
+        if last == "l":
+            if f is None or not f.is_monomial or f.deg < 0:
+                raise ValueError(f"{kind} needs a shift l, the monomial D^l with l >= 0")
+        elif (f is None) != (last is None):
+            raise ValueError(f"{kind} {'needs a polynomial f' if last else 'takes no polynomial'}")
+        elif kind == "CPHASE1" and f and f.delay < 1:
+            raise ValueError("self-phase at lag 0 is a P gate")
+        elif kind in ("INF_Z", "INF_X"):
+            check_feedback_poly(f)
 
     def __str__(self) -> str:
-        kind = _KIND_TO_TEXT.get(self.kind, self.kind)
-        parts = [kind] + [str(w) for w in self.wires]
-        if self.kind == "DELAY":
-            parts.append(str(self.delay_amount))
-        elif self.poly is not None:
-            parts.append(str(self.poly))
-        return " ".join(parts)
+        last = GATE_SHAPES[self.kind][1]
+        arg = () if last is None else (self.poly.deg if last == "l" else self.poly,)
+        return " ".join(map(str, (_KIND_TO_TEXT.get(self.kind, self.kind), *self.wires, *arg)))
+
+
+def check_feedback_poly(f: LaurentPoly) -> None:
+    """The feedback rule of INF_Z, INF_X and ``circuit.FeedbackNode``: delay 0, degree >= 1."""
+    if not f or f.delay != 0 or f.deg < 1:
+        raise ValueError("feedback polynomial must have delay 0 and degree >= 1")
 
 
 def check_wire_count(n: int, lineno: int | None = None) -> None:
@@ -165,25 +151,20 @@ def parse_gate(line: str) -> Gate:
     fields = line.split()
     if not fields:
         raise ParseError("empty gate line")
-    kind = _TEXT_TO_KIND.get(fields[0].upper(), fields[0].upper())
-    if kind not in GATE_KINDS:
+    word = fields[0].upper()
+    kind = _TEXT_TO_KIND.get(word, word)
+    if kind not in GATE_SHAPES:
         raise ParseError(f"unknown gate mnemonic {fields[0]!r}")
+    count, last = GATE_SHAPES[kind]
+    if len(fields) != 1 + count + (last is not None):
+        usage = " ".join([word, "i j" if count == 2 else "w"] + [last] * (last is not None))
+        raise ParseError(f"{word} expects: {usage}")
     try:
-        if kind in ("CNOT", "CPHASE"):
-            if len(fields) != 4:
-                raise ParseError(f"{kind} expects: {kind} i j f")
-            return Gate(kind, (int(fields[1]), int(fields[2])), parse_poly(fields[3]))
-        if kind in ("CPHASE1", "INF_Z", "INF_X"):
-            if len(fields) != 3:
-                raise ParseError(f"{kind} expects a wire and a polynomial")
-            return Gate(kind, (int(fields[1]),), parse_poly(fields[2]))
-        if kind == "DELAY":
-            if len(fields) != 3:
-                raise ParseError("DELAY expects a wire and a shift")
-            return Gate(kind, (int(fields[1]),), LaurentPoly.monomial(int(fields[2])))
-        if len(fields) != 2:
-            raise ParseError(f"{kind} expects a single wire")
-        return Gate(kind, (int(fields[1]),))
+        wires = tuple(map(int, fields[1:1 + count]))
+        if last is None:
+            return Gate(kind, wires)
+        arg = fields[-1]
+        return Gate(kind, wires, parse_poly(arg) if last == "f" else LaurentPoly.monomial(int(arg)))
     except ValueError as exc:
         if isinstance(exc, ParseError):
             raise

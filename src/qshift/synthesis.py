@@ -466,7 +466,7 @@ def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
 
 
 def _gate_is_identity(g: Gate) -> bool:
-    return g.kind in ("CNOT", "CPHASE", "CPHASE1", "DELAY") and not g.poly
+    return g.kind in ("CNOT", "CPHASE", "CPHASE1") and not g.poly
 
 
 def _merge_gates(a: Gate, b: Gate):
@@ -483,8 +483,7 @@ def _merge_gates(a: Gate, b: Gate):
         # CPHASE(j,i)(f) == CPHASE(i,j)(f(D^-1))
         merged = Gate("CPHASE", a.wires, a.poly + b.poly.subst_inv())
     elif a.kind == "DELAY" and a.wires == b.wires:
-        merged = Gate("DELAY", a.wires,
-                      LaurentPoly.monomial(a.delay_amount + b.delay_amount))
+        merged = Gate("DELAY", a.wires, a.poly * b.poly)  # D^k D^l = D^(k+l)
     elif a.kind in ("H", "P") and a.wires == b.wires:
         return []  # both are involutions
     else:

@@ -22,7 +22,7 @@ from qshift.circuit import (
     identity_circuit,
     instances_commute,
 )
-from qshift.synthesis import _z_gate, sequence_transfer
+from qshift.synthesis import _z_gate, reduce_memory, sequence_transfer
 
 
 def conj_cnot_circuit(i, j, f, n):
@@ -508,3 +508,24 @@ def test_section_errors_are_located():
     with pytest.raises(ParseError) as exc:
         circuit_from_text("n 2\nframes 5\nsection depths=1,1\ngate CNOT s=1 a=1@1 b=2@0 f=D\n")
     assert str(exc.value) == "line 2: declared frames 5 but circuit has 1"
+    with pytest.raises(ParseError, match="^line 2: section line needs depths=$"):
+        circuit_from_text("n 2\nsection 1,1\n")
+    with pytest.raises(ParseError, match="^line 3: stage field disagrees with slots$"):
+        circuit_from_text("n 2\nsection depths=1,1\ngate CNOT s=0 a=1@1 b=2@0\n")
+
+
+def test_public_constructors_store_tuples():
+    # lists given to the public constructors are stored as tuples, as Gate
+    # stores its wires, so the values hash and cascade like tuple-built ones
+    listed = FiniteSection([1, 1], [Placement("CNOT", [1, 1], [2, 0])])
+    tupled = FiniteSection((1, 1), (Placement("CNOT", (1, 1), (2, 0)),))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert isinstance(listed.depths, tuple) and isinstance(listed.placements, tuple)
+    assert listed.placements[0].slots == ((1, 1), (2, 0))
+    h = build_from_gate(Gate("H", (1,)), 2)
+    assert (cascade(ShiftRegisterCircuit(2, []), h)
+            == cascade(ShiftRegisterCircuit(2, ()), h) == h)
+    from_lists = ShiftRegisterCircuit(2, [listed, FeedbackNode("Z", 2, pp("1+D"))])
+    from_tuples = ShiftRegisterCircuit(2, (tupled, FeedbackNode("Z", 2, pp("1+D"))))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert reduce_memory(from_lists) == reduce_memory(from_tuples)

@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qshift.gf2poly import LaurentPoly, ONE, ZERO, ParseError, parse_poly as pp, series_expand
+from qshift.gf2poly import (MAX_SPAN, LaurentPoly, ONE, ZERO, ParseError, parse_poly as pp,
+                            series_expand)
 from qshift.symplectic import Gate, SympMatrix, gate_matrix
 from qshift.circuit import (
     FiniteSection,
+    Placement,
     ShiftRegisterCircuit,
     build_from_gate,
     cascade,
@@ -93,6 +95,25 @@ def test_run_validates_stream():
         run(c, PauliStream((pp("D^4"),), (ZERO,)), 2)
     with pytest.raises(ValueError):
         run(c, PauliStream((pp("D^-1"),), (ZERO,)), 4)
+    with pytest.raises(ValueError, match="^stream width mismatch$"):
+        run(c, PauliStream.zero(2), 4)
+    with pytest.raises(ValueError, match="^stream width mismatch$"):
+        symplectic_product(PauliStream.zero(1), PauliStream.zero(2))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 2\nn=0 z=10\n", "line 2: malformed frame line"),
+    ("n 2\nn=x z=10 x=00\n", "line 2: malformed frame line"),
+    ("n 2\nn=0 z=12 x=00\n", "line 2: bad bit '2'"),
+    ("n 2\nn=0 z=10 x=0y\n", "line 2: bad bit 'y'"),
+    (f"n 1\nn=0 z=1 x=0\nn={MAX_SPAN + 1} z=1 x=0\n",
+     f"line 3: stream span {MAX_SPAN + 1} exceeds the limit of {MAX_SPAN} (MAX_SPAN)"),
+    ("n 1\nfoo\n", "line 2: unrecognized line 'foo'"),
+])
+def test_stream_text_refusals(text, message):
+    with pytest.raises(ParseError) as exc:
+        PauliStream.from_text(text)
+    assert str(exc.value) == message
 
 
 def css_example_circuit():
@@ -178,6 +199,16 @@ def test_horizon_insufficient_names_first_late_impulse():
     with pytest.raises(ValueError) as exc:
         impulse_response(c, 2)
     assert str(exc.value) == "horizon insufficient: output active at cycle 6"
+
+
+def test_settling_window_names_the_late_cycle_of_an_undrained_section():
+    # the acausal section of test_acausal_schedule_rejected never drains:
+    # its state repeats, and the replayed block fills the settling window
+    sec = FiniteSection((1, 1), (Placement("CNOT", (1, 1), (2, 0)),
+                                 Placement("CNOT", (2, 1), (1, 0))))
+    with pytest.raises(ValueError) as exc:
+        impulse_response(ShiftRegisterCircuit(2, (sec,)), 20)
+    assert str(exc.value) == "horizon insufficient: output active at cycle 21"
 
 
 def _single_lane_response(c, horizon):

@@ -60,6 +60,52 @@ def test_gate_text_round_trip():
         parse_gate("CNOT 1 2")
 
 
+@pytest.mark.parametrize("kind, wires, poly, message", [
+    ("SWAP", (1, 2), None, "unknown gate kind 'SWAP'"),
+    ("CNOT", (0, 2), "1", "wires are numbered from 1"),
+    ("H", (0,), None, "wires are numbered from 1"),
+    ("CNOT", (1,), "1", "CNOT acts on two distinct wires"),
+    ("CPHASE", (2, 2), "1", "CPHASE acts on two distinct wires"),
+    ("H", (1, 2), None, "H acts on one wire"),
+    ("INF_X", (), "1+D", "INF_X acts on one wire"),
+    ("CNOT", (1, 2), None, "CNOT needs a polynomial f"),
+    ("CPHASE1", (1,), None, "CPHASE1 needs a polynomial f"),
+    ("INF_Z", (1,), None, "INF_Z needs a polynomial f"),
+    ("P", (1,), "1", "P takes no polynomial"),
+    ("DELAY", (1,), None, "DELAY needs a shift l, the monomial D^l with l >= 0"),
+    ("DELAY", (1,), "D^-1", "DELAY needs a shift l, the monomial D^l with l >= 0"),
+    ("CPHASE1", (1,), "1+D", "self-phase at lag 0 is a P gate"),
+    ("INF_Z", (1,), "D+D^2", "feedback polynomial must have delay 0 and degree >= 1"),
+    ("INF_X", (1,), "1", "feedback polynomial must have delay 0 and degree >= 1"),
+])
+def test_gate_shape_refusals(kind, wires, poly, message):
+    # every refusal reads its kind's shape from symplectic.GATE_SHAPES
+    with pytest.raises(ValueError) as exc:
+        Gate(kind, wires, None if poly is None else pp(poly))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ("", "empty gate line"),
+    ("NOPE 1 2", "unknown gate mnemonic 'NOPE'"),
+    ("CNOT 1 2", "CNOT expects: CNOT i j f"),
+    ("cphase 1 2 3 4", "CPHASE expects: CPHASE i j f"),
+    ("CPHASE1 1", "CPHASE1 expects: CPHASE1 w f"),
+    ("H 1 D", "H expects: H w"),
+    ("P", "P expects: P w"),
+    ("DELAY 1", "DELAY expects: DELAY w l"),
+    ("INFZ 1", "INFZ expects: INFZ w f"),
+    ("INFX 1 2 1+D", "INFX expects: INFX w f"),
+    ("DELAY 1 x", "bad gate line 'DELAY 1 x': invalid literal for int() with base 10: 'x'"),
+    ("INFZ 1 D", "bad gate line 'INFZ 1 D': feedback polynomial must have delay 0 "
+                 "and degree >= 1"),
+])
+def test_parse_gate_refusals(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_gate(line)
+    assert str(exc.value) == message
+
+
 def test_cnot_matrix_unit_delay_combo():
     # two-wire combo with f0 = f1 = 1: f(D) in the X block, f(D^-1) in Z
     m = cnot(1, 2, "1+D", 2)
@@ -437,6 +483,8 @@ def test_stabilizer_text_rejects_zero_row():
         with pytest.raises(ParseError) as exc:
             StabilizerMatrix.from_text(text)
         assert str(exc.value) == f"line {line}: zero generator row"
+    with pytest.raises(ParseError, match="^no stabilizer rows$"):
+        StabilizerMatrix.from_text("n 2\ncss\n")
 
 
 def test_stabilizer_rejects_zero_row():

@@ -274,6 +274,16 @@ def test_css_encoder_rejects_laurent_input():
         css_encoder([[pp("D^-1"), ONE]], [])
 
 
+def test_css_encoder_shape_refusals():
+    with pytest.raises(SynthesisError, match="^check matrix rows disagree on width$"):
+        css_encoder([[ONE, ONE]], [[ONE]])
+    # dual-containing, but one X and two Z generators on two qubits
+    with pytest.raises(SynthesisError, match=r"^1\+2 generators exceed 2 qubits$"):
+        css_encoder([[ONE, ONE]], [[ONE, ONE], [pp("D"), pp("D")]])
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        smith_normal_form([])
+
+
 def _random_css_code(rng, n, s_x, s_z, max_gates, max_exp):
     """(hx, hz) of fresh ancillas under random delay-free CNOTs, each row
     shifted to delay 0; None when a row mixes Z and X."""
@@ -748,7 +758,7 @@ def _primitive_sections(g, n):
         return [FiniteSection((0,) * n, (Placement(g.kind, (i, 0)),))]
     if g.kind == "DELAY":
         depths = [0] * n
-        depths[i - 1] = g.delay_amount
+        depths[i - 1] = g.poly.deg
         return [FiniteSection(tuple(depths), ())]
     if not f:
         return []
