@@ -4,10 +4,13 @@ memory reduction by commuting gates through memory, and memory bounds.
 The encoder turns a dual-containing CSS check-matrix pair into a
 sequence of CNOT-type elementary operations (column operations on the X
 side, conjugate column operations on the Z side) and compiles each into
-a delay-line block.  Reduction schedules every gate at its earliest
-legal pipeline stage in one pass, cancels identical gate pairs, and
-deletes memory frames that no gate touches; compilation additionally tries
-equivalent re-decompositions of the same product and keeps the circuit
+a delay-line block.  The Smith form works over the Laurent ring
+GF(2)[D, D^-1], where every monomial is a unit, so a code is refused as
+catastrophic only for an invariant factor that is not a monomial.
+Reduction schedules every gate at its earliest legal pipeline stage in
+one pass, cancels identical gate pairs, and deletes memory frames that
+no gate touches; compilation additionally tries equivalent
+re-decompositions of the same product and keeps the circuit
 with the fewest frames.  The search ends as soon as a candidate answers
 an impulse in the same cycle (``simulator.responds_at_once``): for lists
 without DELAY or feedback gates that candidate has reached the causal
@@ -78,7 +81,7 @@ def _pmat_identity(k):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over GF(2)[D]
+# Smith normal form over GF(2)[D, D^-1]
 
 
 def _swap_adds(i: int, j: int) -> tuple:
@@ -88,20 +91,21 @@ def _swap_adds(i: int, j: int) -> tuple:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """a . s . b == original matrix shifted by D^monomial_shift.
+    """a . s . b == original matrix, exactly, over GF(2)[D, D^-1].
 
-    ``a`` and ``b`` are unimodular accumulations of the row and column
-    operations.  ``col_ops`` records every column operation as an add
-    ``(src, dst, f)``, column dst += f * column src with f nonzero, a
-    swap as the three unit adds of ``_swap_adds``; applying them in
-    recorded order realizes b^-1, and ``b`` is their inverses multiplied
-    in reverse order, built from ``col_ops`` the first time it is read.
+    ``a`` and ``b`` are unimodular over the Laurent ring: ``a``
+    accumulates the row operations, including the row scalings by
+    monomials, which are units there.  ``col_ops`` records every column
+    operation as an add ``(src, dst, f)``, column dst += f * column src
+    with f nonzero, a swap as the three unit adds of ``_swap_adds``;
+    applying them in recorded order realizes b^-1, and ``b`` is their
+    inverses multiplied in reverse order, built from ``col_ops`` the
+    first time it is read.
     """
 
     a: tuple
     s: tuple
     col_ops: tuple
-    monomial_shift: int = 0
 
     @cached_property
     def b(self) -> tuple:
@@ -120,30 +124,45 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d)
 
 
-def smith_normal_form(matrix) -> SmithDecomposition:
-    """Diagonalize a polynomial matrix with recorded elementary operations.
+def _laurent_div(b: LaurentPoly, a: LaurentPoly) -> LaurentPoly:
+    """Quotient q such that b + q*a has polynomial degree span below a's."""
+    sb, sa = b.delay, a.delay
+    q, _ = poly_divmod(b.shift(-sb), a.shift(-sa))
+    return q.shift(sb - sa)
 
-    Pivots are the nonzero entries of minimal degree (ties broken by
-    lowest (row, col)); diagonal entries divide successively.  A global
-    monomial is factored out first when Laurent entries appear.
+
+def smith_normal_form(matrix) -> SmithDecomposition:
+    """Diagonalize a matrix over GF(2)[D, D^-1] with recorded elementary operations.
+
+    Every row is scaled to delay 0 on entry and after each operation that
+    changes it.  A monomial is a unit of the Laurent ring, so a scaling is
+    a row operation (recorded in ``a``) and records no column operation.
+    Pivots are the nonzero entries of least span (deg - delay; ties
+    broken by lowest (row, col)), division is ``_laurent_div``, whose
+    remainder has a span below the pivot's, and the diagonal entries
+    divide successively; a monomial divides every entry.  The rows of the
+    returned ``s`` are at delay 0, so a unit on its diagonal is 1.
     """
     rows = [list(r) for r in matrix]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if nr == 0 or nc == 0:
         raise ValueError("empty matrix")
-    dels = [e.delay for r in rows for e in r if e]
-    shift = 0
-    if dels and min(dels) < 0:
-        shift = -min(dels)
-        rows = [[e.shift(shift) for e in r] for r in rows]
-
     a = _pmat_identity(nr)
     col_ops = []
+
+    def normalize(i):
+        """Row i times D^-low, column i of a times D^low."""
+        low = min((e.delay for e in rows[i] if e), default=0)
+        if low:
+            rows[i] = [e.shift(-low) for e in rows[i]]
+            for r in a:
+                r[i] = r[i].shift(low)
 
     def row_add(dst, src, f):
         add_row(rows[dst], rows[src], f)
         add_column(a, src, dst, f)
+        normalize(dst)
 
     def row_swap(i, j):
         rows[i], rows[j] = rows[j], rows[i]
@@ -153,6 +172,9 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     def col_add(dst, src, f):
         add_column(rows, dst, src, f)
         col_ops.append((src, dst, f))
+        for i in range(nr):
+            if rows[i][src]:
+                normalize(i)
 
     def col_swap(i, j):
         for r in rows:
@@ -163,26 +185,28 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         """Reduce the pivot's line; True when a remainder is swapped into the pivot."""
         for k in range(count):
             if k != t and entry(k):
-                q, _ = poly_divmod(entry(k), rows[t][t])
+                q = _laurent_div(entry(k), rows[t][t])
                 if q:
                     add(k, t, q)
                 if entry(k):
-                    swap(t, k)  # remainder has smaller degree
+                    swap(t, k)  # remainder has smaller span
                     return True
         return False
 
+    for i in range(nr):
+        normalize(i)
     t = 0
     while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if rows[i][j]:
-                    d = rows[i][j].deg
-                    if best is None or d < best[0]:
-                        best = (d, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
+        # a monomial has the least span there is, so the first one found wins
+        pivot = next(((i, j) for i in range(t, nr) for j in range(t, nc)
+                      if rows[i][j].is_monomial), None)
+        if pivot is None:
+            spans = [(rows[i][j].deg - rows[i][j].delay, i, j) for i in range(t, nr)
+                     for j in range(t, nc) if rows[i][j]]
+            if not spans:
+                break
+            pivot = min(spans)[1:]
+        pi, pj = pivot
         if pi != t:
             row_swap(t, pi)
         if pj != t:
@@ -191,8 +215,10 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         while (clear(nr, lambda i: rows[i][t], row_add, row_swap)
                or clear(nc, lambda j: rows[t][j], col_add, col_swap)):
             pass
-        # successive divisibility of invariant factors; 1 divides every entry
-        if rows[t][t] != ONE:
+        # successive divisibility of invariant factors; a unit divides every
+        # entry.  The pivot's row holds the pivot alone, so it is at delay 0
+        # and the other entries at delay >= 0: GF(2)[D] division decides.
+        if not rows[t][t].is_monomial:
             culprit = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
                             if rows[i][j] and poly_divmod(rows[i][j], rows[t][t])[1]), None)
             if culprit is not None:
@@ -204,7 +230,6 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         tuple(tuple(r) for r in a),
         tuple(tuple(r) for r in rows),
         tuple(col_ops),
-        shift,
     )
 
 
@@ -242,27 +267,24 @@ def _z_gate(src: int, dst: int, f, offset: int = 0) -> Gate:
     return Gate("CNOT", (dst + offset + 1, src + offset + 1), f.subst_inv())
 
 
-def _normalize_row(row):
-    dels = [e.delay for e in row if e]
-    if dels and min(dels) != 0:
-        return [e.shift(-min(dels)) for e in row]
-    return list(row)
-
-
 def _css_phase(rows, width: int, side: str, gate):
     """Decoding gates and Smith decomposition of one phase's rows, ``width`` wide.
 
     Each column operation (src, dst, f) becomes ``gate(src, dst, f)``.  No
     rows give no gates and the decomposition of one zero row, whose b is I.
+    The rows may hold Laurent entries.  Dependent rows are refused, and so
+    is an invariant factor that is not a monomial (a unit of the Laurent
+    ring), by name; the diagonal is at delay 0, so it names 1+D for 1+D^-1.
     """
     if not rows:
         return [], SmithDecomposition(((ONE,),), ((ZERO,) * width,), ())
     sm = smith_normal_form(rows)
     if sm.rank != len(rows):
         raise SynthesisError(f"{side} check rows are linearly dependent")
-    if any(d != ONE for d in sm.diagonal):
-        raise CatastrophicCode(
-            f"{side} check matrix is catastrophic (Smith diagonal not all 1)")
+    factor = next((d for d in sm.diagonal if not d.is_monomial), None)
+    if factor is not None:
+        raise CatastrophicCode(f"{side} check matrix is catastrophic "
+                               f"(invariant factor {factor} is not a monomial)")
     return [gate(*op) for op in sm.col_ops], sm
 
 
@@ -297,7 +319,7 @@ def css_encoder(hx, hz) -> EncoderPlan:
         raise SynthesisError(f"{s_x}+{s_z} generators exceed {n} qubits")
 
     decode_x, sm_x = _css_phase(hx, n, "X", _x_gate)
-    hhat = [_normalize_row(r) for r in pairing(hz, sm_x.b[s_x:])]
+    hhat = pairing(hz, sm_x.b[s_x:])
     # the pairing with the unimodular b is injective, so rank(hhat) = rank(hz)
     decode_z, _ = _css_phase(hhat, n - s_x, "Z", partial(_z_gate, offset=s_x))
     # every CNOT-type elementary gate is self-inverse over GF(2)
@@ -648,13 +670,6 @@ def _push_swaps_back(ops, n: int):
             tail.extend(_x_gate(*op) for op in _swap_adds(w - 1, v - 1))
             pending[w], pending[v] = pending[v], pending[w]
     return ops + tail
-
-
-def _laurent_div(b: LaurentPoly, a: LaurentPoly) -> LaurentPoly:
-    """Quotient q such that b + q*a has polynomial degree span below a's."""
-    sb, sa = b.delay, a.delay
-    q, _ = poly_divmod(b.shift(-sb), a.shift(-sa))
-    return q.shift(sb - sa)
 
 
 def _cnot_euclid_candidate(ops, n: int, total: SympMatrix):

@@ -83,9 +83,18 @@ def test_synth_rejects_zero_generator(tmp_path, capsys):
 
 def test_synth_catastrophic(tmp_path, capsys):
     bad = tmp_path / "bad.code"
-    bad.write_text("n 2\nX: D 0\nZ: 0 D\n")
+    bad.write_text("n 2\nX: 1+D 0\nZ: 0 1+D\n")
     assert main(["synth", str(bad)]) == 2
-    assert "catastrophic" in capsys.readouterr().err
+    assert ("X check matrix is catastrophic (invariant factor 1+D is not a monomial)"
+            in capsys.readouterr().err)
+
+
+def test_synth_accepts_monomial_checks(tmp_path, capsys):
+    # X [D, 0], Z [0, D] is the code of X [1, 0], Z [0, 1]: D is a unit
+    good = tmp_path / "good.code"
+    good.write_text("n 2\nX: D 0\nZ: 0 D\n")
+    assert main(["synth", str(good)]) == 0
+    assert "catastrophic" not in capsys.readouterr().err
 
 
 def test_synth_dependent_rows(tmp_path, capsys):

@@ -5,7 +5,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, RationalTransfer, parse_poly as pp
 from qshift.symplectic import Gate, StabilizerMatrix, SympMatrix, gate_matrix, row_space_equiv
@@ -82,8 +82,7 @@ def _b_inverse(sm):
 def assert_decomposition(sm, original):
     recon = pmat_mul(pmat_mul([list(r) for r in sm.a], [list(r) for r in sm.s]),
                      [list(r) for r in sm.b])
-    shifted = [[e.shift(sm.monomial_shift) for e in row] for row in original]
-    assert [tuple(r) for r in recon] == [tuple(r) for r in shifted]
+    assert [tuple(r) for r in recon] == [tuple(r) for r in original]
     # unimodularity: replaying the recorded self-inverse operations undoes a and b
     b_inv = _b_inverse(sm)
     ident = pmat_mul([list(r) for r in sm.b], b_inv)
@@ -109,9 +108,11 @@ def test_smith_identity():
 
 
 def test_smith_1x1_monomial():
+    # D is a unit of GF(2)[D, D^-1]: the row scaling goes into a, no column op
     sm = smith_normal_form(pmat([["D"]]))
-    assert sm.s == ((pp("D"),),)
-    assert sm.a == ((ONE,),) and sm.b == ((ONE,),)
+    assert sm.s == ((ONE,),)
+    assert sm.a == ((pp("D"),),) and sm.b == ((ONE,),)
+    assert sm.col_ops == ()
 
 
 def test_smith_divisibility_chain():
@@ -143,6 +144,21 @@ def test_smith_round_trip_randomized():
                 assert not poly_divmod(d[k + 1], d[k])[1]
 
 
+def test_smith_round_trip_laurent_entries():
+    # a takes every row scaling, so a.s.b is the Laurent input itself
+    rng = random.Random(6062)
+    for _ in range(200):
+        nr = rng.randint(1, 4)
+        nc = rng.randint(nr, 6)
+        m = [[LaurentPoly(rng.sample(range(-3, 4), rng.randint(0, 2))) for _ in range(nc)]
+             for _ in range(nr)]
+        if not any(any(r) for r in m):
+            continue
+        sm = smith_normal_form(m)
+        assert_decomposition(sm, m)
+        assert all(d.delay == 0 for d in sm.diagonal if d)
+
+
 def test_smith_col_ops_are_the_gates_actions():
     # the X-side and Z-side gates of the recorded adds act on their block as b^-1
     rng = random.Random(2020)
@@ -163,9 +179,10 @@ def test_smith_col_ops_are_the_gates_actions():
 
 
 def test_smith_laurent_normalization():
-    m = pmat([["D^-1+1", "D"]])
+    m = pmat([["D^-1+1", "D"], ["D^-2", "1"]])  # determinant 1
     sm = smith_normal_form(m)
-    assert sm.monomial_shift == 1
+    # every row of s is at delay 0, so its unit diagonal entries are 1
+    assert sm.diagonal == (ONE, ONE)
     assert_decomposition(sm, m)
 
 
@@ -229,21 +246,57 @@ def test_css_encoder_rejects_non_dual():
         css_encoder([[ONE]], [[ONE]])
 
 
+def _encodes(plan, hx, hz):
+    """Whether the plan's gates carry fresh ancillas to the code's row space."""
+    stab = unencoded_stabilizer(plan.n, len(hx), len(hz))
+    for g in plan.ops:
+        stab = stab.apply(gate_matrix(g, plan.n))
+    return row_space_equiv(stab, StabilizerMatrix.from_css(hx, hz))
+
+
 def test_css_encoder_rejects_catastrophic():
-    # X check D has Smith diagonal D, not a unit
+    # X check 1+D has invariant factor 1+D, which is not a unit of GF(2)[D, D^-1]
     with pytest.raises(CatastrophicCode):
-        css_encoder([[pp("D"), ZERO]], [[ZERO, pp("D")]])
+        css_encoder([[pp("1+D"), ZERO]], [[ZERO, pp("1+D")]])
+
+
+def test_css_encoder_accepts_monomial_checks():
+    # X check D is D times the check 1, and D is a unit of GF(2)[D, D^-1]:
+    # the code is the one of X [1, 0], Z [0, 1], encoded by no gate at all
+    hx, hz = [[pp("D"), ZERO]], [[ZERO, pp("D")]]
+    plan = css_encoder(hx, hz)
+    assert plan.ops == ()
+    assert _encodes(plan, hx, hz)
+
+
+def test_css_encoder_accepts_monomial_z_phase_factor():
+    # the Z rows on wires 2-3 have determinant D over GF(2)[D], so a Smith
+    # form over GF(2)[D] ends its Z phase on the diagonal (1, D); over the
+    # Laurent ring D is a unit and the code is encoded
+    hx, hz = [[ONE, ZERO, ZERO]], [[ZERO, ONE, ZERO], [ZERO, ONE, pp("D")]]
+    assert hz[0][1] * hz[1][2] + hz[0][2] * hz[1][1] == pp("D")
+    plan = css_encoder(hx, hz)
+    assert _encodes(plan, hx, hz)
+    assert plan.circuit().m <= plan.memory_bound
 
 
 @pytest.mark.parametrize("hx, hz, phase", [
     ([[pp("1+D"), pp("1+D")]], [], "X"),
-    ([], [[pp("1+D"), pp("1+D")]], "Z"),
+    ([], [[pp("1+D"), pp("1+D")]], "Z"),  # the Z phase sees 1+D^-1, at delay 0 1+D
 ])
 def test_css_encoder_catastrophic_message(hx, hz, phase):
-    # Smith diagonal 1+D, which is not a unit even over GF(2)[D, D^-1]
+    # invariant factor 1+D, which is not a unit even over GF(2)[D, D^-1]
     with pytest.raises(CatastrophicCode) as exc:
         css_encoder(hx, hz)
-    assert str(exc.value) == f"{phase} check matrix is catastrophic (Smith diagonal not all 1)"
+    assert str(exc.value) == (f"{phase} check matrix is catastrophic "
+                              "(invariant factor 1+D is not a monomial)")
+
+
+def test_css_encoder_catastrophic_message_names_the_factor_at_delay_0():
+    # D+D^3 = D(1+D^2), and the unit D is divided out of the factor named
+    with pytest.raises(CatastrophicCode, match=r"^X check matrix is catastrophic "
+                       r"\(invariant factor 1\+D\^2 is not a monomial\)$"):
+        css_encoder([[pp("D+D^3"), ZERO, ZERO]], [])
 
 
 def test_css_encoder_rejects_no_check_rows():
@@ -326,10 +379,7 @@ def test_css_encoder_random_plans():
         if code is None:
             continue
         hx, hz = code
-        try:
-            plan = css_encoder(hx, hz)
-        except (CatastrophicCode, NotDualContaining):
-            continue
+        plan = css_encoder(hx, hz)  # an encoded code is never catastrophic
         tested += 1
         replay = unencoded_stabilizer(n, len(hx), len(hz))
         for g in plan.ops:
@@ -1101,10 +1151,7 @@ def test_encoder_circuits_equal_exhaustive_selection():
         code = _random_css_code(rng, n, s_x, rng.randint(1, n - 1 - s_x), 4, 3)
         if code is None:
             continue
-        try:
-            plan = css_encoder(*code)
-        except (CatastrophicCode, NotDualContaining):
-            continue
+        plan = css_encoder(*code)
         tested += 1
         assert plan.circuit() == _compile_exhaustive(plan.ops, n)
 
@@ -1337,12 +1384,7 @@ def encoded_css_codes(draw):
 @given(encoded_css_codes())
 def test_css_encoder_plans_of_encoded_codes(code):
     n, hx, hz = code
-    try:
-        plan = css_encoder(hx, hz)
-    except CatastrophicCode:
-        # monomial Smith diagonals are still refused (ROADMAP item 1); the
-        # property is about the plans the encoder does return
-        assume(False)
+    plan = css_encoder(hx, hz)  # an encoded code is never catastrophic
     fresh = unencoded_stabilizer(n, len(hx), len(hz))
     replay = fresh
     for g in plan.ops:
@@ -1400,24 +1442,66 @@ def _golden_css_codes():
     return codes
 
 
-# sha256 over the plan's gate list, memory bound, compiled m and circuit text
-# and the encoding matrix of every golden code (rejections by their message),
-# recorded before gate products took the unit and monomial fast paths
-GOLDEN_CSS_DIGEST = "08c8dcd25bb0c7f5cc562e1d0c06211082f7ce897c0f7b1ab7590708a7f37913"
+def _split_css_digests(codes, changed, named):
+    """Digests of the codes outside and inside ``changed``, and the rejection classes.
 
-
-def test_css_encoders_match_golden_digest():
-    digest = hashlib.sha256()
-    for hx, hz in _golden_css_codes():
+    Each code adds its plan's gate list, memory bound, compiled m, circuit
+    text and encoding matrix to its part's sha256, or its rejection message
+    (after its class name when ``named``).  ``changed`` maps the index of
+    every code whose record the Laurent-ring Smith form changed to the m it
+    compiled to under the GF(2)[D] form, or None where that form refused
+    it.  A changed code must keep being encoded if it was, must pass the
+    row-space oracle when it is, and the m of the codes the old form
+    encoded must not sum higher than it did.
+    """
+    same, moved = hashlib.sha256(), hashlib.sha256()
+    kinds = set()
+    m_before = m_after = 0
+    for k, (hx, hz) in enumerate(codes):
+        digest = moved if k in changed else same
         try:
             plan = css_encoder(hx, hz)
         except SynthesisError as exc:
-            digest.update(f"rejected {exc}\n".encode())
+            assert changed.get(k) is None
+            kinds.add(type(exc))
+            digest.update(f"rejected {type(exc).__name__ + ' ' if named else ''}{exc}\n".encode())
             continue
         c = plan.circuit()
         digest.update(f"{format_sequence(plan.ops)}\n{plan.memory_bound}\n{c.m}\n"
                       f"{circuit_to_text(c)}{plan.b_overall.to_text()}".encode())
-    assert digest.hexdigest() == GOLDEN_CSS_DIGEST
+        if k in changed:
+            assert _encodes(plan, hx, hz)
+        if changed.get(k, c.m) is not None:
+            m_before += changed.get(k, c.m)
+            m_after += c.m
+    assert m_after <= m_before
+    return same.hexdigest(), moved.hexdigest(), kinds
+
+
+# golden codes whose record the Laurent-ring Smith form changed: index -> m
+# under the GF(2)[D] form, None where it refused the code as catastrophic
+# (18 codes, all of them encoded now); the 182 codes it encoded sum to m 304
+# there and 291 here
+GOLDEN_CSS_CHANGED = {
+    8: None, 9: 1, 12: None, 16: 3, 17: 2, 18: 3, 20: 3, 21: 7, 28: 3, 30: None,
+    34: None, 43: 2, 50: 6, 51: 1, 52: 5, 55: 4, 56: 3, 66: None, 73: 1, 75: 3,
+    78: None, 81: None, 83: None, 85: 3, 87: 3, 90: 3, 92: 1, 93: 8, 96: 4, 97: 5,
+    103: 2, 105: None, 106: 3, 114: None, 118: 3, 123: None, 131: 13, 133: 3,
+    138: 2, 144: None, 145: None, 146: 2, 147: 6, 148: 6, 157: 3, 161: 3, 162: 3,
+    164: 4, 167: None, 168: 3, 169: 2, 174: None, 175: 9, 176: None, 178: 1,
+    180: None, 192: 3, 196: 3, 197: None,
+}
+# sha256 over the records of the other 141 golden codes, recorded under the
+# GF(2)[D] Smith form; and over the records of the changed ones
+GOLDEN_CSS_DIGEST = "5bcd03db232507c55b3e1437457a8846350b657c2ae19b22f0e6b47948b9074a"
+GOLDEN_CSS_CHANGED_DIGEST = "cf160c0162fc42e930cd75db79ee99c336b8676aecbd5fc068b1fb7388a957ea"
+
+
+def test_css_encoders_match_golden_digest():
+    same, moved, kinds = _split_css_digests(_golden_css_codes(), GOLDEN_CSS_CHANGED, False)
+    assert kinds == set()
+    assert same == GOLDEN_CSS_DIGEST
+    assert moved == GOLDEN_CSS_CHANGED_DIGEST
 
 
 def _one_sided_css_codes():
@@ -1442,24 +1526,26 @@ def _one_sided_css_codes():
     return codes
 
 
-# sha256 over the fields of GOLDEN_CSS_DIGEST, with each rejection's class,
-# for the one-sided codes; recorded before the encoder phases became one routine
-ONE_SIDED_CSS_DIGEST = "d063d59fb5102d204c43e1d1252726c38b8c202b92b199f894cda261b8d4e7b6"
+# one-sided codes whose record changed, as in GOLDEN_CSS_CHANGED: 6 codes
+# refused by the GF(2)[D] form are encoded now, and 25 are still refused as
+# catastrophic with the reworded message naming the factor; the 63 codes the
+# old form encoded sum to m 119 there and 115 here
+ONE_SIDED_CSS_CHANGED = {
+    1: None, 3: None, 5: None, 7: 2, 11: None, 13: None, 15: 2, 17: None, 23: None,
+    24: 2, 25: None, 27: 2, 29: None, 31: None, 33: None, 35: None, 37: 2, 39: None,
+    41: 4, 43: None, 45: None, 47: 2, 51: None, 55: None, 57: None, 59: None,
+    61: None, 63: None, 67: None, 71: None, 73: None, 75: None, 77: None, 79: None,
+    85: 3, 89: None, 93: None, 97: None, 99: None,
+}
+# sha256 over the fields of GOLDEN_CSS_DIGEST, with each rejection's class, for
+# the other 61 one-sided codes under the GF(2)[D] form; and for the changed ones
+ONE_SIDED_CSS_DIGEST = "dea6f302fc8f042c1bef4f93d1d3c6184b8c04c1864438c5f95887e7372947a5"
+ONE_SIDED_CSS_CHANGED_DIGEST = "cb8db42ccbe8fadde2ccd04aadb141a937302b37c6b69aea7c48dfb2307bbf31"
 
 
 def test_one_sided_css_encoders_match_golden_digest():
-    digest = hashlib.sha256()
-    kinds = set()
-    for hx, hz in _one_sided_css_codes():
-        try:
-            plan = css_encoder(hx, hz)
-        except SynthesisError as exc:
-            kinds.add(type(exc))
-            digest.update(f"rejected {type(exc).__name__} {exc}\n".encode())
-            continue
-        c = plan.circuit()
-        digest.update(f"{format_sequence(plan.ops)}\n{plan.memory_bound}\n{c.m}\n"
-                      f"{circuit_to_text(c)}{plan.b_overall.to_text()}".encode())
+    same, moved, kinds = _split_css_digests(_one_sided_css_codes(), ONE_SIDED_CSS_CHANGED, True)
     # dependent and catastrophic rows were both drawn
     assert kinds == {SynthesisError, CatastrophicCode}
-    assert digest.hexdigest() == ONE_SIDED_CSS_DIGEST
+    assert same == ONE_SIDED_CSS_DIGEST
+    assert moved == ONE_SIDED_CSS_CHANGED_DIGEST
