@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import permutations
+from itertools import permutations, product
 
 from .gf2poly import (
     LaurentPoly,
@@ -131,17 +131,24 @@ def _laurent_div(b: LaurentPoly, a: LaurentPoly) -> LaurentPoly:
     return q.shift(sb - sa)
 
 
+def _laurent_divides(a: LaurentPoly, b: LaurentPoly) -> bool:
+    """True when nonzero a divides b over GF(2)[D, D^-1], where monomials are units."""
+    return not b or not poly_divmod(b.shift(-b.delay), a.shift(-a.delay))[1]
+
+
 def smith_normal_form(matrix) -> SmithDecomposition:
     """Diagonalize a matrix over GF(2)[D, D^-1] with recorded elementary operations.
 
-    Every row is scaled to delay 0 on entry and after each operation that
-    changes it.  A monomial is a unit of the Laurent ring, so a scaling is
-    a row operation (recorded in ``a``) and records no column operation.
     Pivots are the nonzero entries of least span (deg - delay; ties
     broken by lowest (row, col)), division is ``_laurent_div``, whose
     remainder has a span below the pivot's, and the diagonal entries
-    divide successively; a monomial divides every entry.  The rows of the
-    returned ``s`` are at delay 0, so a unit on its diagonal is 1.
+    divide successively; a monomial divides every entry.  Scaling a row
+    by a monomial changes none of these, so rows keep whatever delay the
+    operations give them until the end, where each row is scaled to delay
+    0.  A monomial is a unit of the Laurent ring, so that scaling is a row
+    operation (recorded in ``a``) and records no column operation.  The
+    rows of the returned ``s`` are at delay 0, so a unit on its diagonal
+    is 1.
     """
     rows = [list(r) for r in matrix]
     nr = len(rows)
@@ -151,18 +158,12 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     a = _pmat_identity(nr)
     col_ops = []
 
-    def normalize(i):
-        """Row i times D^-low, column i of a times D^low."""
-        low = min((e.delay for e in rows[i] if e), default=0)
-        if low:
-            rows[i] = [e.shift(-low) for e in rows[i]]
-            for r in a:
-                r[i] = r[i].shift(low)
+    def low(i):
+        return min(e.delay for e in rows[i] if e)
 
     def row_add(dst, src, f):
         add_row(rows[dst], rows[src], f)
         add_column(a, src, dst, f)
-        normalize(dst)
 
     def row_swap(i, j):
         rows[i], rows[j] = rows[j], rows[i]
@@ -172,9 +173,6 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     def col_add(dst, src, f):
         add_column(rows, dst, src, f)
         col_ops.append((src, dst, f))
-        for i in range(nr):
-            if rows[i][src]:
-                normalize(i)
 
     def col_swap(i, j):
         for r in rows:
@@ -193,19 +191,17 @@ def smith_normal_form(matrix) -> SmithDecomposition:
                     return True
         return False
 
-    for i in range(nr):
-        normalize(i)
     t = 0
     while t < min(nr, nc):
-        # a monomial has the least span there is, so the first one found wins
-        pivot = next(((i, j) for i in range(t, nr) for j in range(t, nc)
-                      if rows[i][j].is_monomial), None)
+        pivot = None
+        for i, j in product(range(t, nr), range(t, nc)):
+            e = rows[i][j]
+            if e and (pivot is None or e.deg - e.delay < span):
+                pivot, span = (i, j), e.deg - e.delay
+                if not span:
+                    break  # a monomial: no entry has a smaller span
         if pivot is None:
-            spans = [(rows[i][j].deg - rows[i][j].delay, i, j) for i in range(t, nr)
-                     for j in range(t, nc) if rows[i][j]]
-            if not spans:
-                break
-            pivot = min(spans)[1:]
+            break
         pi, pj = pivot
         if pi != t:
             row_swap(t, pi)
@@ -216,15 +212,21 @@ def smith_normal_form(matrix) -> SmithDecomposition:
                or clear(nc, lambda j: rows[t][j], col_add, col_swap)):
             pass
         # successive divisibility of invariant factors; a unit divides every
-        # entry.  The pivot's row holds the pivot alone, so it is at delay 0
-        # and the other entries at delay >= 0: GF(2)[D] division decides.
+        # entry.  The culprit row is added times the monomial that aligns its
+        # lowest delay with the pivot row's, as if both were at delay 0.
         if not rows[t][t].is_monomial:
             culprit = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
-                            if rows[i][j] and poly_divmod(rows[i][j], rows[t][t])[1]), None)
+                            if not _laurent_divides(rows[t][t], rows[i][j])), None)
             if culprit is not None:
-                row_add(t, culprit, ONE)
+                row_add(t, culprit, LaurentPoly.monomial(low(t) - low(culprit)))
                 continue
         t += 1
+    for i in range(nr):  # row i times D^-k, column i of a times D^k
+        if any(rows[i]):
+            k = low(i)
+            rows[i] = [e.shift(-k) for e in rows[i]]
+            for r in a:
+                r[i] = r[i].shift(k)
 
     return SmithDecomposition(
         tuple(tuple(r) for r in a),
