@@ -484,9 +484,18 @@ def _parse_slot(token: str):
     return (int(wire), int(stage))
 
 
-def circuit_from_text(text: str) -> ShiftRegisterCircuit:
+def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterCircuit:
+    """The circuit of ``circuit_to_text``'s format, every line checked as it is read.
+
+    A declared ``frames`` line must match the circuit.  A declared
+    ``latency`` is not checked here, since that takes the circuit's
+    transfer; when ``declared`` is an empty dict, it receives both lines
+    as "frames" or "latency" -> (value, line number), so that a caller
+    that computes the transfer anyway can check the latency against it
+    (``qshift verify`` does).
+    """
     n, lines = read_header(text)
-    declared = {}  # "frames" or "latency" -> (value, line)
+    declared = {} if declared is None else declared  # "frames" or "latency" -> (value, line)
     sections = []
     depths = None
     placements = []

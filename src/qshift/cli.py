@@ -70,8 +70,8 @@ def _read(path: str, report: RunReport) -> str:
     return text
 
 
-def _load_circuit(path: str, report: RunReport) -> ShiftRegisterCircuit:
-    return circuit_from_text(_read(path, report))
+def _load_circuit(path: str, report: RunReport, declared=None) -> ShiftRegisterCircuit:
+    return circuit_from_text(_read(path, report), declared)
 
 
 def _emit(report: RunReport, circuit: ShiftRegisterCircuit, out) -> None:
@@ -133,7 +133,8 @@ def cmd_synth(args) -> RunReport:
 
 def cmd_verify(args) -> RunReport:
     report = RunReport(command=f"verify {args.circuit} {args.expected}")
-    circuit = _load_circuit(args.circuit, report)
+    declared = {}
+    circuit = _load_circuit(args.circuit, report, declared)
     expected = SympMatrix.from_text(_read(args.expected, report))
     if expected.n != circuit.n:
         raise ParseError(f"matrix declares n {expected.n} but the circuit has "
@@ -141,6 +142,13 @@ def cmd_verify(args) -> RunReport:
     horizon = args.horizon if args.horizon is not None else recommended_horizon(circuit)
     report.outputs.append(("horizon", horizon))
     lat, observed = impulse_response(circuit, horizon)
+    # an all-zero response, from a horizon short of a feedback circuit's
+    # latency, shows no latency to check the declared one against
+    if "latency" in declared and any(any(row) for row in observed.rows):
+        value, lineno = declared["latency"]
+        if value != lat:
+            raise ParseError(f"line {lineno}: declared latency {value} but the "
+                             f"impulse response has latency {lat}")
     report.outputs.append(("latency", lat))
     ok, detail = _compare_matrices(observed, expected, horizon - lat, args.strict_delay)
     report.verdicts.append(("impulse response matches expected matrix", ok, detail))

@@ -187,9 +187,11 @@ class LaurentPoly:
     @property
     def abs_deg(self) -> int:
         """max{deg, |delay|}; 0 for the zero polynomial by convention."""
-        if not self._mask:
+        mask, off = self._mask, self._off
+        if not mask:
             return 0
-        return max(self.deg, abs(self._off))
+        deg = off + mask.bit_length() - 1
+        return deg if deg > -off else -off
 
     @property
     def is_monomial(self) -> bool:

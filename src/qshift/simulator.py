@@ -28,7 +28,6 @@ transfer.
 from __future__ import annotations
 
 import marshal
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly
@@ -72,7 +71,7 @@ def _run_placements(placements, cells) -> None:
 
     ``cells[w - 1][s]`` is the [z, x] pair of slot (w, s); it is updated
     in place.  A wire's cells may be a list over every stage (``step``)
-    or a dict that makes the pairs of touched slots on demand
+    or a dict that holds the pairs of the slots the placements touch
     (``responds_at_once``).
     """
     for p in placements:
@@ -176,7 +175,10 @@ def responds_at_once(c: ShiftRegisterCircuit) -> bool:
     frame = [(1 << w, 1 << (n + w)) for w in range(n)]
     for sec in c.sections:
         if isinstance(sec, FiniteSection):
-            cells = [defaultdict(lambda: [0, 0]) for _ in range(n)]
+            cells = [{} for _ in range(n)]
+            for p in sec.placements:
+                for w, s in p.slots:
+                    cells[w - 1][s] = [0, 0]
             for regs, (z, x) in zip(cells, frame):
                 regs[0] = [z, x]
             _run_placements(sec.placements, cells)

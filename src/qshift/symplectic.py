@@ -412,18 +412,27 @@ def gate_matrix(gate: Gate, n: int) -> SympMatrix:
     return apply_gates((gate,), n)
 
 
+def _symp(n: int, rows) -> SympMatrix:
+    """``SympMatrix(n, rows)`` without its shape check; ``rows`` must be 2n x 2n."""
+    m = SympMatrix.__new__(SympMatrix)
+    m.n = n
+    m._rows = tuple(tuple(r) for r in rows)
+    return m
+
+
 def apply_gates(gates, n: int) -> SympMatrix:
     """``gate_matrix(g1, n) @ gate_matrix(g2, n) @ ...`` without dense products.
 
     The product is held as sparse columns ``{row: entry}``, starting from
-    the identity's, and laid out densely once, at the end.
+    the identity's, and laid out densely once, at the end, 2n x 2n by
+    construction.
     """
     cols = _apply_actions([{c: ONE} for c in range(2 * n)], gates, n)
     rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
     for c, col in enumerate(cols):
         for r, e in col.items():
             rows[r][c] = e
-    return SympMatrix(n, rows)
+    return _symp(n, rows)
 
 
 def _apply_actions(cols, gates, n: int):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import permutations, product
+from itertools import permutations
 
 from .gf2poly import (
     LaurentPoly,
@@ -93,19 +93,32 @@ def _swap_adds(i: int, j: int) -> tuple:
 class SmithDecomposition:
     """a . s . b == original matrix, exactly, over GF(2)[D, D^-1].
 
-    ``a`` and ``b`` are unimodular over the Laurent ring: ``a``
-    accumulates the row operations, including the row scalings by
-    monomials, which are units there.  ``col_ops`` records every column
-    operation as an add ``(src, dst, f)``, column dst += f * column src
-    with f nonzero, a swap as the three unit adds of ``_swap_adds``;
-    applying them in recorded order realizes b^-1, and ``b`` is their
-    inverses multiplied in reverse order, built from ``col_ops`` the
-    first time it is read.
+    ``a`` and ``b`` are unimodular over the Laurent ring.  ``col_ops``
+    records every column operation as an add ``(src, dst, f)``, column
+    dst += f * column src with f nonzero, a swap as the three unit adds
+    of ``_swap_adds``; applying them in recorded order realizes b^-1.
+    ``row_ops`` records the row operations likewise, row dst += f * row
+    src, except that ``(i, i, D^-k)`` scales row i by the monomial D^-k,
+    a unit of the Laurent ring; applied in order they realize a^-1.
+    ``a`` and ``b`` are the inverses of the recorded operations
+    multiplied in reverse order, each built the first time it is read.
     """
 
-    a: tuple
     s: tuple
     col_ops: tuple
+    row_ops: tuple
+
+    @cached_property
+    def a(self) -> tuple:
+        """``row_ops`` replayed in order on I, each as the column operation it makes of a."""
+        a = _pmat_identity(len(self.s))
+        for src, dst, f in self.row_ops:
+            if src == dst:  # row src times D^-k: column src of a times D^k
+                for r in a:
+                    r[src] = r[src].shift(-f.delay)
+            else:  # row dst += f row src: column src += f column dst
+                add_column(a, src, dst, f)
+        return tuple(tuple(r) for r in a)
 
     @cached_property
     def b(self) -> tuple:
@@ -115,7 +128,7 @@ class SmithDecomposition:
             add_row(b[src], b[dst], f)
         return tuple(tuple(r) for r in b)
 
-    @property
+    @cached_property
     def diagonal(self):
         return tuple(self.s[i][i] for i in range(min(len(self.s), len(self.s[0]))))
 
@@ -126,6 +139,8 @@ class SmithDecomposition:
 
 def _laurent_div(b: LaurentPoly, a: LaurentPoly) -> LaurentPoly:
     """Quotient q such that b + q*a has polynomial degree span below a's."""
+    if a.is_monomial:  # a unit: the division below gives this exact quotient
+        return b.shift(-a.delay)
     sb, sa = b.delay, a.delay
     q, _ = poly_divmod(b.shift(-sb), a.shift(-sa))
     return q.shift(sb - sa)
@@ -146,93 +161,96 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     by a monomial changes none of these, so rows keep whatever delay the
     operations give them until the end, where each row is scaled to delay
     0.  A monomial is a unit of the Laurent ring, so that scaling is a row
-    operation (recorded in ``a``) and records no column operation.  The
-    rows of the returned ``s`` are at delay 0, so a unit on its diagonal
-    is 1.
+    operation (recorded in ``row_ops``) and records no column operation.
+    The rows of the returned ``s`` are at delay 0, so a unit on its
+    diagonal is 1.
     """
     rows = [list(r) for r in matrix]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if nr == 0 or nc == 0:
         raise ValueError("empty matrix")
-    a = _pmat_identity(nr)
+    row_ops = []
     col_ops = []
-
-    def low(i):
-        return min(e.delay for e in rows[i] if e)
-
-    def row_add(dst, src, f):
-        add_row(rows[dst], rows[src], f)
-        add_column(a, src, dst, f)
-
-    def row_swap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(dst, src, f):
-        add_column(rows, dst, src, f)
-        col_ops.append((src, dst, f))
-
-    def col_swap(i, j):
-        for r in rows:
-            r[i], r[j] = r[j], r[i]
-        col_ops.extend(_swap_adds(i, j))
-
-    def clear(count, entry, add, swap):
-        """Reduce the pivot's line; True when a remainder is swapped into the pivot."""
-        for k in range(count):
-            if k != t and entry(k):
-                q = _laurent_div(entry(k), rows[t][t])
-                if q:
-                    add(k, t, q)
-                if entry(k):
-                    swap(t, k)  # remainder has smaller span
-                    return True
-        return False
-
+    last = min(nr, nc)
     t = 0
-    while t < min(nr, nc):
+    while t < last:
+        # the pivot: least span, lowest (row, col); a monomial ends the scan
         pivot = None
-        for i, j in product(range(t, nr), range(t, nc)):
-            e = rows[i][j]
-            if e and (pivot is None or e.deg - e.delay < span):
-                pivot, span = (i, j), e.deg - e.delay
-                if not span:
-                    break  # a monomial: no entry has a smaller span
+        for i in range(t, nr):
+            row = rows[i]
+            for j in range(t, nc):
+                e = row[j]
+                if e and (pivot is None or e.deg - e.delay < span):
+                    pivot, span = (i, j), e.deg - e.delay
+                    if not span:
+                        break
+            else:
+                continue
+            break
         if pivot is None:
             break
         pi, pj = pivot
         if pi != t:
-            row_swap(t, pi)
+            rows[t], rows[pi] = rows[pi], rows[t]
+            row_ops.extend(_swap_adds(t, pi))
         if pj != t:
-            col_swap(t, pj)
-        # the pivot's column, then its row, until neither swaps in a remainder
-        while (clear(nr, lambda i: rows[i][t], row_add, row_swap)
-               or clear(nc, lambda j: rows[t][j], col_add, col_swap)):
-            pass
+            for r in rows:
+                r[t], r[pj] = r[pj], r[t]
+            col_ops.extend(_swap_adds(t, pj))
+        # the pivot's column, then its row, until neither swaps in a
+        # remainder, which has a smaller span than the pivot; the rows above
+        # t are zero in column t and the columns left of t zero in row t
+        while True:
+            top = rows[t]
+            for k in range(t + 1, nr):
+                e = rows[k][t]
+                if e:
+                    q = _laurent_div(e, top[t])
+                    if q:
+                        add_row(rows[k], top, q)
+                        row_ops.append((t, k, q))
+                    if rows[k][t]:
+                        rows[t], rows[k] = rows[k], top
+                        row_ops.extend(_swap_adds(t, k))
+                        break
+            else:
+                for k in range(t + 1, nc):
+                    e = top[k]
+                    if e:
+                        q = _laurent_div(e, top[t])
+                        if q:  # column t is zero below the pivot, so only row t changes
+                            top[k] = e + q * top[t]
+                            col_ops.append((t, k, q))
+                        if top[k]:
+                            for r in rows:
+                                r[t], r[k] = r[k], r[t]
+                            col_ops.extend(_swap_adds(t, k))
+                            break
+                else:
+                    break
         # successive divisibility of invariant factors; a unit divides every
-        # entry.  The culprit row is added times the monomial that aligns its
-        # lowest delay with the pivot row's, as if both were at delay 0.
-        if not rows[t][t].is_monomial:
-            culprit = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
-                            if not _laurent_divides(rows[t][t], rows[i][j])), None)
+        # entry.  Row t now holds only the pivot d; the culprit row is added
+        # times the monomial that aligns its lowest delay with d's, as if
+        # both were at delay 0.
+        d = rows[t][t]
+        if not d.is_monomial:
+            culprit = next((i for i in range(t + 1, nr)
+                            if not all(_laurent_divides(d, e) for e in rows[i][t + 1:])), None)
             if culprit is not None:
-                row_add(t, culprit, LaurentPoly.monomial(low(t) - low(culprit)))
+                f = LaurentPoly.monomial(d.delay - min(e.delay for e in rows[culprit] if e))
+                add_row(rows[t], rows[culprit], f)
+                row_ops.append((culprit, t, f))
                 continue
         t += 1
-    for i in range(nr):  # row i times D^-k, column i of a times D^k
-        if any(rows[i]):
-            k = low(i)
-            rows[i] = [e.shift(-k) for e in rows[i]]
-            for r in a:
-                r[i] = r[i].shift(k)
-
-    return SmithDecomposition(
-        tuple(tuple(r) for r in a),
-        tuple(tuple(r) for r in rows),
-        tuple(col_ops),
-    )
+    # rows t and below are zero, and each row above t holds only its diagonal
+    # entry, which the scaling of the row to delay 0 leaves at delay 0
+    for i in range(t):
+        k = rows[i][i].delay
+        if k:
+            rows[i][i] = rows[i][i].shift(-k)
+            row_ops.append((i, i, LaurentPoly.monomial(-k)))
+    return SmithDecomposition(tuple(tuple(r) for r in rows), tuple(col_ops), tuple(row_ops))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +297,7 @@ def _css_phase(rows, width: int, side: str, gate):
     ring), by name; the diagonal is at delay 0, so it names 1+D for 1+D^-1.
     """
     if not rows:
-        return [], SmithDecomposition(((ONE,),), ((ZERO,) * width,), ())
+        return [], SmithDecomposition(((ZERO,) * width,), (), ())
     sm = smith_normal_form(rows)
     if sm.rank != len(rows):
         raise SynthesisError(f"{side} check rows are linearly dependent")
@@ -423,6 +441,9 @@ def _earliest_stages(placements):
     fails to commute or until the reach can no longer raise the base;
     the base is a maximum over the failing pairs, so the scan order
     cannot change it.
+
+    Returns the moved placements and each touched wire's deepest reach,
+    the highest stage of a slot on it: the head of its frontier list.
     """
     frontier = {}  # wire -> [(-reach, index, stage)], deepest reach first
     placed = []
@@ -442,20 +463,16 @@ def _earliest_stages(placements):
         for wq, sq in slots:
             insort(frontier.setdefault(wq, []), (low - base - sq, q, sq))
         placed.append(_moved_down(pq, low - base))
-    return placed
+    return placed, {w: -reaches[0][0] for w, reaches in frontier.items()}
 
 
 def _reduce_section(sec: FiniteSection) -> FiniteSection:
-    placements = _earliest_stages(sec.placements)
+    placements, reach = _earliest_stages(sec.placements)
     while (kept := _cancel_identical_pairs(placements)) is not None:
-        placements = _earliest_stages(kept)
+        placements, reach = _earliest_stages(kept)
     # drop the trailing frames no slot references, the same number on every wire
-    highest = [0] * len(sec.depths)
-    for p in placements:
-        for wire, stage in p.slots:
-            highest[wire - 1] = max(highest[wire - 1], stage)
-    k = min((d - h for d, h in zip(sec.depths, highest)), default=0)
-    # d - k >= h on every wire, so every slot lies within the new depths
+    k = min((d - reach.get(w, 0) for w, d in enumerate(sec.depths, start=1)), default=0)
+    # d - k >= reach on every wire, so every slot lies within the new depths
     reduced = _section(tuple(d - k for d in sec.depths), tuple(placements))
     check_schedule(reduced)
     return reduced
@@ -621,8 +638,7 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
             continue
         taps = [p for (i, j) in order
                 for p in tap_placements("CNOT", i + 1, j + 1, edges[(i, j)])]
-        placed = _earliest_stages(taps)
-        m = max((s for p in placed for _, s in p.slots), default=0)
+        m = max(_earliest_stages(taps)[1].values(), default=0)
         if best_m is None or m < best_m:
             best_m, best = m, order
             if m == floor:

@@ -143,6 +143,35 @@ def test_verify_infinite_depth(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_wrong_declared_latency(tmp_path, capsys):
+    # the reader hands the declared latency to verify, which checks it
+    # against the simulated one before it compares the matrices
+    circ = tmp_path / "latency.circuit"
+    circ.write_text("n 1\nframes 0\nlatency 99\nsection depths=0\ngate P s=0 a=1@0\n")
+    exp = tmp_path / "one.matrix"
+    exp.write_text("n 1\n1 0\n0 1\n")
+    assert main(["verify", str(circ), str(exp)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: declared latency 99 but the impulse response has latency 0\n")
+
+
+@pytest.mark.parametrize("latency, horizon, code", [
+    (5, 40, 0), (4, 40, 2),
+    # horizon 3 is short of latency 5: nothing leaves the circuit, so no
+    # declared latency is refused, and the matrices disagree
+    (5, 3, 1), (4, 3, 1),
+])
+def test_verify_declared_latency_of_a_feedback_circuit(tmp_path, capsys, latency, horizon, code):
+    circ = tmp_path / "delayed.circuit"
+    circ.write_text(f"n 1\nframes 6\nlatency {latency}\nsection depths=5\n"
+                    "ffb Z wire=1 f=1+D\n")
+    exp = tmp_path / "delayed.matrix"
+    exp.write_text("n 1\n1/1+D^-1 0\n0 1+D\n")
+    assert main(["verify", str(circ), str(exp), "--horizon", str(horizon)]) == code
+    err = capsys.readouterr().err
+    assert ("line 3: declared latency 4 but the impulse response has latency 5" in err) == (code == 2)
+
+
 FEEDBACK_ADVANCE_CIRCUIT = """\
 n 2
 frames 2

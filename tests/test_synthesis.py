@@ -3,12 +3,16 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import namedtuple
+from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qshift.gf2poly import LaurentPoly, ONE, ZERO, RationalTransfer, parse_poly as pp
-from qshift.symplectic import Gate, StabilizerMatrix, SympMatrix, gate_matrix, row_space_equiv
+from qshift.gf2poly import LaurentPoly, ONE, ZERO, RationalTransfer, parse_poly as pp, poly_divmod
+from qshift.symplectic import (
+    Gate, StabilizerMatrix, SympMatrix, add_column, add_row, gate_matrix, row_space_equiv,
+)
 from qshift import circuit as circuit_mod, synthesis
 from qshift.circuit import (
     PLACEMENT_KINDS,
@@ -40,6 +44,7 @@ from qshift.synthesis import (
     typeII_memory_bound,
     unencoded_stabilizer,
 )
+from qshift.synthesis import _laurent_divides, _pmat_identity, _swap_adds
 from test_circuit import gate_lists_with_identities, mixed_gate_lists
 from test_symplectic import block_diag_zx
 
@@ -188,6 +193,164 @@ def test_smith_laurent_normalization():
     # every row of s is at delay 0, so its unit diagonal entries are 1
     assert sm.diagonal == (ONE, ONE)
     assert_decomposition(sm, m)
+
+
+# ---------------------------------------------------------------------------
+# The Smith form as it stood before the one-loop rewrite, copied unchanged
+# with its quotient rule and its (a, s, col_ops) result: the rewrite must
+# make the same pivots, quotients, swaps and row scalings, so its s,
+# col_ops and a equal these
+
+
+SmithDecomposition = namedtuple("SmithDecomposition", "a s col_ops")
+
+
+def _laurent_div(b: LaurentPoly, a: LaurentPoly) -> LaurentPoly:
+    """Quotient q such that b + q*a has polynomial degree span below a's."""
+    sb, sa = b.delay, a.delay
+    q, _ = poly_divmod(b.shift(-sb), a.shift(-sa))
+    return q.shift(sb - sa)
+
+
+def _smith_reference(matrix) -> SmithDecomposition:
+    """Diagonalize a matrix over GF(2)[D, D^-1] with recorded elementary operations.
+
+    Pivots are the nonzero entries of least span (deg - delay; ties
+    broken by lowest (row, col)), division is ``_laurent_div``, whose
+    remainder has a span below the pivot's, and the diagonal entries
+    divide successively; a monomial divides every entry.  Scaling a row
+    by a monomial changes none of these, so rows keep whatever delay the
+    operations give them until the end, where each row is scaled to delay
+    0.  A monomial is a unit of the Laurent ring, so that scaling is a row
+    operation (recorded in ``a``) and records no column operation.  The
+    rows of the returned ``s`` are at delay 0, so a unit on its diagonal
+    is 1.
+    """
+    rows = [list(r) for r in matrix]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    if nr == 0 or nc == 0:
+        raise ValueError("empty matrix")
+    a = _pmat_identity(nr)
+    col_ops = []
+
+    def low(i):
+        return min(e.delay for e in rows[i] if e)
+
+    def row_add(dst, src, f):
+        add_row(rows[dst], rows[src], f)
+        add_column(a, src, dst, f)
+
+    def row_swap(i, j):
+        rows[i], rows[j] = rows[j], rows[i]
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+
+    def col_add(dst, src, f):
+        add_column(rows, dst, src, f)
+        col_ops.append((src, dst, f))
+
+    def col_swap(i, j):
+        for r in rows:
+            r[i], r[j] = r[j], r[i]
+        col_ops.extend(_swap_adds(i, j))
+
+    def clear(count, entry, add, swap):
+        """Reduce the pivot's line; True when a remainder is swapped into the pivot."""
+        for k in range(count):
+            if k != t and entry(k):
+                q = _laurent_div(entry(k), rows[t][t])
+                if q:
+                    add(k, t, q)
+                if entry(k):
+                    swap(t, k)  # remainder has smaller span
+                    return True
+        return False
+
+    t = 0
+    while t < min(nr, nc):
+        pivot = None
+        for i, j in product(range(t, nr), range(t, nc)):
+            e = rows[i][j]
+            if e and (pivot is None or e.deg - e.delay < span):
+                pivot, span = (i, j), e.deg - e.delay
+                if not span:
+                    break  # a monomial: no entry has a smaller span
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        # the pivot's column, then its row, until neither swaps in a remainder
+        while (clear(nr, lambda i: rows[i][t], row_add, row_swap)
+               or clear(nc, lambda j: rows[t][j], col_add, col_swap)):
+            pass
+        # successive divisibility of invariant factors; a unit divides every
+        # entry.  The culprit row is added times the monomial that aligns its
+        # lowest delay with the pivot row's, as if both were at delay 0.
+        if not rows[t][t].is_monomial:
+            culprit = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
+                            if not _laurent_divides(rows[t][t], rows[i][j])), None)
+            if culprit is not None:
+                row_add(t, culprit, LaurentPoly.monomial(low(t) - low(culprit)))
+                continue
+        t += 1
+    for i in range(nr):  # row i times D^-k, column i of a times D^k
+        if any(rows[i]):
+            k = low(i)
+            rows[i] = [e.shift(-k) for e in rows[i]]
+            for r in a:
+                r[i] = r[i].shift(k)
+
+    return SmithDecomposition(
+        tuple(tuple(r) for r in a),
+        tuple(tuple(r) for r in rows),
+        tuple(col_ops),
+    )
+
+
+_ENTRY = st.sets(st.integers(-3, 3), max_size=3).map(LaurentPoly)
+_NON_MONOMIAL = st.sets(st.integers(-3, 3), min_size=2, max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def smith_inputs(draw):
+    """Laurent matrices up to 4x6 with entries D^-3..D^3, not all zero.
+
+    A third have a last row that is the sum of earlier rows, so their rank
+    is below their row count; a third are diagonal with non-monomial
+    entries, most of which do not divide the next, so they reach the
+    divisibility (culprit-row) step.
+    """
+    kind = draw(st.sampled_from(("random", "dependent", "diagonal")))
+    least = 1 if kind == "random" else 2
+    nr = draw(st.integers(least, 4))
+    nc = draw(st.integers(least, 6))
+    if kind == "diagonal":
+        m = [[ZERO] * nc for _ in range(nr)]
+        for i in range(min(nr, nc)):
+            m[i][i] = draw(_NON_MONOMIAL)
+    else:
+        m = [[draw(_ENTRY) for _ in range(nc)] for _ in range(nr)]
+        if kind == "dependent":
+            picked = draw(st.sets(st.integers(0, nr - 2), min_size=1))
+            m[-1] = [sum((m[i][j] for i in picked), ZERO) for j in range(nc)]
+    assume(any(any(r) for r in m))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(smith_inputs())
+@example(pmat([["1+D", "0"], ["0", "1+D+D^2"]]))  # 1+D does not divide 1+D+D^2
+@example(pmat([["1", "D^-1"], ["D", "1"]]))  # rank 1
+def test_smith_matches_reference(m):
+    ref = _smith_reference([row[:] for row in m])
+    sm = smith_normal_form(m)
+    assert sm.s == ref.s
+    assert sm.col_ops == ref.col_ops
+    assert sm.a == ref.a
 
 
 def test_unencoded_stabilizer():
@@ -564,6 +727,15 @@ def _earliest_stages_full_scan(pls):
     return [p.moved_down(-b) for p, b in zip(shifted, bases)]
 
 
+def _highest_stages(pls):
+    """wire -> highest stage of a slot on it, over the wires the placements touch."""
+    highest = {}
+    for p in pls:
+        for wire, stage in p.slots:
+            highest[wire] = max(highest.get(wire, 0), stage)
+    return highest
+
+
 def _check_schedule_full_scan(section):
     """Every ordered pair and every slot pair, lowest (i, j) reported first."""
     pls = section.placements
@@ -602,7 +774,9 @@ def test_indexed_reduction_scans_match_full_scans():
         expected = _cancel_pairs_full_scan(pls)
         assert synthesis._cancel_identical_pairs(pls) == expected
         several += expected is not None and len(pls) - len(expected) > 2
-        assert synthesis._earliest_stages(pls) == _earliest_stages_full_scan(pls)
+        placed, reach = synthesis._earliest_stages(pls)
+        assert placed == _earliest_stages_full_scan(pls)
+        assert reach == _highest_stages(placed)
     assert several > 150
 
 
@@ -619,7 +793,9 @@ def test_indexed_reduction_scans_match_full_scans_on_long_lists():
         expected = _cancel_pairs_full_scan(pls)
         assert synthesis._cancel_identical_pairs(pls) == expected
         several += expected is not None and len(pls) - len(expected) > 2
-        assert synthesis._earliest_stages(pls) == _earliest_stages_full_scan(pls)
+        placed, reach = synthesis._earliest_stages(pls)
+        assert placed == _earliest_stages_full_scan(pls)
+        assert reach == _highest_stages(placed)
     assert several > 80
 
 
@@ -1034,7 +1210,7 @@ def _dag_exhaustive(ops, n, total):
     for order in orderings:
         if not synthesis._edge_product_matches(order, edges, x, n):
             continue
-        placed = synthesis._earliest_stages(_edge_taps(order, edges))
+        placed, _ = synthesis._earliest_stages(_edge_taps(order, edges))
         m = max((s for p in placed for _, s in p.slots), default=0)
         if best is None or m < best[0]:
             best = (m, order)
