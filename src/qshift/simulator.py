@@ -8,21 +8,28 @@ computation, so impulse responses provide an independent check of every
 closed-form matrix.  Every rule is an XOR or a swap, so one int can
 carry many independent frames as its bits (lanes).
 
+One decoder.  ``run`` and ``impulse_response`` both step the circuit
+through ``_output_masks``, which decodes every output frame into one
+bit mask per lane and output column: bit t of lane k's mask for column
+z_w or x_w is that lane's output there at cycle t.  ``run`` is the
+one-lane case.  ``impulse_response`` runs its 2n impulses as 2n lanes
+and reads two ``horizon insufficient`` verdicts off the masks: output
+in the settling window past the horizon (late), and no output at all
+through the horizon (empty).
+
 Replay rule.  Once the input has gone quiet, the next state and output
 of a cycle depend on the state alone, so the simulator is a
 deterministic finite-state machine.  If the state after cycle t equals
 the state after an earlier cycle t0 (both at or past the last input
 cycle), every later output repeats the outputs of cycles t0+1..t with
-period t - t0.  ``impulse_response`` and ``run`` therefore step only
-until the state repeats, or stop outright when the whole block is quiet;
-the drained all-zero state of a finite-depth circuit is the period-1
-case.  States are recorded from the last input cycle plus the summed
-depth of the finite sections on, when the input has left every one of
-them; any later start is as exact and at most costs cycles.  The
-repeating block is decoded once, and each output mask is extended by
-repeating its bits through the horizon rather than frame by frame.  The
-rule reads the simulator's own state and nothing of the symbolic
-transfer.
+period t - t0.  The decoder therefore steps only until the state
+repeats; the drained all-zero state of a finite-depth circuit is the
+period-1 case.  States are recorded from the last input cycle plus the
+summed depth of the finite sections on, when the input has left every
+one of them; any later start is as exact and at most costs cycles.
+Each mask is then extended by repeating the bits of its last period
+through the window rather than frame by frame.  The rule reads the
+simulator's own state and nothing of the symbolic transfer.
 """
 
 from __future__ import annotations
@@ -317,42 +324,49 @@ def _check_size(c: ShiftRegisterCircuit, cycles: int) -> None:
                          f"limit of {MAX_CYCLES} (MAX_CYCLES)")
 
 
-def _output_frames(c: ShiftRegisterCircuit, frame_at, last: int, cycles: int, record):
-    """Step up to ``cycles`` cycles from a reset state; return (stepped, block).
+def _output_masks(c: ShiftRegisterCircuit, inputs, cycles: int, lanes: int):
+    """Step up to ``cycles`` cycles from a reset state; return (stepped, period, masks).
 
-    Cycle t is fed ``frame_at(t)`` up to the last input cycle ``last`` and
-    a quiet frame after it, and ``record(t, frame)`` gets each stepped
-    output frame.  The state after each cycle is recorded from ``last``
-    plus the summed depth of the finite sections on, when the input has
-    left every one of them.  On the first repeated state stepping stops:
-    the outputs of cycles ``stepped``, ``stepped + 1``, ... repeat
-    ``block``, the last ``len(block)`` stepped frames (module docstring).
-    ``block`` is empty when every later output is quiet or when all
-    ``cycles`` were stepped.
+    Cycle t is fed ``inputs[t]`` while there is one and a quiet frame
+    after.  Bit t of ``masks[k][col]`` is lane k of output column col at
+    cycle t, the columns being z1..zn, x1..xn.  The state after each cycle
+    is recorded from the last input cycle plus the summed depth of the
+    finite sections on, when the input has left every one of them.  On
+    the first repeated state stepping stops: cycles 0 .. ``stepped`` - 1
+    were stepped, the outputs repeat with ``period`` (module docstring),
+    and the bits of the last period are repeated through cycle
+    ``cycles`` - 1.  ``period`` is 0 when all ``cycles`` were stepped.
     """
+    n = c.n
+    masks = [[0] * (2 * n) for _ in range(lanes)]
     state = reset_state(c)
-    quiet = [(0, 0)] * c.n
-    start = last + sum(sec.m for sec in c.sections if isinstance(sec, FiniteSection))
+    quiet = [(0, 0)] * n
+    start = len(inputs) - 1 + sum(sec.m for sec in c.sections if isinstance(sec, FiniteSection))
     seen = {}  # recorded state -> cycle after which it held
-    tail = []  # output frames of cycles start, start + 1, ...
     room = _SNAPSHOT_BYTES
     for t in range(cycles):
-        _, frame = step(c, state, frame_at(t) if t <= last else quiet)
-        record(t, frame)
+        _, frame = step(c, state, inputs[t] if t < len(inputs) else quiet)
+        bit = 1 << t
+        for w, (z, x) in enumerate(frame):
+            while z:
+                low = z & -z
+                masks[low.bit_length() - 1][w] |= bit
+                z ^= low
+            while x:
+                low = x & -x
+                masks[low.bit_length() - 1][n + w] |= bit
+                x ^= low
         if t < start or room <= 0:
             continue
-        tail.append(frame)
         # version 2 writes no object references, so equal states give equal bytes
         key = marshal.dumps(state.parts, 2)
         t0 = seen.setdefault(key, t)
         if t0 == t:
             room -= len(key)
             continue
-        block = tail[t0 + 1 - start:]  # the outputs of cycles t0 + 1 .. t
-        if not any(z or x for out in block for z, x in out):
-            block = []
-        return t + 1, block
-    return cycles, []
+        masks = [[_extend(m, t + 1, t - t0, cycles) for m in row] for row in masks]
+        return t + 1, t - t0, masks
+    return cycles, 0, masks
 
 
 def _extend(mask: int, stepped: int, period: int, end: int) -> int:
@@ -375,9 +389,10 @@ def _extend(mask: int, stepped: int, period: int, end: int) -> int:
 def run(c: ShiftRegisterCircuit, stream: PauliStream, horizon: int) -> PauliStream:
     """Feed the stream from a reset state and collect outputs at cycles 0..horizon.
 
-    Cycles are simulated only until the state after the last input cycle
-    repeats; the bits of the repeating block are then repeated through the
-    horizon (module docstring).
+    The stream is the one lane of ``_output_masks``: cycles are simulated
+    only until the state after the last input cycle repeats, and the bits
+    of the repeating block are repeated through the horizon (module
+    docstring).
     """
     if stream.n != c.n:
         raise ValueError("stream width mismatch")
@@ -389,25 +404,11 @@ def run(c: ShiftRegisterCircuit, stream: PauliStream, horizon: int) -> PauliStre
         raise ValueError("horizon must cover the input stream support")
     _check_size(c, horizon + 1)
     n = c.n
-    out_z = [0] * n  # bit t: output at cycle t
-    out_x = [0] * n
     inputs = [[(int(z), int(x)) for z, x in zip(col[:n], col[n:])]
               for col in stream._columns(0, stream.max_exp)]  # inputs[t] == stream.frame(t)
-
-    def record(t, frame):
-        bit = 1 << t
-        for w, (z, x) in enumerate(frame):
-            if z:
-                out_z[w] |= bit
-            if x:
-                out_x[w] |= bit
-
-    stepped, block = _output_frames(c, inputs.__getitem__, stream.max_exp, horizon + 1, record)
-    if block:
-        out_z, out_x = ([_extend(m, stepped, len(block), horizon + 1) for m in out]
-                        for out in (out_z, out_x))
-    return PauliStream(tuple(_poly(m, 0) for m in out_z),
-                       tuple(_poly(m, 0) for m in out_x))
+    _, _, (out,) = _output_masks(c, inputs, horizon + 1, 1)
+    return PauliStream(tuple(_poly(m, 0) for m in out[:n]),
+                       tuple(_poly(m, 0) for m in out[n:]))
 
 
 def _settle_margin(c: ShiftRegisterCircuit) -> int:
@@ -425,18 +426,21 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
 
     Returns (latency, matrix) where the observed absolute response equals
     matrix * D^latency, truncated at the horizon, with the latency from
-    ``circuit.latency_exponent``.  All 2n impulses run in
-    one pass as bit lanes of the frame: lane k carries Z on wire k+1 for
-    k < n and X on wire k-n+1 for k >= n, and row k of the matrix is
-    decoded from the set bits of lane k.  For finite-depth circuits a
-    quiet settling window past the horizon is required; activity there
-    raises ``horizon insufficient`` at the first late cycle of the lowest
-    late lane, i.e. of the first late impulse in Z1..Zn, X1..Xn order.
-    Cycles are simulated only until the state repeats; the bits of the
-    repeating block are then repeated through the horizon, and its frames
-    fill the settling window, which is exact (module docstring).  That
-    window's replay serves only a finite section that never drains, such
-    as an acausal schedule built through the API; a causal one goes quiet.
+    ``circuit.latency_exponent``.  All 2n impulses run in one pass as the
+    lanes of ``_output_masks``: lane k carries Z on wire k+1 for k < n and
+    X on wire k-n+1 for k >= n, and row k of the matrix is lane k's masks.
+    Two verdicts are read off the masks, in this order, each raising
+    ``horizon insufficient``:
+
+    - late: a finite-depth circuit is also stepped through a quiet
+      settling window past the horizon, and output there names the first
+      late cycle of the lowest late lane, i.e. of the first late impulse
+      in Z1..Zn, X1..Xn order.  Only a finite section that never drains,
+      such as an acausal schedule built through the API, needs the
+      window's repeated bits; a causal one goes quiet.
+    - empty: no output at all through the horizon.  A symplectic transfer
+      has no zero row, so this fires exactly when the horizon is below a
+      feedback circuit's first output.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -444,40 +448,16 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
     cycles = horizon + 1 + (0 if c.has_feedback else _settle_margin(c))
     _check_size(c, cycles)
     impulses = [(1 << w, 1 << (n + w)) for w in range(n)]
-    masks = [[0] * (2 * n) for _ in range(2 * n)]  # [lane][column], bit t: cycle t
-    late = 0
-    late_at = None
-
-    def record(t, frame):
-        nonlocal late, late_at
-        if t > horizon:
-            active = 0
-            for z, x in frame:
-                active |= z | x
-            new = active & ~late
-            if new:
-                late |= new
-                if new & (late & -late):  # the lowest late lane is new
-                    late_at = t
-            return
-        bit = 1 << t
-        for w, (z, x) in enumerate(frame):
-            for col, lanes in ((w, z), (n + w, x)):
-                while lanes:
-                    low = lanes & -lanes
-                    masks[low.bit_length() - 1][col] |= bit
-                    lanes ^= low
-
-    stepped, block = _output_frames(c, lambda t: impulses, 0, cycles, record)
-    if block:
-        if stepped <= horizon:
-            masks = [[_extend(m, stepped, len(block), horizon + 1) for m in row]
-                     for row in masks]
-        # the settling window stays per cycle, so the first late cycle is named
-        for t in range(max(stepped, horizon + 1), cycles):
-            record(t, block[(t - stepped) % len(block)])
-    if late:
-        raise ValueError(f"horizon insufficient: output active at cycle {late_at}")
+    _, _, masks = _output_masks(c, [impulses], cycles, 2 * n)
+    for row in masks:
+        late = 0
+        for m in row:
+            late |= m >> (horizon + 1)
+        if late:
+            raise ValueError("horizon insufficient: output active at cycle "
+                             f"{horizon + (late & -late).bit_length()}")
+    if not any(any(row) for row in masks):
+        raise ValueError(f"horizon insufficient: no output through cycle {horizon}")
     absolute = SympMatrix(n, [[_poly(m, 0) for m in row] for row in masks])
     lat = latency_exponent(c, absolute)
     return lat, absolute.shifted(-lat)

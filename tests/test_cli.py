@@ -157,9 +157,9 @@ def test_verify_rejects_a_wrong_declared_latency(tmp_path, capsys):
 
 @pytest.mark.parametrize("latency, horizon, code", [
     (5, 40, 0), (4, 40, 2),
-    # horizon 3 is short of latency 5: nothing leaves the circuit, so no
-    # declared latency is refused, and the matrices disagree
-    (5, 3, 1), (4, 3, 1),
+    # horizon 3 is short of latency 5: nothing leaves the circuit, which
+    # refuses the horizon before any latency is compared
+    (5, 3, 2), (4, 3, 2),
 ])
 def test_verify_declared_latency_of_a_feedback_circuit(tmp_path, capsys, latency, horizon, code):
     circ = tmp_path / "delayed.circuit"
@@ -169,7 +169,11 @@ def test_verify_declared_latency_of_a_feedback_circuit(tmp_path, capsys, latency
     exp.write_text("n 1\n1/1+D^-1 0\n0 1+D\n")
     assert main(["verify", str(circ), str(exp), "--horizon", str(horizon)]) == code
     err = capsys.readouterr().err
-    assert ("line 3: declared latency 4 but the impulse response has latency 5" in err) == (code == 2)
+    if horizon < 5:
+        assert err == "error: horizon insufficient: no output through cycle 3\n"
+    else:
+        assert err == ("" if latency == 5 else "error: line 3: declared latency 4 "
+                       "but the impulse response has latency 5\n")
 
 
 FEEDBACK_ADVANCE_CIRCUIT = """\

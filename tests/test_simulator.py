@@ -12,6 +12,7 @@ from qshift.circuit import (
     ShiftRegisterCircuit,
     build_from_gate,
     cascade,
+    circuit_from_text,
     circuit_transfer,
     identity_circuit,
 )
@@ -26,7 +27,7 @@ from qshift.simulator import (
     run,
     step,
     symplectic_product,
-    _output_frames,
+    _output_masks,
     _settle_margin,
 )
 from qshift.synthesis import reduce_memory
@@ -416,10 +417,28 @@ def _outcome(fn, *args):
 @given(mixed_gate_lists(), st.data())
 def test_replayed_response_equals_full_window(case, data):
     circ = _circuit(*case)
-    # horizons below the recommended one compare ``horizon insufficient`` too
+    # horizons below the recommended one compare ``horizon insufficient`` too,
+    # and one short of a feedback circuit's first output sees nothing
     horizon = data.draw(st.integers(0, recommended_horizon(circ) + 8))
-    assert _outcome(impulse_response, circ, horizon) == \
-        _outcome(_reference_impulse_response, circ, horizon)
+    expected = _outcome(_reference_impulse_response, circ, horizon)
+    if not isinstance(expected, str) and not any(any(row) for row in expected[1].rows):
+        expected = f"horizon insufficient: no output through cycle {horizon}"
+    assert _outcome(impulse_response, circ, horizon) == expected
+
+
+@pytest.mark.parametrize("kind", ["Z", "X"])
+def test_horizon_short_of_the_first_output(kind):
+    # five frames ahead of a feedback block: nothing leaves before cycle 5
+    circ = circuit_from_text(f"n 1\nframes 6\nlatency 5\nsection depths=5\n"
+                             f"ffb {kind} wire=1 f=1+D\n")
+    for horizon in range(5):
+        with pytest.raises(ValueError) as exc:
+            impulse_response(circ, horizon)
+        assert str(exc.value) == f"horizon insufficient: no output through cycle {horizon}"
+    for horizon in (5, 6, 9, 40):
+        lat, matrix = impulse_response(circ, horizon)
+        assert lat == 5
+        assert (lat, matrix) == _reference_impulse_response(circ, horizon)
 
 
 @st.composite
@@ -467,16 +486,17 @@ def test_periodic_tail_through_long_horizons(kind, f):
     circ = _circuit(2, [Gate("CNOT", (2, 1), pp("D^2")), Gate(kind, (1,), pp(f))])
     stream = PauliStream((pp("1+D^3"), ZERO), (ZERO, pp("D")))
     impulses = [(1 << w, 1 << (2 + w)) for w in range(2)]
-    _, block = _output_frames(circ, lambda t: impulses, 0, 5001, lambda t, frame: None)
-    active = [any(z or x for z, x in out) for out in block]
-    assert len(block) > 1 and any(active) and not all(active)
-    for response, reference, frame_at, last in (
-            (impulse_response, _reference_impulse_response, lambda t: impulses, 0),
+    stepped, period, masks = _output_masks(circ, [impulses], 5001, 4)
+    active = [any(m >> t & 1 for row in masks for m in row)
+              for t in range(stepped - period, stepped)]
+    assert period > 1 and any(active) and not all(active)
+    for response, reference, inputs, lanes in (
+            (impulse_response, _reference_impulse_response, [impulses], 4),
             (lambda c, h: run(c, stream, h), lambda c, h: _reference_run(c, stream, h),
-             stream.frame, stream.max_exp)):
+             [stream.frame(t) for t in range(stream.max_exp + 1)], 1)):
         # cycles 0 .. stepped - 1 are stepped, the last of them repeats a state
-        stepped, block = _output_frames(circ, frame_at, last, 5001, lambda t, frame: None)
-        period = max(len(block), 1)  # an empty block is a quiet tail
+        stepped, period, _ = _output_masks(circ, inputs, 5001, lanes)
+        assert period > 0
         for horizon in (500, 5000, stepped + 7 * period, stepped + 8 * period - 2,
                         stepped - 1, stepped - 2):
             assert response(circ, horizon) == reference(circ, horizon)
