@@ -30,7 +30,6 @@ from .symplectic import (
     row_space_equiv,
 )
 from .circuit import (
-    FeedbackNode,
     FiniteSection,
     Placement,
     ShiftRegisterCircuit,
@@ -74,9 +73,9 @@ __all__ = [
     "Gate", "StabilizerMatrix", "SympMatrix", "dual_containing", "gate_matrix",
     "lam", "parse_gate", "row_space_equiv",
     # circuit
-    "FeedbackNode", "FiniteSection", "Placement", "ShiftRegisterCircuit",
-    "build_from_gate", "cascade", "circuit_from_text", "circuit_to_text",
-    "circuit_transfer", "identity_circuit",
+    "FiniteSection", "Placement", "ShiftRegisterCircuit", "build_from_gate",
+    "cascade", "circuit_from_text", "circuit_to_text", "circuit_transfer",
+    "identity_circuit",
     # simulator
     "PauliStream", "impulse_response", "recommended_horizon", "reset_state",
     "run", "step", "symplectic_product",

@@ -6,7 +6,8 @@ the frame that entered the section s cycles ago (s = 0 is the incoming
 frame, s = depth the frame about to leave).  Single-tap two-point gates
 are placed between slots and applied once per cycle in schedule order;
 after the gates, memory shifts one stage and the oldest frame leaves.
-A feedback section is an opaque one-wire recursion block realizing an
+A feedback section is the ``INF_Z`` or ``INF_X`` gate that it realizes:
+an opaque one-wire recursion block of ``poly.deg`` frames for an
 infinite-depth operation; gates never reach inside it.
 
 A placement between slots (wa, sa) and (wb, sb) realizes the monomial
@@ -23,7 +24,7 @@ the same offsets.  The primitive circuit of one gate
 
 Values are checked once, where they enter the package: the public
 constructors of ``Placement``, ``FiniteSection``, ``ShiftRegisterCircuit``
-and ``FeedbackNode``, ``Placement.moved_down`` and the reader
+and ``Gate``, ``Placement.moved_down`` and the reader
 ``circuit_from_text`` refuse a bad kind, slot, depth, wire or section
 (the reader builds each section once it has checked every line of it),
 and the constructors store sequence fields as tuples, as ``Gate`` does.
@@ -44,8 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2poly import LaurentPoly, ParseError, parse_poly
-from .symplectic import (Gate, apply_gates, check_feedback_poly, check_gate_wires, gates_commute,
-                         read_fields, read_header)
+from .symplectic import (Gate, apply_gates, check_gate_wires, gates_commute, read_fields,
+                         read_header)
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
@@ -150,26 +151,6 @@ def _section(depths: tuple, placements: tuple) -> FiniteSection:
 
 
 @dataclass(frozen=True)
-class FeedbackNode:
-    """One-wire recursion block; kind 'Z' maps z -> z/f(D^-1), x -> f(D) x."""
-
-    kind: str
-    wire: int
-    poly: LaurentPoly
-
-    def __post_init__(self):
-        if self.kind not in ("Z", "X"):
-            raise ValueError("feedback kind must be 'Z' or 'X'")
-        if self.wire < 1:
-            raise ValueError(f"bad feedback wire {self.wire}; wires are numbered from 1")
-        check_feedback_poly(self.poly)
-
-    @property
-    def m(self) -> int:
-        return self.poly.deg
-
-
-@dataclass(frozen=True)
 class ShiftRegisterCircuit:
     n: int
     sections: tuple
@@ -180,8 +161,8 @@ class ShiftRegisterCircuit:
             if isinstance(sec, FiniteSection):
                 if len(sec.depths) != self.n:
                     raise ValueError("section wire count mismatch")
-            elif isinstance(sec, FeedbackNode):
-                if sec.wire > self.n:
+            elif isinstance(sec, Gate) and sec.kind in ("INF_Z", "INF_X"):
+                if sec.wires[0] > self.n:
                     raise ValueError("feedback wire out of range")
             else:
                 raise TypeError(f"unknown section {sec!r}")
@@ -189,11 +170,12 @@ class ShiftRegisterCircuit:
     @property
     def m(self) -> int:
         """Total memory frames across all sections."""
-        return sum(sec.m for sec in self.sections)
+        return sum(sec.m if isinstance(sec, FiniteSection) else sec.poly.deg
+                   for sec in self.sections)
 
     @property
     def has_feedback(self) -> bool:
-        return any(isinstance(sec, FeedbackNode) for sec in self.sections)
+        return any(isinstance(sec, Gate) for sec in self.sections)
 
     @property
     def placements(self) -> tuple:
@@ -255,10 +237,11 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
     every wire by d (a DELAY only its own wire).  A CPHASE1 tap D^e
     (e >= 1) couples (i, e) to (i, 0).  H and P sit on the incoming
     frame.  A ``FiniteSection``'s placements move down by the offsets and
-    its depths add to them.  A feedback gate or ``FeedbackNode`` closes
-    the run, which becomes one ``FiniteSection`` unless it has no
-    placements and no depth, and passes through as a ``FeedbackNode``.
-    Gates with a zero polynomial lay out nothing.
+    its depths add to them.  A feedback gate (INF_Z or INF_X, which is
+    also how a circuit holds its feedback sections) closes the run, which
+    becomes one ``FiniteSection`` unless it has no placements and no
+    depth, and passes through as it is.  Gates with a zero polynomial lay
+    out nothing.
     """
     sections = []
     offsets, placements = [0] * n, []
@@ -275,7 +258,7 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
             kind, i = b.kind, b.wires[0]
             if kind in ("INF_Z", "INF_X"):
                 close_run()
-                sections.append(FeedbackNode(kind[-1], i, b.poly))
+                sections.append(b)
             elif kind in ("H", "P"):
                 placements.append(_placement(kind, (i, offsets[i - 1])))
             elif kind == "DELAY":
@@ -287,7 +270,7 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
                     offsets[i - 1], offsets[j - 1]))
                 span = b.poly.abs_deg
                 offsets = [o + span for o in offsets]
-        elif isinstance(b, FiniteSection):
+        else:
             if any(offsets):
                 placements.extend(
                     _placement(p.kind, *((w, s + offsets[w - 1]) for w, s in p.slots))
@@ -295,9 +278,6 @@ def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
             else:
                 placements.extend(b.placements)
             offsets = [o + d for o, d in zip(offsets, b.depths)]
-        else:
-            close_run()
-            sections.append(b)
     close_run()
     return _circuit(n, tuple(sections))
 
@@ -427,9 +407,8 @@ def _placement_gate(p: Placement) -> Gate:
 
 def _section_gates(sec) -> list:
     """Gates whose ordered product is the section's transfer."""
-    if isinstance(sec, FeedbackNode):
-        kind = "INF_Z" if sec.kind == "Z" else "INF_X"
-        return [Gate(kind, (sec.wire,), sec.poly)]
+    if isinstance(sec, Gate):
+        return [sec]
     check_schedule(sec)
     gates = [_placement_gate(p) for p in sec.placements]
     # per-wire output delay applied on the output side
@@ -465,8 +444,8 @@ def circuit_to_text(c: ShiftRegisterCircuit) -> str:
     matrix, lat = circuit_transfer(c)
     lines = [f"n {c.n}", f"frames {c.m}", f"latency {lat}"]
     for sec in c.sections:
-        if isinstance(sec, FeedbackNode):
-            lines.append(f"ffb {sec.kind} wire={sec.wire} f={sec.poly}")
+        if isinstance(sec, Gate):
+            lines.append(f"ffb {sec.kind[-1]} wire={sec.wires[0]} f={sec.poly}")
             continue
         lines.append("section depths=" + ",".join(str(d) for d in sec.depths))
         for p in sec.placements:
@@ -479,8 +458,11 @@ def circuit_to_text(c: ShiftRegisterCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_slot(token: str):
-    wire, _, stage = token.partition("@")
+def _parse_slot(kv: dict, key: str):
+    """The slot ``(wire, stage)`` that field ``key`` writes as ``wire@stage``."""
+    wire, at, stage = kv[key].partition("@")
+    if not at:
+        raise ParseError(f"slot {key + '=' + kv[key]!r} has no '@'")
     return (int(wire), int(stage))
 
 
@@ -531,11 +513,13 @@ def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterC
                 if depths is None:
                     raise ParseError("gate line outside a section")
                 fields = rest.split()
+                if not fields:
+                    raise ParseError("gate line has no kind")
                 kind = fields[0]
                 kv = read_fields(fields[1:], _ONE_SLOT_FIELDS if kind in ("H", "P")
                                  else _GATE_FIELDS)
-                a = _parse_slot(kv["a"])
-                b = _parse_slot(kv["b"]) if "b" in kv else None
+                a = _parse_slot(kv, "a")
+                b = _parse_slot(kv, "b") if "b" in kv else None
                 p = Placement(kind, a, b)
                 if "s" in kv and int(kv["s"]) != max(s for _, s in p.slots):
                     raise ParseError("stage field disagrees with slots")
@@ -547,16 +531,26 @@ def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterC
             elif head == "ffb":
                 flush()
                 fields = rest.split()
+                if not fields:
+                    raise ParseError("ffb line has no kind")
                 kind = fields[0]
                 kv = read_fields(fields[1:], _FEEDBACK_FIELDS)
-                sections.append(FeedbackNode(kind, int(kv["wire"]), parse_poly(kv["f"])))
-                if sections[-1].wire > n:
-                    raise ParseError(f"feedback wire {sections[-1].wire} of {n}")
+                wire, f = int(kv["wire"]), parse_poly(kv["f"])
+                # ValueError, so that both refusals read as malformed lines
+                if kind not in ("Z", "X"):
+                    raise ValueError("feedback kind must be 'Z' or 'X'")
+                if wire < 1:
+                    raise ValueError(f"bad feedback wire {wire}; wires are numbered from 1")
+                sections.append(Gate("INF_" + kind, (wire,), f))
+                if wire > n:
+                    raise ParseError(f"feedback wire {wire} of {n}")
             else:
                 raise ParseError(f"unrecognized line {line!r}")
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        except (KeyError, ValueError, IndexError) as exc:
+        except KeyError as exc:  # a field that the line's kind needs
+            raise ParseError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
+        except ValueError as exc:
             raise ParseError(f"line {lineno}: malformed circuit line {line!r}: {exc}") from exc
     flush()
     for lineno, sec in finite:  # circuit_to_text writes only causal schedules

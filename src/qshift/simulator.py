@@ -38,8 +38,8 @@ import marshal
 from dataclasses import dataclass, field
 
 from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly
-from .circuit import FeedbackNode, FiniteSection, ShiftRegisterCircuit, latency_exponent
-from .symplectic import SympMatrix, read_fields, read_header
+from .circuit import FiniteSection, ShiftRegisterCircuit, latency_exponent
+from .symplectic import Gate, SympMatrix, read_fields, read_header
 
 MAX_MEMORY_FRAMES = 10_000  # largest circuit memory m the simulator accepts
 MAX_CYCLES = MAX_SPAN  # most cycles one simulation may cover: horizon plus settle margin
@@ -54,7 +54,7 @@ class SimState:
     """Mutable per-section memory bits; reset state is the identity Pauli.
 
     A finite section keeps, per wire, its cells as [z, x] pairs, newest
-    first; a feedback node keeps its ``m`` cells as [z, x] pairs.
+    first; a feedback section keeps its ``poly.deg`` cells as [z, x] pairs.
     """
 
     parts: list = field(default_factory=list)
@@ -68,8 +68,7 @@ def reset_state(c: ShiftRegisterCircuit) -> SimState:
         if isinstance(sec, FiniteSection):
             parts.append([[[0, 0] for _ in range(d)] for d in sec.depths])
         else:
-            m = sec.m
-            parts.append([[0, 0] for _ in range(m)])  # cells hold [z, x]
+            parts.append([[0, 0] for _ in range(sec.poly.deg)])  # cells hold [z, x]
     return SimState(parts)
 
 
@@ -108,14 +107,14 @@ def _step_finite(sec: FiniteSection, cells, frame):
     return [tuple(regs.pop()) for regs in cells]
 
 
-def _step_feedback(sec: FeedbackNode, cells, frame):
-    m = sec.m
+def _step_feedback(sec: Gate, cells, frame):
+    m = sec.poly.deg
     f = sec.poly._mask  # delay 0, so bit i is the tap f_i
-    w = sec.wire - 1
+    w = sec.wires[0] - 1
     z_in, x_in = frame[w]
     prev = [cell[:] for cell in cells]  # recursions read last cycle's state
 
-    if sec.kind == "Z":
+    if sec.kind == "INF_Z":
         ff_in, fb_in = x_in, z_in
         ff, fb = 1, 0  # feedforward updates the x component
     else:
@@ -139,7 +138,7 @@ def _step_feedback(sec: FeedbackNode, cells, frame):
         cells[i - 1][fb] = prev[i - 2][fb]
 
     out = list(frame)
-    out[w] = (fb_out, ff_out) if sec.kind == "Z" else (ff_out, fb_out)
+    out[w] = (fb_out, ff_out) if sec.kind == "INF_Z" else (ff_out, fb_out)
     return out
 
 
@@ -191,8 +190,8 @@ def responds_at_once(c: ShiftRegisterCircuit) -> bool:
             _run_placements(sec.placements, cells)
             frame = [tuple(regs.get(d, (0, 0))) for regs, d in zip(cells, sec.depths)]
         else:
-            z, x = frame[sec.wire - 1]
-            frame[sec.wire - 1] = (0, x) if sec.kind == "Z" else (z, 0)
+            z, x = frame[sec.wires[0] - 1]
+            frame[sec.wires[0] - 1] = (0, x) if sec.kind == "INF_Z" else (z, 0)
     return any(z or x for z, x in frame)
 
 

@@ -82,19 +82,13 @@ class Gate:
             raise ValueError(f"{kind} {'needs a polynomial f' if last else 'takes no polynomial'}")
         elif kind == "CPHASE1" and f and f.delay < 1:
             raise ValueError("self-phase at lag 0 is a P gate")
-        elif kind in ("INF_Z", "INF_X"):
-            check_feedback_poly(f)
+        elif kind in ("INF_Z", "INF_X") and (not f or f.delay != 0 or f.deg < 1):
+            raise ValueError("feedback polynomial must have delay 0 and degree >= 1")
 
     def __str__(self) -> str:
         last = GATE_SHAPES[self.kind][1]
         arg = () if last is None else (self.poly.deg if last == "l" else self.poly,)
         return " ".join(map(str, (_KIND_TO_TEXT.get(self.kind, self.kind), *self.wires, *arg)))
-
-
-def check_feedback_poly(f: LaurentPoly) -> None:
-    """The feedback rule of INF_Z, INF_X and ``circuit.FeedbackNode``: delay 0, degree >= 1."""
-    if not f or f.delay != 0 or f.deg < 1:
-        raise ValueError("feedback polynomial must have delay 0 and degree >= 1")
 
 
 def check_wire_count(n: int, lineno: int | None = None) -> None:
@@ -134,10 +128,15 @@ def read_header(text: str):
 def read_fields(words, keys: frozenset) -> dict:
     """The ``key=value`` words of a record line as a dict.
 
-    A key outside ``keys`` or a repeated key is refused, since writing
-    the record back would drop it; the first such key in the line is named.
+    A word without ``=``, a key outside ``keys`` or a repeated key is
+    refused, since writing the record back would drop it; the first such
+    word or key in the line is named.
     """
-    kv = dict(w.split("=", 1) for w in words)
+    try:
+        kv = dict(w.split("=", 1) for w in words)
+    except ValueError:  # a word without "=" splits into one item
+        bare = next(w for w in words if "=" not in w)
+        raise ParseError(f"field {bare!r} has no '='") from None
     if len(kv) != len(words) or not kv.keys() <= keys:
         named = [w.split("=", 1)[0] for w in words]
         key = next(k for k in named if k not in keys or named.count(k) > 1)

@@ -10,7 +10,6 @@ from qshift.symplectic import Gate, SympMatrix, gate_matrix
 from qshift import circuit as circuit_mod
 from qshift.circuit import (
     PLACEMENT_KINDS,
-    FeedbackNode,
     FiniteSection,
     Placement,
     ShiftRegisterCircuit,
@@ -65,14 +64,10 @@ def test_section_validation():
         FiniteSection((1, 1), (Placement("CNOT", (1, 2), (2, 0)),))
     with pytest.raises(ValueError, match="negative pipeline depth"):
         FiniteSection((1, -1), ())
-    with pytest.raises(ValueError, match="feedback polynomial must have delay 0"):
-        FeedbackNode("Z", 1, ONE)
-    with pytest.raises(ValueError, match="bad feedback wire 0"):
-        FeedbackNode("Z", 0, pp("1+D"))
     with pytest.raises(ValueError, match="section wire count mismatch"):
         ShiftRegisterCircuit(3, (FiniteSection((1, 1), (cnot,)),))
     with pytest.raises(ValueError, match="feedback wire out of range"):
-        ShiftRegisterCircuit(2, (FeedbackNode("Z", 3, pp("1+D")),))
+        ShiftRegisterCircuit(2, (Gate("INF_Z", (3,), pp("1+D")),))
     with pytest.raises(TypeError, match="unknown section"):
         ShiftRegisterCircuit(2, (Gate("H", (1,)),))
 
@@ -505,6 +500,11 @@ def test_section_errors_are_located():
         circuit_from_text("n 2\nffb Z wire=1 f=1+D\nsection depths=1\n")
     with pytest.raises(ParseError, match=r"^line 2: feedback wire 3 of 2"):
         circuit_from_text("n 2\nffb Z wire=3 f=1+D\n")
+    for line, fault in (("ffb Q wire=1 f=1+D", "feedback kind must be 'Z' or 'X'"),
+                        ("ffb Z wire=0 f=1+D", "bad feedback wire 0; wires are numbered from 1")):
+        with pytest.raises(ParseError) as exc:
+            circuit_from_text(f"n 2\n{line}\n")
+        assert str(exc.value) == f"line 2: malformed circuit line {line!r}: {fault}"
     with pytest.raises(ParseError) as exc:
         circuit_from_text("n 2\nframes 5\nsection depths=1,1\ngate CNOT s=1 a=1@1 b=2@0 f=D\n")
     assert str(exc.value) == "line 2: declared frames 5 but circuit has 1"
@@ -512,6 +512,18 @@ def test_section_errors_are_located():
         circuit_from_text("n 2\nsection 1,1\n")
     with pytest.raises(ParseError, match="^line 3: stage field disagrees with slots$"):
         circuit_from_text("n 2\nsection depths=1,1\ngate CNOT s=0 a=1@1 b=2@0\n")
+
+
+@pytest.mark.parametrize("kind", ["INF_Z", "INF_X"])
+def test_feedback_section_is_its_inf_gate(kind):
+    # a circuit holds each feedback section as the INF gate that built it
+    g, h = Gate(kind, (2,), pp("1+D")), Gate(kind, (1,), pp("1+D+D^3"))
+    assert build_from_gate(g, 2).sections == (g,)
+    assert cascade(build_from_gate(g, 2), build_from_gate(h, 2)).sections == (g, h)
+    line = f"ffb {kind[-1]} wire=2 f=1+D"
+    c = circuit_from_text(f"n 2\n{line}\n")
+    assert c.sections == (Gate(kind, (2,), pp("1+D")),)
+    assert circuit_to_text(c).splitlines()[-1] == line
 
 
 def test_public_constructors_store_tuples():
@@ -525,7 +537,7 @@ def test_public_constructors_store_tuples():
     h = build_from_gate(Gate("H", (1,)), 2)
     assert (cascade(ShiftRegisterCircuit(2, []), h)
             == cascade(ShiftRegisterCircuit(2, ()), h) == h)
-    from_lists = ShiftRegisterCircuit(2, [listed, FeedbackNode("Z", 2, pp("1+D"))])
-    from_tuples = ShiftRegisterCircuit(2, (tupled, FeedbackNode("Z", 2, pp("1+D"))))
+    from_lists = ShiftRegisterCircuit(2, [listed, Gate("INF_Z", (2,), pp("1+D"))])
+    from_tuples = ShiftRegisterCircuit(2, (tupled, Gate("INF_Z", (2,), pp("1+D"))))
     assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
     assert reduce_memory(from_lists) == reduce_memory(from_tuples)

@@ -77,6 +77,7 @@ def test_gate_text_round_trip():
     ("CPHASE1", (1,), "1+D", "self-phase at lag 0 is a P gate"),
     ("INF_Z", (1,), "D+D^2", "feedback polynomial must have delay 0 and degree >= 1"),
     ("INF_X", (1,), "1", "feedback polynomial must have delay 0 and degree >= 1"),
+    ("INF_Z", (0,), "1+D", "wires are numbered from 1"),
 ])
 def test_gate_shape_refusals(kind, wires, poly, message):
     # every refusal reads its kind's shape from symplectic.GATE_SHAPES

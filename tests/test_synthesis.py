@@ -16,7 +16,6 @@ from qshift.symplectic import (
 from qshift import circuit as circuit_mod, synthesis
 from qshift.circuit import (
     PLACEMENT_KINDS,
-    FeedbackNode,
     FiniteSection,
     Placement,
     ShiftRegisterCircuit,
@@ -905,7 +904,7 @@ def test_reduce_memory_equals_greedy_move_loop(case):
 def _rebuilt(c):
     """``c`` rebuilt through the public constructors, which check every value."""
     return ShiftRegisterCircuit(c.n, tuple(
-        FeedbackNode(sec.kind, sec.wire, sec.poly) if isinstance(sec, FeedbackNode)
+        Gate(sec.kind, sec.wires, sec.poly) if isinstance(sec, Gate)
         else FiniteSection(tuple(sec.depths),
                            tuple(Placement(p.kind, p.a, p.b) for p in sec.placements))
         for sec in c.sections))
@@ -983,7 +982,7 @@ def _primitive_sections(g, n):
         raise ValueError(f"gate {g} references a wire beyond {n}")
     i, f = g.wires[0], g.poly
     if g.kind in ("INF_Z", "INF_X"):
-        return [circuit_mod.FeedbackNode(g.kind[-1], i, f)]
+        return [g]
     if g.kind in ("H", "P"):
         return [FiniteSection((0,) * n, (Placement(g.kind, (i, 0)),))]
     if g.kind == "DELAY":
@@ -1006,8 +1005,8 @@ def _merge_runs(sections, n):
     A finite section with no placements and no depth on any wire is
     skipped; a finite section that follows another is merged into it one
     pipeline downstream, its slots on wire w moved by the depth of w in
-    the section before, and the depths of the two added; a feedback node
-    passes through and ends the run.
+    the section before, and the depths of the two added; a feedback
+    section (an INF gate) passes through and ends the run.
     """
     out = []
     for sec in sections:
@@ -1065,7 +1064,7 @@ def test_cascade_all_equals_block_by_block_cascade(case, narrow):
 
 @st.composite
 def section_lists(draw):
-    """(n, sections, cut): finite sections of every shape and feedback nodes.
+    """(n, sections, cut): finite sections of every shape and feedback sections.
 
     A finite section is trivial (no placements, no depth), only delays
     (depth on some wire, no placements) or holds up to three placements
@@ -1079,8 +1078,8 @@ def section_lists(draw):
                                       "feedback")))
         if shape == "feedback":
             rest = draw(st.sets(st.integers(1, 3), min_size=1))
-            sections.append(circuit_mod.FeedbackNode(
-                draw(st.sampled_from("ZX")), draw(wire), LaurentPoly({0} | rest)))
+            sections.append(Gate(
+                "INF_" + draw(st.sampled_from("ZX")), (draw(wire),), LaurentPoly({0} | rest)))
             continue
         depths = (0,) * n
         if shape != "trivial":
@@ -1105,11 +1104,11 @@ def section_lists(draw):
 @example((2, [FiniteSection((0, 0), ()), FiniteSection((1, 0), ()),
               FiniteSection((0, 2), (Placement("CNOT", (1, 0), (2, 2)),)),
               FiniteSection((1, 1), (Placement("H", (2, 1)),)),
-              circuit_mod.FeedbackNode("Z", 2, pp("1+D")), FiniteSection((0, 0), ()),
+              Gate("INF_Z", (2,), pp("1+D")), FiniteSection((0, 0), ()),
               FiniteSection((0, 1), ()), FiniteSection((0, 0), (Placement("P", (1, 0)),))],
           3))
-@example((1, [circuit_mod.FeedbackNode("X", 1, pp("1+D^2")), FiniteSection((2,), ()),
-              circuit_mod.FeedbackNode("Z", 1, pp("1+D"))], 1))
+@example((1, [Gate("INF_X", (1,), pp("1+D^2")), FiniteSection((2,), ()),
+              Gate("INF_Z", (1,), pp("1+D"))], 1))
 def test_section_layout_equals_run_merging(case):
     # cascade and reduce_memory lay sections out through _cascade_all; the
     # reference merges them run by run
@@ -1148,7 +1147,7 @@ def block_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(block_lists())
 @example((2, [FiniteSection((1, 1), (Placement("CNOT", (1, 1), (2, 0)),)),
-              circuit_mod.FeedbackNode("Z", 1, pp("1+D")), Gate("CNOT", (2, 1), pp("D"))]))
+              Gate("INF_Z", (1,), pp("1+D")), Gate("CNOT", (2, 1), pp("D"))]))
 def test_cascade_all_lays_out_gates_and_sections_together(case):
     # each gate is its primitive block; the run after a feedback block is
     # laid out afresh even when it has the shape of the run before it

@@ -202,3 +202,24 @@ def test_repeated_field_is_refused(read, text, message):
     with pytest.raises(ParseError) as exc:
         read(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("read, text, message", [
+    # each used to report Python's own error: 'f', a dict() or int() failure,
+    # or "list index out of range"
+    (circuit_from_text, "n 2\nffb Z wire=1\n", "line 2: missing field 'f'"),
+    (circuit_from_text, "n 2\nffb Z f=1+D\n", "line 2: missing field 'wire'"),
+    (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT s=1 b=2@0\n",
+     "line 3: missing field 'a'"),
+    (circuit_from_text, "n 2\nffb Z wire1 f=1+D\n", "line 2: field 'wire1' has no '='"),
+    (PauliStream.from_text, "n 2\nn=0 z=10 x\n", "line 2: field 'x' has no '='"),
+    (circuit_from_text, "n 2\nffb\n", "line 2: ffb line has no kind"),
+    (circuit_from_text, "n 2\nsection depths=1,1\ngate\n", "line 3: gate line has no kind"),
+    (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT a=1 b=2@0\n",
+     "line 3: slot 'a=1' has no '@'"),
+], ids=["ffb-f", "ffb-wire", "gate-a", "ffb-bare-word", "stream-bare-word", "ffb-kind",
+        "gate-kind", "gate-slot"])
+def test_malformed_record_line_names_its_fault(read, text, message):
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    assert str(exc.value) == message
