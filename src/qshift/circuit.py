@@ -458,12 +458,20 @@ def circuit_to_text(c: ShiftRegisterCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(text: str, what: str) -> int:
+    """``text`` as an integer, or a ParseError that names it as a ``what``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}") from None
+
+
 def _parse_slot(kv: dict, key: str):
     """The slot ``(wire, stage)`` that field ``key`` writes as ``wire@stage``."""
     wire, at, stage = kv[key].partition("@")
     if not at:
         raise ParseError(f"slot {key + '=' + kv[key]!r} has no '@'")
-    return (int(wire), int(stage))
+    return (_parse_int(wire, "wire"), _parse_int(stage, "stage"))
 
 
 def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterCircuit:
@@ -499,12 +507,12 @@ def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterC
                 if head in declared:
                     raise ParseError(f"repeated {head!r} line (first on line "
                                      f"{declared[head][1]})")
-                declared[head] = (int(rest), lineno)
+                declared[head] = (_parse_int(rest, head), lineno)
             elif head == "section":
                 flush()
                 if not rest.startswith("depths="):
                     raise ParseError("section line needs depths=")
-                depths = [int(v) for v in rest[len("depths="):].split(",")]
+                depths = [_parse_int(v, "depth") for v in rest[len("depths="):].split(",")]
                 if any(d < 0 for d in depths):
                     raise ParseError("negative pipeline depth")
                 placements = []
@@ -521,7 +529,7 @@ def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterC
                 a = _parse_slot(kv, "a")
                 b = _parse_slot(kv, "b") if "b" in kv else None
                 p = Placement(kind, a, b)
-                if "s" in kv and int(kv["s"]) != max(s for _, s in p.slots):
+                if "s" in kv and _parse_int(kv["s"], "stage") != max(s for _, s in p.slots):
                     raise ParseError("stage field disagrees with slots")
                 if "f" in kv and b is not None:
                     if parse_poly(kv["f"]) != LaurentPoly.monomial(a[1] - b[1]):
@@ -535,7 +543,7 @@ def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterC
                     raise ParseError("ffb line has no kind")
                 kind = fields[0]
                 kv = read_fields(fields[1:], _FEEDBACK_FIELDS)
-                wire, f = int(kv["wire"]), parse_poly(kv["f"])
+                wire, f = _parse_int(kv["wire"], "wire"), parse_poly(kv["f"])
                 # ValueError, so that both refusals read as malformed lines
                 if kind not in ("Z", "X"):
                     raise ValueError("feedback kind must be 'Z' or 'X'")

@@ -35,7 +35,7 @@ simulator's own state and nothing of the symbolic transfer.
 from __future__ import annotations
 
 import marshal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly
 from .circuit import FiniteSection, ShiftRegisterCircuit, latency_exponent
@@ -49,27 +49,21 @@ _SNAPSHOT_BYTES = 1 << 25
 _FRAME_FIELDS = frozenset(("n", "z", "x"))  # the fields of a stream frame line
 
 
-@dataclass
-class SimState:
-    """Mutable per-section memory bits; reset state is the identity Pauli.
+def reset_state(c: ShiftRegisterCircuit) -> list:
+    """All-zero cells (the identity Pauli), one list per section.
 
     A finite section keeps, per wire, its cells as [z, x] pairs, newest
-    first; a feedback section keeps its ``poly.deg`` cells as [z, x] pairs.
+    first; a feedback section keeps its ``poly.deg`` cells as [z, x]
+    pairs.  A circuit above MAX_MEMORY_FRAMES is refused first.
     """
-
-    parts: list = field(default_factory=list)
-
-
-def reset_state(c: ShiftRegisterCircuit) -> SimState:
-    """All-zero cells for every section; a circuit above MAX_MEMORY_FRAMES is refused first."""
     _check_size(c, 0)
     parts = []
     for sec in c.sections:
         if isinstance(sec, FiniteSection):
             parts.append([[[0, 0] for _ in range(d)] for d in sec.depths])
         else:
-            parts.append([[0, 0] for _ in range(sec.poly.deg)])  # cells hold [z, x]
-    return SimState(parts)
+            parts.append([[0, 0] for _ in range(sec.poly.deg)])
+    return parts
 
 
 def _run_placements(placements, cells) -> None:
@@ -121,8 +115,8 @@ def _step_feedback(sec: Gate, cells, frame):
         ff_in, fb_in = z_in, x_in
         ff, fb = 0, 1
 
-    # feedforward side: out = m_M + f_0 * in; cell_i collects f_{M-i+1} * in
-    ff_out = prev[m - 1][ff] ^ (ff_in if f & 1 else 0)
+    # feedforward side: out = m_M + in (f_0 = 1 at delay 0); cell_i collects f_{M-i+1} * in
+    ff_out = prev[m - 1][ff] ^ ff_in
     cells[0][ff] = ff_in
     for i in range(2, m + 1):
         tap = ff_in if f >> (m - i + 1) & 1 else 0
@@ -142,14 +136,14 @@ def _step_feedback(sec: Gate, cells, frame):
     return out
 
 
-def step(c: ShiftRegisterCircuit, state: SimState, frame_in):
-    """Advance one cycle; returns (state, frame_out).
+def step(c: ShiftRegisterCircuit, state: list, frame_in):
+    """Advance one cycle; returns the output frame.
 
     ``frame_in`` is a length-n sequence of (z, x) pairs.  Each z/x value
     is a lane mask, a non-negative int; bit k is lane k, and lanes are
     independent Pauli frames that share the pass (a 0/1 frame is the
     one-lane case).  The frame flows through every section within the
-    cycle.  ``state`` is updated in place and returned for convenience.
+    cycle.  ``state``, the cell lists of ``reset_state``, is updated in place.
     """
     if len(frame_in) != c.n:
         raise ValueError(f"frame width {len(frame_in)} != {c.n}")
@@ -157,12 +151,12 @@ def step(c: ShiftRegisterCircuit, state: SimState, frame_in):
     for z, x in frame:
         if z < 0 or x < 0:
             raise ValueError(f"negative lane mask in frame {frame}")
-    for sec, cells in zip(c.sections, state.parts):
+    for sec, cells in zip(c.sections, state):
         if isinstance(sec, FiniteSection):
             frame = _step_finite(sec, cells, frame)
         else:
             frame = _step_feedback(sec, cells, frame)
-    return state, frame
+    return frame
 
 
 def responds_at_once(c: ShiftRegisterCircuit) -> bool:
@@ -344,7 +338,7 @@ def _output_masks(c: ShiftRegisterCircuit, inputs, cycles: int, lanes: int):
     seen = {}  # recorded state -> cycle after which it held
     room = _SNAPSHOT_BYTES
     for t in range(cycles):
-        _, frame = step(c, state, inputs[t] if t < len(inputs) else quiet)
+        frame = step(c, state, inputs[t] if t < len(inputs) else quiet)
         bit = 1 << t
         for w, (z, x) in enumerate(frame):
             while z:
@@ -358,7 +352,7 @@ def _output_masks(c: ShiftRegisterCircuit, inputs, cycles: int, lanes: int):
         if t < start or room <= 0:
             continue
         # version 2 writes no object references, so equal states give equal bytes
-        key = marshal.dumps(state.parts, 2)
+        key = marshal.dumps(state, 2)
         t0 = seen.setdefault(key, t)
         if t0 == t:
             room -= len(key)

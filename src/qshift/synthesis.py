@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import permutations
+from functools import cache, cached_property, partial
+from graphlib import CycleError, TopologicalSorter
+from itertools import combinations, permutations
 
 from .gf2poly import (
     LaurentPoly,
@@ -539,37 +540,25 @@ def _simplify_ops(ops, n: int):
     exactly; only the decomposition into elementary gates changes.
     """
     ops = [g for g in ops if not _gate_is_identity(g)]
-    memo = {}
-
-    def commute(a, b):
-        found = memo.get((a, b))
-        if found is None:
-            found = memo[a, b] = gates_commute(a, b, n)
-        return found
-
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(ops)):
-            for b in range(a + 1, len(ops)):
-                merged = _merge_gates(ops[a], ops[b])
-                if merged is None:
-                    continue
-                between = ops[a + 1:b]
-                if all(commute(ops[b], q) for q in between):
-                    spot = a  # b moves back to a
-                elif all(commute(ops[a], q) for q in between):
-                    spot = b - 1  # a moves forward to b
-                else:
-                    continue
-                ops.pop(b)
-                ops.pop(a)
-                ops[spot:spot] = merged
-                changed = True
-                break
-            if changed:
-                break
-    return ops
+    commute = cache(partial(gates_commute, n=n))
+    while True:  # merge the first mergeable pair, then start over
+        for a, b in combinations(range(len(ops)), 2):
+            merged = _merge_gates(ops[a], ops[b])
+            if merged is None:
+                continue
+            between = ops[a + 1:b]
+            if all(commute(ops[b], q) for q in between):
+                spot = a  # b moves back to a
+            elif all(commute(ops[a], q) for q in between):
+                spot = b - 1  # a moves forward to b
+            else:
+                continue
+            ops.pop(b)
+            ops.pop(a)
+            ops[spot:spot] = merged
+            break
+        else:
+            return ops
 
 
 def _edge_product_matches(order, edges, target, n):
@@ -606,22 +595,18 @@ def _cnot_dag_candidate(ops, n: int, total: SympMatrix):
     if not edges:
         return []
     floor = max(f.abs_deg for f in edges.values())
-    succ = {i: set() for i in range(n)}
-    indeg = {i: 0 for i in range(n)}
-    for (i, j) in edges:
-        if j not in succ[i]:
-            succ[i].add(j)
-            indeg[j] += 1
-    queue = sorted(i for i in range(n) if indeg[i] == 0)
-    pos = {}
-    while queue:
-        v = queue.pop(0)
-        pos[v] = len(pos)
-        for w in sorted(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(pos) != n:
+    # this insertion order (wires first, then edges by (target, source)) is
+    # what makes the sorter emit the order of a first-in first-out Kahn queue
+    # started lowest first: ready wires lowest first, and each wire's
+    # successors released in ascending order
+    sorter = TopologicalSorter()
+    for w in range(n):
+        sorter.add(w)
+    for i, j in sorted(edges, key=lambda e: (e[1], e[0])):
+        sorter.add(j, i)
+    try:
+        pos = {w: k for k, w in enumerate(sorter.static_order())}
+    except CycleError:
         return None  # cyclic wire couplings
     if len(edges) <= 5:
         orderings = permutations(edges)

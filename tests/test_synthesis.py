@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, RationalTransfer, parse_poly as pp, poly_divmod
 from qshift.symplectic import (
-    Gate, StabilizerMatrix, SympMatrix, add_column, add_row, gate_matrix, row_space_equiv,
+    Gate, StabilizerMatrix, SympMatrix, add_column, add_row, gate_matrix, gates_commute,
+    row_space_equiv,
 )
 from qshift import circuit as circuit_mod, synthesis
 from qshift.circuit import (
@@ -43,7 +44,9 @@ from qshift.synthesis import (
     typeII_memory_bound,
     unencoded_stabilizer,
 )
-from qshift.synthesis import _laurent_divides, _pmat_identity, _swap_adds
+from qshift.synthesis import (
+    _gate_is_identity, _laurent_divides, _merge_gates, _pmat_identity, _swap_adds,
+)
 from test_circuit import gate_lists_with_identities, mixed_gate_lists
 from test_symplectic import block_diag_zx
 
@@ -901,6 +904,55 @@ def test_reduce_memory_equals_greedy_move_loop(case):
     assert t0.equal_mod_monomial(t1) is not None
 
 
+def _simplify_reference(ops, n: int):
+    """The merge pass as it was with its own memo and ``changed`` flag."""
+    ops = [g for g in ops if not _gate_is_identity(g)]
+    memo = {}
+
+    def commute(a, b):
+        found = memo.get((a, b))
+        if found is None:
+            found = memo[a, b] = gates_commute(a, b, n)
+        return found
+
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(ops)):
+            for b in range(a + 1, len(ops)):
+                merged = _merge_gates(ops[a], ops[b])
+                if merged is None:
+                    continue
+                between = ops[a + 1:b]
+                if all(commute(ops[b], q) for q in between):
+                    spot = a  # b moves back to a
+                elif all(commute(ops[a], q) for q in between):
+                    spot = b - 1  # a moves forward to b
+                else:
+                    continue
+                ops.pop(b)
+                ops.pop(a)
+                ops[spot:spot] = merged
+                changed = True
+                break
+            if changed:
+                break
+    return ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(finite_gate_lists(), mixed_gate_lists()))
+# merging the pair with the lowest second gate first gives a different list
+@example((2, parse_sequence("DELAY 1 0\nP 1\nDELAY 1 0\nCPHASE 2 1 D^2\nCPHASE 2 1 D^2\n"
+                            "DELAY 1 1\nCPHASE1 1 D\nDELAY 2 0\n")))
+def test_merge_pass_equals_reference(case):
+    # the same first mergeable pair, the same restart; on the list as given
+    # and on the swap-pushed list that compile_sequence hands the pass
+    n, gates = case
+    for ops in (gates, synthesis._push_swaps_back(gates, n)):
+        assert synthesis._simplify_ops(list(ops), n) == _simplify_reference(list(ops), n)
+
+
 def _rebuilt(c):
     """``c`` rebuilt through the public constructors, which check every value."""
     return ShiftRegisterCircuit(c.n, tuple(
@@ -1183,17 +1235,7 @@ def _dag_exhaustive(ops, n, total):
                 edges[(i, j)] = x[i][j]
     if not edges:
         return []
-    succ = {i: {j for (a, j) in edges if a == i} for i in range(n)}
-    indeg = {j: sum(j in s for s in succ.values()) for j in range(n)}
-    queue = sorted(i for i in range(n) if indeg[i] == 0)
-    pos = {}
-    while queue:
-        v = queue.pop(0)
-        pos[v] = len(pos)
-        for w in sorted(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
+    pos = _kahn_positions(edges, n)
     if len(pos) != n:
         return None
     if len(edges) <= 5:
@@ -1286,6 +1328,56 @@ def test_dag_candidate_equals_exhaustive_orderings():
         above_floor += expected[1] > floor
         assert synthesis._cnot_dag_candidate(ops, n, total) == expected[0]
     assert above_floor >= 25
+
+
+def _topological_orders_unique(edges, n):
+    """Whether the wire graph of ``edges`` (acyclic) has exactly one topological order.
+
+    That holds exactly when its Kahn order joins each wire to the next by an edge.
+    """
+    pos = _kahn_positions(edges, n)
+    order = sorted(pos, key=pos.get)
+    return all((v, w) in edges for v, w in zip(order, order[1:]))
+
+
+def _kahn_positions(edges, n):
+    """Wire -> position in a first-in first-out Kahn queue started lowest first."""
+    succ = {i: {j for (a, j) in edges if a == i} for i in range(n)}
+    indeg = {j: sum(j in s for s in succ.values()) for j in range(n)}
+    queue = sorted(i for i in range(n) if indeg[i] == 0)
+    pos = {}
+    while queue:
+        v = queue.pop(0)
+        pos[v] = len(pos)
+        for w in sorted(succ[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return pos
+
+
+def test_dag_candidate_equals_exhaustive_orderings_on_wide_graphs():
+    # more than five edges use the four orderings sorted by topological
+    # position; on 5-7 wires most such graphs have several topological
+    # orders, so the candidate's order must be the test's Kahn queue's
+    rng = random.Random(6062)
+    ambiguous = 0
+    while ambiguous < 50:
+        n = rng.randint(5, 7)
+        order = rng.sample(range(1, n + 1), n)
+        ops = []
+        for _ in range(rng.randint(6, 9)):
+            a, b = sorted(rng.sample(range(n), 2))
+            f = LaurentPoly(rng.sample(range(-3, 4), rng.randint(1, 3)))
+            ops.append(Gate("CNOT", (order[a], order[b]), f))
+        total = sequence_transfer(ops, n)
+        expected = _dag_exhaustive(ops, n, total)
+        if not expected:
+            continue
+        assert synthesis._cnot_dag_candidate(ops, n, total) == expected[0]
+        x = total.x_block()
+        edges = {(i, j) for i in range(n) for j in range(n) if i != j and x[i][j]}
+        ambiguous += len(edges) > 5 and not _topological_orders_unique(edges, n)
 
 
 def _unit_acyclic(x, n):

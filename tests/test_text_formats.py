@@ -217,8 +217,22 @@ def test_repeated_field_is_refused(read, text, message):
     (circuit_from_text, "n 2\nsection depths=1,1\ngate\n", "line 3: gate line has no kind"),
     (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT a=1 b=2@0\n",
      "line 3: slot 'a=1' has no '@'"),
+    # each number field used to report Python's int() text, "invalid literal ..."
+    (circuit_from_text, "n 1\nffb Z wire=x f=1+D\n", "line 2: bad wire 'x'"),
+    (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT a=1@x b=2@0\n",
+     "line 3: bad stage 'x'"),
+    (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT a=y@0 b=2@0\n",
+     "line 3: bad wire 'y'"),
+    (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT s=x a=1@0 b=2@1\n",
+     "line 3: bad stage 'x'"),
+    (circuit_from_text, "n 2\nsection depths=1,x\n", "line 2: bad depth 'x'"),
+    (circuit_from_text, "n 2\nsection depths=\n", "line 2: bad depth ''"),
+    (circuit_from_text, "n 1\nframes x\n", "line 2: bad frames 'x'"),
+    (circuit_from_text, "n 1\nlatency x\n", "line 2: bad latency 'x'"),
 ], ids=["ffb-f", "ffb-wire", "gate-a", "ffb-bare-word", "stream-bare-word", "ffb-kind",
-        "gate-kind", "gate-slot"])
+        "gate-kind", "gate-slot", "ffb-wire-number", "slot-stage-number",
+        "slot-wire-number", "gate-stage-number", "depth-number", "depth-empty",
+        "frames-number", "latency-number"])
 def test_malformed_record_line_names_its_fault(read, text, message):
     with pytest.raises(ParseError) as exc:
         read(text)
