@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gf2poly import LaurentPoly, ParseError, parse_poly
+from .gf2poly import LaurentPoly, ParseError, _term_text, parse_poly
 from .symplectic import (Gate, apply_gates, check_gate_wires, gates_commute, read_fields,
-                         read_header)
+                         read_header, read_int)
 
 PLACEMENT_KINDS = ("CNOT", "CPHASE", "H", "P")
 
@@ -458,20 +458,12 @@ def circuit_to_text(c: ShiftRegisterCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(text: str, what: str) -> int:
-    """``text`` as an integer, or a ParseError that names it as a ``what``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad {what} {text!r}") from None
-
-
 def _parse_slot(kv: dict, key: str):
     """The slot ``(wire, stage)`` that field ``key`` writes as ``wire@stage``."""
     wire, at, stage = kv[key].partition("@")
     if not at:
         raise ParseError(f"slot {key + '=' + kv[key]!r} has no '@'")
-    return (_parse_int(wire, "wire"), _parse_int(stage, "stage"))
+    return (read_int(wire, "wire"), read_int(stage, "stage"))
 
 
 def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterCircuit:
@@ -507,12 +499,14 @@ def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterC
                 if head in declared:
                     raise ParseError(f"repeated {head!r} line (first on line "
                                      f"{declared[head][1]})")
-                declared[head] = (_parse_int(rest, head), lineno)
+                declared[head] = (read_int(rest, head, signed=head == "latency"), lineno)
             elif head == "section":
                 flush()
                 if not rest.startswith("depths="):
                     raise ParseError("section line needs depths=")
-                depths = [_parse_int(v, "depth") for v in rest[len("depths="):].split(",")]
+                # a negative depth is read, to be named as such
+                depths = [read_int(v, "depth", signed=True)
+                          for v in rest[len("depths="):].split(",")]
                 if any(d < 0 for d in depths):
                     raise ParseError("negative pipeline depth")
                 placements = []
@@ -529,10 +523,13 @@ def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterC
                 a = _parse_slot(kv, "a")
                 b = _parse_slot(kv, "b") if "b" in kv else None
                 p = Placement(kind, a, b)
-                if "s" in kv and _parse_int(kv["s"], "stage") != max(s for _, s in p.slots):
+                if "s" in kv and read_int(kv["s"], "stage") != max(s for _, s in p.slots):
                     raise ParseError("stage field disagrees with slots")
                 if "f" in kv and b is not None:
-                    if parse_poly(kv["f"]) != LaurentPoly.monomial(a[1] - b[1]):
+                    # the writer's spelling of the tap needs no parse
+                    tap = a[1] - b[1]
+                    if (kv["f"] != _term_text(tap)
+                            and parse_poly(kv["f"]) != LaurentPoly.monomial(tap)):
                         raise ParseError("tap polynomial disagrees with slots")
                 _check_slots(p, depths)
                 placements.append(p)
@@ -543,7 +540,7 @@ def circuit_from_text(text: str, declared: dict | None = None) -> ShiftRegisterC
                     raise ParseError("ffb line has no kind")
                 kind = fields[0]
                 kv = read_fields(fields[1:], _FEEDBACK_FIELDS)
-                wire, f = _parse_int(kv["wire"], "wire"), parse_poly(kv["f"])
+                wire, f = read_int(kv["wire"], "wire"), parse_poly(kv["f"])
                 # ValueError, so that both refusals read as malformed lines
                 if kind not in ("Z", "X"):
                     raise ValueError("feedback kind must be 'Z' or 'X'")

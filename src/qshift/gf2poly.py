@@ -21,8 +21,9 @@ entries of feedback circuits and expand to formal power series with
 :func:`series_expand`.
 
 Textual syntax, shared by every file format in the package: terms joined
-by ``+``, each term one of ``1``, ``D``, ``D^k``, ``D^-k``.  Whitespace
-is ignored and duplicate terms cancel, e.g. ``1+D+D^2`` or ``D^-1+1``.
+by ``+``, each term one of ``1``, ``D``, ``D^k``, ``D^-k`` with k in ASCII
+digits.  Whitespace is ignored and duplicate terms cancel, e.g. ``1+D+D^2``
+or ``D^-1+1``.
 Every text format skips blank lines and ``#`` comments the same way
 (:func:`content_lines`).
 """
@@ -36,7 +37,10 @@ class ParseError(ValueError):
     """Raised for malformed textual input."""
 
 
-_TERM_RE = re.compile(r"^(?:1|D|D\^(-?\d+))$")
+# one term of the textual syntax, and a whole polynomial of such terms
+_TERM = r"(?:1|D|D\^-?[0-9]+)"
+_TERM_RE = re.compile(_TERM)
+_POLY_RE = re.compile(rf"{_TERM}(?:\+{_TERM})*")
 
 # Longest span deg - delay of a polynomial built from exponents or read from
 # text: a mask holds one bit per exponent in the span.  No longer span can be
@@ -209,15 +213,7 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self._mask:
             return "0"
-        out = []
-        for e in self.terms:
-            if e == 0:
-                out.append("1")
-            elif e == 1:
-                out.append("D")
-            else:
-                out.append(f"D^{e}")
-        return "+".join(out)
+        return "+".join(map(_term_text, self.terms))
 
     def __repr__(self) -> str:
         return f"<poly {self}>"
@@ -255,30 +251,48 @@ def content_lines(text: str):
 
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Parse the textual polynomial syntax (whitespace-insensitive)."""
+    """Parse the textual polynomial syntax (whitespace-insensitive).
+
+    The whole token is matched once; only a token that fails is split to
+    name its first bad term.  A one-term token is built as its monomial.
+    """
     if text == "0":  # most matrix entries; no compaction or regex needed
         return ZERO
     if text == "1":
         return ONE
     compact = "".join(text.split())
-    if not compact:
-        raise ParseError("empty polynomial")
-    if compact == "0":
-        return ZERO
-    exps = []
-    for term in compact.split("+"):
-        if not _TERM_RE.match(term):
-            raise ParseError(f"bad polynomial term {term!r}")
-        if term == "1":
-            exps.append(0)
-        elif term == "D":
-            exps.append(1)
-        else:
-            exps.append(int(term[2:]))
+    if not _POLY_RE.fullmatch(compact):
+        if not compact:
+            raise ParseError("empty polynomial")
+        if compact == "0":
+            return ZERO
+        bad = next(t for t in compact.split("+") if not _TERM_RE.fullmatch(t))
+        raise ParseError(f"bad polynomial term {bad!r}")
+    if "+" not in compact:
+        return _poly(1, _term_exponent(compact), True)
+    exps = [_term_exponent(t) for t in compact.split("+")]
     try:
         return LaurentPoly(exps)
     except ValueError as exc:  # span past MAX_SPAN
         raise ParseError(str(exc)) from exc
+
+
+def _term_exponent(term: str) -> int:
+    """The exponent of one term that matched ``_TERM``."""
+    if term == "1":
+        return 0
+    if term == "D":
+        return 1
+    try:
+        return int(term[2:])
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise ParseError(f"exponent of polynomial term {term[:10] + '...'!r} has "
+                         f"{len(term) - 2} digits, too many to read") from None
+
+
+def _term_text(e: int) -> str:
+    """The term D^e as ``__str__`` writes it: ``1``, ``D`` or ``D^e``."""
+    return "1" if e == 0 else "D" if e == 1 else f"D^{e}"
 
 
 def _divmod_bits(a: int, b: int):

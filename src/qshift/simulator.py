@@ -8,6 +8,14 @@ computation, so impulse responses provide an independent check of every
 closed-form matrix.  Every rule is an XOR or a swap, so one int can
 carry many independent frames as its bits (lanes).
 
+Checked once.  ``step``, the public one-cycle call, checks its frame's
+width and lane masks and then advances the cells through ``_step``.
+``run`` and ``impulse_response`` check their arguments once, and their
+frames (stream columns, impulse lanes, quiet frames) are built here, so
+``_output_masks`` steps them through ``_step`` without checking them
+again; ``impulse_response`` builds its matrices from the lane masks
+through the unchecked ``symplectic._symp``.
+
 One decoder.  ``run`` and ``impulse_response`` both step the circuit
 through ``_output_masks``, which decodes every output frame into one
 bit mask per lane and output column: bit t of lane k's mask for column
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 
 from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly
 from .circuit import FiniteSection, ShiftRegisterCircuit, latency_exponent
-from .symplectic import Gate, SympMatrix, read_fields, read_header
+from .symplectic import Gate, _symp, read_fields, read_header
 
 MAX_MEMORY_FRAMES = 10_000  # largest circuit memory m the simulator accepts
 MAX_CYCLES = MAX_SPAN  # most cycles one simulation may cover: horizon plus settle margin
@@ -143,7 +151,8 @@ def step(c: ShiftRegisterCircuit, state: list, frame_in):
     is a lane mask, a non-negative int; bit k is lane k, and lanes are
     independent Pauli frames that share the pass (a 0/1 frame is the
     one-lane case).  The frame flows through every section within the
-    cycle.  ``state``, the cell lists of ``reset_state``, is updated in place.
+    cycle.  ``state``, the cell lists of ``reset_state``, is updated in
+    place.  The frame is checked here, then stepped by ``_step``.
     """
     if len(frame_in) != c.n:
         raise ValueError(f"frame width {len(frame_in)} != {c.n}")
@@ -151,7 +160,12 @@ def step(c: ShiftRegisterCircuit, state: list, frame_in):
     for z, x in frame:
         if z < 0 or x < 0:
             raise ValueError(f"negative lane mask in frame {frame}")
-    for sec, cells in zip(c.sections, state):
+    return _step(c.sections, state, frame)
+
+
+def _step(sections, state: list, frame):
+    """``step`` without its checks: ``frame`` holds n pairs of non-negative ints."""
+    for sec, cells in zip(sections, state):
         if isinstance(sec, FiniteSection):
             frame = _step_finite(sec, cells, frame)
         else:
@@ -338,7 +352,7 @@ def _output_masks(c: ShiftRegisterCircuit, inputs, cycles: int, lanes: int):
     seen = {}  # recorded state -> cycle after which it held
     room = _SNAPSHOT_BYTES
     for t in range(cycles):
-        frame = step(c, state, inputs[t] if t < len(inputs) else quiet)
+        frame = _step(c.sections, state, inputs[t] if t < len(inputs) else quiet)
         bit = 1 << t
         for w, (z, x) in enumerate(frame):
             while z:
@@ -451,9 +465,10 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
                              f"{horizon + (late & -late).bit_length()}")
     if not any(any(row) for row in masks):
         raise ValueError(f"horizon insufficient: no output through cycle {horizon}")
-    absolute = SympMatrix(n, [[_poly(m, 0) for m in row] for row in masks])
+    # every row has 2n masks, so both matrices are built unchecked
+    absolute = _symp(n, [[_poly(m, 0) if m else ZERO for m in row] for row in masks])
     lat = latency_exponent(c, absolute)
-    return lat, absolute.shifted(-lat)
+    return lat, _symp(n, [[_poly(m, -lat) if m else ZERO for m in row] for row in masks])
 
 
 def symplectic_product(a: PauliStream, b: PauliStream) -> int:

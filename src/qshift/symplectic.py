@@ -115,14 +115,30 @@ def read_header(text: str):
     if word != "n":
         raise ParseError(f"line {n_line}: {head!r} before 'n <wires>' header")
     try:
-        n = int(count)
-    except ValueError as exc:
-        raise ParseError(f"line {n_line}: bad wire count {count!r}") from exc
+        n = read_int(count, "wire count", signed=True)  # a count below 1 is named below
+    except ParseError as exc:
+        raise ParseError(f"line {n_line}: {exc}") from None
     check_wire_count(n, n_line)
     for lineno, line in lines:
         if line.startswith("n "):
             raise ParseError(f"line {lineno}: repeated 'n' header (first on line {n_line})")
     return n, lines
+
+
+def read_int(text: str, what: str, signed: bool = False) -> int:
+    """``text`` as an integer: ASCII digits, after one ``-`` if ``signed``.
+
+    Anything else that ``int()`` would take, such as ``+1``, ``1_0``,
+    surrounding spaces or non-ASCII digits, is refused with a ParseError
+    that names ``text`` as a ``what``; no writer in the package emits it.
+    """
+    digits = text[1:] if signed and text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"bad {what} {text!r}")
 
 
 def read_fields(words, keys: frozenset) -> dict:
@@ -254,8 +270,7 @@ class SympMatrix:
     def shifted(self, c: int) -> "SympMatrix":
         if c == 0:
             return self
-        return SympMatrix(self.n, [[e.shift(c) for e in row]
-                                   for row in self._rows])
+        return _symp(self.n, [[e.shift(c) for e in row] for row in self._rows])
 
     def is_symplectic(self) -> bool:
         lam_ = lam(self.n)
@@ -348,7 +363,7 @@ class SympMatrix:
                 except (ValueError, ZeroDivisionError) as exc:  # ParseError, 1/0
                     raise ParseError(f"line {lineno}, column {col}: {exc}") from exc
             rows.append(row)
-        return cls(n, rows)
+        return _symp(n, rows)  # 2n rows of 2n entries, each checked above
 
     def __str__(self) -> str:
         return _format_rows(self._rows, self.n)

@@ -514,6 +514,29 @@ def test_section_errors_are_located():
         circuit_from_text("n 2\nsection depths=1,1\ngate CNOT s=0 a=1@1 b=2@0\n")
 
 
+def test_tap_field_is_checked_in_any_spelling():
+    # the writer's spelling of a tap (1, D or D^k) is compared as text, and
+    # every other spelling is parsed and compared as a polynomial
+    def read(slots, f):
+        return circuit_from_text(f"n 2\nsection depths=2,2\ngate CNOT {slots} f={f}\n")
+
+    for slots, tap, same in (("a=1@2 b=2@1", "D", ("D^1", "D+D+D", "1+D+1", "D^01")),
+                             ("a=1@2 b=2@2", "1", ("D^0", "D^-0", "D^-1+1+D^-1")),
+                             ("a=1@0 b=2@2", "D^-2", ("D^-2+D^-2+D^-2",))):
+        written = read(slots, tap)
+        assert circuit_to_text(written).splitlines()[-1] == f"gate CNOT s=2 {slots} f={tap}"
+        for f in same:
+            assert read(slots, f) == written
+        for f in ("0", "D^2", "1+D", "D^-1", "D+D"):
+            if f != tap:
+                with pytest.raises(ParseError) as exc:
+                    read(slots, f)
+                assert str(exc.value) == "line 3: tap polynomial disagrees with slots"
+    with pytest.raises(ParseError) as exc:
+        read("a=1@2 b=2@1", "D^x")
+    assert str(exc.value) == "line 3: bad polynomial term 'D^x'"
+
+
 @pytest.mark.parametrize("kind", ["INF_Z", "INF_X"])
 def test_feedback_section_is_its_inf_gate(kind):
     # a circuit holds each feedback section as the INF gate that built it

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,27 @@ def test_synth_malformed_polynomial(tmp_path, capsys):
     assert main(["synth", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "column 2" in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no limit on digits here")
+def test_exponent_past_the_digit_limit_is_located(tmp_path, capsys):
+    # int() refuses more digits than its limit with a ValueError of its own;
+    # the code and matrix readers both name the line and column
+    digits = sys.get_int_max_str_digits() + 700
+    term = "D^" + "9" * digits
+    code, matrix = tmp_path / "long.code", tmp_path / "long.matrix"
+    code.write_text(f"n 2\ncss\nX: 1 {term}\n")
+    matrix.write_text(f"n 1\n{term} 0\n0 1\n")
+    circuit = tmp_path / "one.circuit"
+    circuit.write_text("n 1\n")
+    assert main(["synth", str(code)]) == 2
+    assert main(["verify", str(circuit), str(matrix)]) == 2
+    captured = capsys.readouterr()
+    fault = f"exponent of polynomial term 'D^99999999...' has {digits} digits, too many to read"
+    assert captured.err.splitlines() == [f"error: line 3, column 2: {fault}",
+                                         f"error: line 2, column 1: {fault}"]
+    assert captured.out == ""
 
 
 def test_synth_non_dual_containing(tmp_path, capsys):

@@ -44,6 +44,25 @@ def test_parse_and_format_round_trip():
         pp("D^")
 
 
+@pytest.mark.parametrize("text, term", [
+    ("1+E+Q", "E"),
+    ("D^2+D^+1", "D^"),  # a sign splits the term
+    ("1+D^1_0", "D^1_0"),
+    ("D^\u0661", "D^\u0661"),  # int() reads it as 1; a term's digits are ASCII
+    ("D+D^\uff12", "D^\uff12"),
+    ("1++D", ""),
+])
+def test_parse_errors_name_the_first_bad_term(text, term):
+    with pytest.raises(ParseError) as exc:
+        pp(text)
+    assert str(exc.value) == f"bad polynomial term {term!r}"
+
+
+def test_one_term_tokens_are_monomials():
+    for text, e in (("1", 0), ("D", 1), ("D^0", 0), ("D^-0", 0), ("D^007", 7), ("D^-12", -12)):
+        assert pp(text) == LaurentPoly.monomial(e) == LaurentPoly([e])
+
+
 def test_add():
     assert pp("1+D") + pp("D+D^2") == pp("1+D^2")
     p = pp("D^-1+D^3")

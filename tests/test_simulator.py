@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -571,3 +572,52 @@ def test_reset_state_refuses_memory_past_the_limit():
         assert str(exc.value) == message
     at_limit = ShiftRegisterCircuit(2, (FiniteSection((MAX_MEMORY_FRAMES, 0), ()),))
     assert len(reset_state(at_limit)[0][0]) == MAX_MEMORY_FRAMES
+
+
+def _golden_simulator_cases():
+    """150 seeded (circuit, stream) pairs over every gate kind; every third has feedback.
+
+    Gate kinds, wires and taps follow ``mixed_gate_lists``; the stream has
+    up to three terms per part, at cycles 0..8.
+    """
+    rng = random.Random("golden-simulator")
+    for k in range(150):
+        n = rng.randint(2, 4)
+        gates = []
+        for _ in range(rng.randint(1, 7)):
+            kind = rng.choice(("CNOT", "CPHASE", "CPHASE1", "H", "P", "DELAY"))
+            i = rng.randint(1, n)
+            if kind in ("CNOT", "CPHASE"):
+                j = rng.choice([w for w in range(1, n + 1) if w != i])
+                taps = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+                gates.append(Gate(kind, (i, j), LaurentPoly(taps)))
+            elif kind == "CPHASE1":
+                lags = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+                gates.append(Gate(kind, (i,), LaurentPoly(lags)))
+            elif kind == "DELAY":
+                gates.append(Gate(kind, (i,), LaurentPoly.monomial(rng.randint(0, 3))))
+            else:
+                gates.append(Gate(kind, (i,)))
+        if k % 3 == 2:
+            rest = rng.sample(range(1, 4), rng.randint(1, 3))
+            gates.insert(rng.randint(0, len(gates)),
+                         Gate(rng.choice(("INF_Z", "INF_X")), (rng.randint(1, n),),
+                              LaurentPoly([0] + rest)))
+        parts = [LaurentPoly(rng.sample(range(9), rng.randint(0, 3))) for _ in range(2 * n)]
+        yield _circuit(n, gates), PauliStream(parts[:n], parts[n:])
+
+
+# sha256 over the impulse response (latency and matrix text) at the
+# recommended horizon and the output stream text of every golden case,
+# recorded before stepping went through one unchecked per-cycle function
+GOLDEN_SIMULATOR_DIGEST = "3c32f5d6a403aa6a0b157b0c1af506c5efac34f3a511bfbdbf01b10fc80a30a4"
+
+
+def test_simulator_outputs_match_golden_digest():
+    digest = hashlib.sha256()
+    for c, stream in _golden_simulator_cases():
+        horizon = recommended_horizon(c)
+        lat, matrix = impulse_response(c, horizon)
+        out = run(c, stream, horizon + stream.max_exp)
+        digest.update(f"{lat}\n{matrix.to_text()}{out.to_text()}".encode())
+    assert digest.hexdigest() == GOLDEN_SIMULATOR_DIGEST

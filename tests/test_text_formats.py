@@ -124,12 +124,16 @@ HEADED_READERS = {
     ("# typed in\nN 1\n", "line 2: 'N 1' before 'n <wires>' header"),
     ("n x\n", "line 1: bad wire count 'x'"),
     ("n 1.5\n", "line 1: bad wire count '1.5'"),
+    # int() would read these as 2; the count is ASCII digits
+    ("n 0_2\n", "line 1: bad wire count '0_2'"),
+    ("n \u0662\n", "line 1: bad wire count '\u0662'"),
     ("\nn 0\n", "line 2: 0 wires; a header needs at least 1"),
     ("n -3\n", "line 1: -3 wires; a header needs at least 1"),
     (f"n {MAX_WIRES + 1}\n",
      f"line 1: {MAX_WIRES + 1} wires exceed the limit of {MAX_WIRES} (MAX_WIRES)"),
     ("n 1\n# again\nn 1\n", "line 3: repeated 'n' header (first on line 1)"),
-], ids=["not-first", "not-integer", "fraction", "zero", "negative",
+], ids=["not-first", "not-integer", "fraction", "underscore", "arabic-indic-digit",
+        "zero", "negative",
         "above-max-wires", "repeated"])
 def test_header_rule_is_shared_by_every_reader(reader, header, message):
     read, records = HEADED_READERS[reader]
@@ -229,10 +233,25 @@ def test_repeated_field_is_refused(read, text, message):
     (circuit_from_text, "n 2\nsection depths=\n", "line 2: bad depth ''"),
     (circuit_from_text, "n 1\nframes x\n", "line 2: bad frames 'x'"),
     (circuit_from_text, "n 1\nlatency x\n", "line 2: bad latency 'x'"),
+    # int() reads each of these, but no writer emits them: a number field is
+    # ASCII digits, with a leading '-' on latency (and on a depth, which is
+    # then refused as negative)
+    (circuit_from_text, "n 1\nsection depths=0_1\n", "line 2: bad depth '0_1'"),
+    (circuit_from_text, "n 1\nsection depths=0\ngate P s=+0 a=1@-0\n",
+     "line 3: bad stage '-0'"),
+    (circuit_from_text, "n 1\nsection depths=0\ngate P s=+0 a=1@0\n",
+     "line 3: bad stage '+0'"),
+    (circuit_from_text, "n 1\nffb Z wire=\uff11 f=1+D\n", "line 2: bad wire '\uff11'"),
+    (circuit_from_text, "n 1\nframes -0\n", "line 2: bad frames '-0'"),
+    (circuit_from_text, "n 1\nlatency +1\n", "line 2: bad latency '+1'"),
+    (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT s=1 a=1@1 b=2@0 f=D^\u0661\n",
+     "line 3: bad polynomial term 'D^\u0661'"),
 ], ids=["ffb-f", "ffb-wire", "gate-a", "ffb-bare-word", "stream-bare-word", "ffb-kind",
         "gate-kind", "gate-slot", "ffb-wire-number", "slot-stage-number",
         "slot-wire-number", "gate-stage-number", "depth-number", "depth-empty",
-        "frames-number", "latency-number"])
+        "frames-number", "latency-number", "depth-underscore", "slot-stage-sign",
+        "gate-stage-plus", "ffb-wire-fullwidth-digit", "frames-sign", "latency-plus",
+        "tap-arabic-indic-digit"])
 def test_malformed_record_line_names_its_fault(read, text, message):
     with pytest.raises(ParseError) as exc:
         read(text)
