@@ -15,12 +15,17 @@ transfer D^(sa-sb) between the two wire streams, so a delay-line CNOT
 block with taps f_e at source stages e implements CNOT(i,j)(f) behind a
 global delay.  Every layout goes through one pass, ``_cascade_all``: it
 takes gates and sections in order, and each finite block starts one
-pipeline downstream of the run before it.  ``tap_placements`` takes the
-stages at which a gate's block starts on its two wires, so each tap is
-placed once, at its final stage.  A section's placements move down by
-the same offsets.  The primitive circuit of one gate
-(``build_from_gate``) is its one-gate case, and ``cascade`` and
-``synthesis.reduce_memory`` lay out the sections of circuits.
+pipeline downstream of the run before it.  The run keeps one depth
+counter, which every tap block deepens by its span, and each wire an
+extra delay beyond it, which DELAY gates and sections of unequal depths
+add to.  ``tap_placements``, the one tap rule, takes the stages at which
+a gate's block starts on its two wires and walks the tap polynomial's
+set bits, so each tap is placed once, at its final stage, in one step.
+A section's placements move down by the wires' depths so far.  The
+primitive circuit of one gate (``build_from_gate``) is its one-gate
+case, and ``cascade`` and ``synthesis.reduce_memory`` lay out the
+sections of circuits (a reduced section that is a circuit's only
+section needs no layout).
 
 Values are checked once, where they enter the package: the public
 constructors of ``Placement``, ``FiniteSection``, ``ShiftRegisterCircuit``
@@ -220,65 +225,78 @@ def tap_placements(kind: str, i: int, j: int, f: LaurentPoly,
 
     ``si`` and ``sj`` are the stages at which the block's stage 0 lies on
     wires i and j (nonzero when the block sits downstream of others).
+    The taps are read off f's set bits, lowest first: bit k of its mask is
+    D^(off + k), so the walk takes one step per tap, whatever f's span.
     The placements are built unchecked: ``kind`` is CNOT or CPHASE, the
     wires are those of a checked gate (i == j only for CPHASE1, whose
     taps are D^e with e >= 1) and ``si``, ``sj`` are not negative.
     """
-    return [_placement(kind, (i, si + max(e, 0)), (j, sj + max(-e, 0))) for e in f.terms]
+    out = []
+    mask, below = f._mask, f._off - 1
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        e = below + low.bit_length()
+        out.append(_placement(kind, (i, si + e if e > 0 else si),
+                              (j, sj if e > 0 else sj - e)))
+    return out
+
+
+def _closed_run(sec: FiniteSection) -> tuple:
+    """``(sec,)``, or ``()`` when ``sec`` has no placements and no depth: a
+    run of the layout pass that lays out nothing is no section."""
+    return (sec,) if sec.placements or any(sec.depths) else ()
 
 
 def _cascade_all(blocks, n: int) -> ShiftRegisterCircuit:
     """The cascade of ``blocks`` (gates and sections, in order), laid out in one pass.
 
-    ``offsets`` holds each wire's depth so far in the current run of
-    finite blocks, which is where the next block's stage 0 lies on that
-    wire.  A gate's taps are placed there at once, one ``Placement`` per
-    tap (``tap_placements``), and a block of tap span d then deepens
-    every wire by d (a DELAY only its own wire).  A CPHASE1 tap D^e
-    (e >= 1) couples (i, e) to (i, 0).  H and P sit on the incoming
-    frame.  A ``FiniteSection``'s placements move down by the offsets and
-    its depths add to them.  A feedback gate (INF_Z or INF_X, which is
-    also how a circuit holds its feedback sections) closes the run, which
-    becomes one ``FiniteSection`` unless it has no placements and no
-    depth, and passes through as it is.  Gates with a zero polynomial lay
-    out nothing.
+    The current run of finite blocks has one depth counter, ``run``, and
+    each wire an ``extra`` delay beyond it, so ``run + extra[w - 1]`` is
+    wire w's depth so far in the run, which is where the next block's
+    stage 0 lies on that wire.  A gate's taps are placed there at once,
+    one ``Placement`` per tap (``tap_placements``), and a block of tap
+    span d then deepens the run by d; a DELAY deepens only its own wire's
+    extra delay.  A CPHASE1 tap D^e (e >= 1) couples (i, e) to (i, 0).
+    H and P sit on the incoming frame.  A ``FiniteSection``'s placements
+    move down by the wires' depths so far, and its depths, which may
+    differ from wire to wire, add to them.  A feedback gate (INF_Z or
+    INF_X, which is also how a circuit holds its feedback sections)
+    closes the run, which becomes one ``FiniteSection`` unless it has no
+    placements and no depth (``_closed_run``), and passes through as it
+    is.  Gates with a zero polynomial lay out nothing.
     """
     sections = []
-    offsets, placements = [0] * n, []
-
-    def close_run():
-        nonlocal offsets, placements
-        if placements or any(offsets):
-            sections.append(_section(tuple(offsets), tuple(placements)))
-            offsets, placements = [0] * n, []
-
+    run, extra, placements = 0, [0] * n, []
     for b in blocks:
         if isinstance(b, Gate):
             check_gate_wires(b, n)
             kind, i = b.kind, b.wires[0]
             if kind in ("INF_Z", "INF_X"):
-                close_run()
+                sections += _closed_run(_section(tuple([run + x for x in extra]),
+                                                 tuple(placements)))
                 sections.append(b)
+                run, extra, placements = 0, [0] * n, []
             elif kind in ("H", "P"):
-                placements.append(_placement(kind, (i, offsets[i - 1])))
+                placements.append(_placement(kind, (i, run + extra[i - 1])))
             elif kind == "DELAY":
-                offsets[i - 1] += b.poly.deg
+                extra[i - 1] += b.poly.deg
             elif b.poly:
                 j = b.wires[-1]
-                placements.extend(tap_placements(
+                placements += tap_placements(
                     "CPHASE" if kind == "CPHASE1" else kind, i, j, b.poly,
-                    offsets[i - 1], offsets[j - 1]))
-                span = b.poly.abs_deg
-                offsets = [o + span for o in offsets]
+                    run + extra[i - 1], run + extra[j - 1])
+                run += b.poly.abs_deg
         else:
+            offsets = [run + x for x in extra]
             if any(offsets):
                 placements.extend(
                     _placement(p.kind, *((w, s + offsets[w - 1]) for w, s in p.slots))
                     for p in b.placements)
             else:
                 placements.extend(b.placements)
-            offsets = [o + d for o, d in zip(offsets, b.depths)]
-    close_run()
+            run, extra = 0, [o + d for o, d in zip(offsets, b.depths)]
+    sections += _closed_run(_section(tuple([run + x for x in extra]), tuple(placements)))
     return _circuit(n, tuple(sections))
 
 

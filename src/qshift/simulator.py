@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .gf2poly import MAX_SPAN, LaurentPoly, ParseError, ZERO, _poly
 from .circuit import FiniteSection, ShiftRegisterCircuit, latency_exponent
-from .symplectic import Gate, _symp, read_fields, read_header
+from .symplectic import Gate, _symp, read_fields, read_header, read_int
 
 MAX_MEMORY_FRAMES = 10_000  # largest circuit memory m the simulator accepts
 MAX_CYCLES = MAX_SPAN  # most cycles one simulation may cover: horizon plus settle margin
@@ -284,11 +284,12 @@ class PauliStream:
             if line.startswith("n="):
                 try:
                     kv = read_fields(line.split(), _FRAME_FIELDS)
-                    t = int(kv["n"])
-                    zbits, xbits = kv["z"], kv["x"]
                 except ParseError as exc:  # an unknown or repeated field
                     raise ParseError(f"line {lineno}: {exc}") from exc
-                except (KeyError, ValueError) as exc:
+                try:
+                    t = read_int(kv["n"], "cycle", signed=True)
+                    zbits, xbits = kv["z"], kv["x"]
+                except (KeyError, ParseError) as exc:
                     raise ParseError(f"line {lineno}: malformed frame line") from exc
                 if seen.setdefault(t, lineno) != lineno:
                     raise ParseError(f"line {lineno}: repeated frame 'n={t}' "

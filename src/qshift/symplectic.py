@@ -175,7 +175,7 @@ def parse_gate(line: str) -> Gate:
         usage = " ".join([word, "i j" if count == 2 else "w"] + [last] * (last is not None))
         raise ParseError(f"{word} expects: {usage}")
     try:
-        wires = tuple(map(int, fields[1:1 + count]))
+        wires = tuple(read_int(w, "wire") for w in fields[1:1 + count])
         if last is None:
             return Gate(kind, wires)
         arg = fields[-1]

@@ -52,6 +52,8 @@ from .circuit import (
     FiniteSection,
     ShiftRegisterCircuit,
     _cascade_all,
+    _circuit,
+    _closed_run,
     _moved_down,
     _section,
     check_schedule,
@@ -388,9 +390,11 @@ def _cancel_identical_pairs(placements):
     and slot users serves the whole pass: a cancelled pair is deleted
     from it.  Returns the placements left, or None when nothing cancels.
     """
+    # (kind, a, b) is what placements compare on, and a tuple hashes faster
+    keys = [(p.kind, p.a, p.b) for p in placements]
     copies = {}
-    for k, p in enumerate(placements):
-        copies.setdefault(p, []).append(k)
+    for k, key in enumerate(keys):
+        copies.setdefault(key, []).append(k)
     if len(copies) == len(placements):
         return None  # no placement occurs twice
     users = _slot_users(placements)
@@ -398,7 +402,7 @@ def _cancel_identical_pairs(placements):
 
     def first_pair():
         for a, p in enumerate(placements):
-            same = copies[p]
+            same = copies[keys[a]]
             if len(same) > 1 and a not in dropped:
                 for b in same:
                     # instances at zero alignment overlap only on a shared slot
@@ -409,7 +413,7 @@ def _cancel_identical_pairs(placements):
 
     while (pair := first_pair()) is not None:
         p = placements[pair[0]]
-        for index in [copies[p]] + [users[slot] for slot in p.slots]:
+        for index in [copies[keys[pair[0]]]] + [users[slot] for slot in p.slots]:
             index.remove(pair[0])
             index.remove(pair[1])
         dropped.update(pair)
@@ -495,11 +499,17 @@ def reduce_memory(c: ShiftRegisterCircuit) -> ShiftRegisterCircuit:
     cancellation scan runs only when some placement occurs twice.  The
     input schedule must be causal (``check_schedule``).  Gates occurring
     after a feedback block are frozen, so only the leading finite section
-    is reduced.
+    is reduced.  A reduced section that is the circuit's only section (as
+    in every compile candidate) has no run to merge with and is the
+    result as it is; otherwise the sections are laid out again
+    (``_cascade_all``), which merges the reduced section with the runs
+    after it.
     """
     sections = list(c.sections)
     if sections and isinstance(sections[0], FiniteSection):
         sections[0] = _reduce_section(sections[0])
+        if len(sections) == 1:
+            return _circuit(c.n, _closed_run(sections[0]))
     return _cascade_all(sections, c.n)
 
 

@@ -548,6 +548,18 @@ def test_memory_command_fgg(tmp_path, capsys):
     assert "abs-degree bound" not in out
 
 
+@pytest.mark.parametrize("line, field", [("CNOT \u0661 2 D", "\u0661"), ("CNOT 1 0_2 D", "0_2")],
+                         ids=["arabic-indic-digit", "underscore"])
+def test_memory_refuses_a_wire_that_is_not_ascii_digits(tmp_path, capsys, line, field):
+    # int() used to read both lines as CNOT 1 2 D
+    seq = tmp_path / "odd.seq"
+    seq.write_text(line + "\n", encoding="utf-8")
+    assert main(["memory", str(seq)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 1: bad wire {field!r}\n"
+    assert captured.out == ""
+
+
 # only the DAG factorization reaches m = 5 (test_compile_takes_dag_variant_below_the_others)
 DAG_SEQUENCE = "CNOT 4 2 D^-2\nCNOT 2 1 D^-3+D^-1+1\nCNOT 3 2 D^-4+D^2+D^4\nCNOT 4 1 D\n"
 

@@ -97,6 +97,10 @@ def test_gate_shape_refusals(kind, wires, poly, message):
     ("DELAY 1", "DELAY expects: DELAY w l"),
     ("INFZ 1", "INFZ expects: INFZ w f"),
     ("INFX 1 2 1+D", "INFX expects: INFX w f"),
+    # int() used to read the last two as CNOT 1 2 D and H 1
+    ("CNOT a 2 D", "bad wire 'a'"),
+    ("CNOT 1 0_2 D", "bad wire '0_2'"),
+    ("H \u0661", "bad wire '\u0661'"),
     ("DELAY 1 x", "bad gate line 'DELAY 1 x': invalid literal for int() with base 10: 'x'"),
     ("INFZ 1 D", "bad gate line 'INFZ 1 D': feedback polynomial must have delay 0 "
                  "and degree >= 1"),

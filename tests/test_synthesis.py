@@ -1178,20 +1178,25 @@ def test_section_layout_equals_run_merging(case):
 
 @st.composite
 def block_lists(draw):
-    """(n, blocks): the sections of ``section_lists`` with gates spliced in."""
+    """(n, blocks): the sections of ``section_lists`` with gates of every kind spliced in.
+
+    CNOT and CPHASE taps have up to three exponents in D^-4..D^4, or none
+    (the zero polynomial, which lays out nothing).
+    """
     n, blocks, _ = draw(section_lists())
     wire = st.integers(1, n)
     for _ in range(draw(st.integers(0, 4))):
-        kinds = ("CNOT", "CPHASE1", "H", "DELAY", "INF_Z")
-        kind = draw(st.sampled_from(kinds if n > 1 else kinds[1:]))  # CNOT needs two wires
+        kinds = ("CNOT", "CPHASE", "CPHASE1", "H", "P", "DELAY", "INF_Z", "INF_X")
+        kind = draw(st.sampled_from(kinds if n > 1 else kinds[2:]))  # CNOT needs two wires
         i = draw(wire)
-        if kind == "CNOT":
-            taps = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+        if kind in ("CNOT", "CPHASE"):
+            taps = draw(st.lists(st.integers(-4, 4), max_size=3))
             g = Gate(kind, (i, draw(wire.filter(lambda w: w != i))), LaurentPoly(taps))
         elif kind == "DELAY":
             g = Gate(kind, (i,), LaurentPoly.monomial(draw(st.integers(0, 2))))
         else:
-            g = Gate(kind, (i,), {"CPHASE1": pp("D"), "INF_Z": pp("1+D")}.get(kind))
+            g = Gate(kind, (i,), {"CPHASE1": pp("D"), "INF_Z": pp("1+D"),
+                                  "INF_X": pp("1+D^2")}.get(kind))
         blocks.insert(draw(st.integers(0, len(blocks))), g)
     return n, blocks
 
@@ -1697,6 +1702,55 @@ def test_compiled_cascades_match_golden_digest():
         c = compile_sequence(ops, n)
         digest.update(f"{c.m}\n{circuit_to_text(c)}".encode())
     assert digest.hexdigest() == GOLDEN_CASCADE_DIGEST
+
+
+def _golden_layout_lists():
+    """200 seeded (ops, n) gate lists over every gate kind; every third has feedback.
+
+    Kinds and wires follow ``mixed_gate_lists``.  CNOT and CPHASE taps
+    have 0 to 3 exponents in D^-4..D^4 (none is the zero polynomial),
+    CPHASE1 lags are 1..4 and DELAYs 0..3, and every third list holds one
+    INF_Z or INF_X gate.
+    """
+    rng = random.Random("golden-layout")
+    for k in range(200):
+        n = rng.randint(2, 4)
+        ops = []
+        for _ in range(rng.randint(1, 8)):
+            kind = rng.choice(("CNOT", "CNOT", "CPHASE", "CPHASE1", "H", "P", "DELAY"))
+            i = rng.randint(1, n)
+            if kind in ("CNOT", "CPHASE"):
+                j = rng.choice([w for w in range(1, n + 1) if w != i])
+                taps = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+                ops.append(Gate(kind, (i, j), LaurentPoly(taps)))
+            elif kind == "CPHASE1":
+                lags = [rng.randint(1, 4) for _ in range(rng.randint(1, 2))]
+                ops.append(Gate(kind, (i,), LaurentPoly(lags)))
+            elif kind == "DELAY":
+                ops.append(Gate(kind, (i,), LaurentPoly.monomial(rng.randint(0, 3))))
+            else:
+                ops.append(Gate(kind, (i,)))
+        if k % 3 == 2:
+            rest = rng.sample(range(1, 4), rng.randint(1, 3))
+            ops.insert(rng.randint(0, len(ops)),
+                       Gate(rng.choice(("INF_Z", "INF_X")), (rng.randint(1, n),),
+                            LaurentPoly([0] + rest)))
+        yield ops, n
+
+
+# sha256 over the text of the layout, of its reduction and of the compiled
+# circuit of every golden layout list, recorded before the layout pass read
+# taps off set bits and kept one run depth
+GOLDEN_LAYOUT_DIGEST = "cf36b07b6e5cf73a628a3cf248774ededd9e66d92091953ade73162f0c0e0601"
+
+
+def test_layout_pass_matches_golden_digest():
+    digest = hashlib.sha256()
+    for ops, n in _golden_layout_lists():
+        laid = circuit_mod._cascade_all(ops, n)
+        for c in (laid, reduce_memory(laid), compile_sequence(ops, n)):
+            digest.update(circuit_to_text(c).encode())
+    assert digest.hexdigest() == GOLDEN_LAYOUT_DIGEST
 
 
 def _golden_css_codes():

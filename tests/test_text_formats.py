@@ -246,12 +246,17 @@ def test_repeated_field_is_refused(read, text, message):
     (circuit_from_text, "n 1\nlatency +1\n", "line 2: bad latency '+1'"),
     (circuit_from_text, "n 2\nsection depths=1,1\ngate CNOT s=1 a=1@1 b=2@0 f=D^\u0661\n",
      "line 3: bad polynomial term 'D^\u0661'"),
+    # int() used to read these as cycle 1, written back as n=1
+    (PauliStream.from_text, "n 2\nn=0_1 z=10 x=00\n", "line 2: malformed frame line"),
+    (PauliStream.from_text, "n 2\nn=+1 z=10 x=00\n", "line 2: malformed frame line"),
+    (PauliStream.from_text, "n 2\nn=\u0661 z=10 x=00\n", "line 2: malformed frame line"),
 ], ids=["ffb-f", "ffb-wire", "gate-a", "ffb-bare-word", "stream-bare-word", "ffb-kind",
         "gate-kind", "gate-slot", "ffb-wire-number", "slot-stage-number",
         "slot-wire-number", "gate-stage-number", "depth-number", "depth-empty",
         "frames-number", "latency-number", "depth-underscore", "slot-stage-sign",
         "gate-stage-plus", "ffb-wire-fullwidth-digit", "frames-sign", "latency-plus",
-        "tap-arabic-indic-digit"])
+        "tap-arabic-indic-digit", "stream-cycle-underscore", "stream-cycle-plus",
+        "stream-cycle-arabic-indic-digit"])
 def test_malformed_record_line_names_its_fault(read, text, message):
     with pytest.raises(ParseError) as exc:
         read(text)
