@@ -312,8 +312,9 @@ class SympMatrix:
     def __eq__(self, other):
         if not isinstance(other, SympMatrix):
             return NotImplemented
-        return self.n == other.n and all(
-            a == b for ra, rb in zip(self._rows, other._rows) for a, b in zip(ra, rb))
+        # tuple comparison compares entry by entry with == and passes over
+        # entries that are one object, such as the shared ZERO and ONE
+        return self.n == other.n and self._rows == other._rows
 
     def __hash__(self):
         return hash((self.n, self._rows))

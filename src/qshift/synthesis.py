@@ -43,9 +43,7 @@ from .symplectic import (
     add_row,
     apply_gates,
     check_wire_count,
-    dual_containing,
     gates_commute,
-    pairing,
     parse_gate,
 )
 from .circuit import (
@@ -105,6 +103,8 @@ class SmithDecomposition:
     a unit of the Laurent ring; applied in order they realize a^-1.
     ``a`` and ``b`` are the inverses of the recorded operations
     multiplied in reverse order, each built the first time it is read.
+    The encoder reads only ``col_ops`` (``css_encoder``); ``a`` and ``b``
+    are read only by the tests.
     """
 
     s: tuple
@@ -290,25 +290,47 @@ def _z_gate(src: int, dst: int, f, offset: int = 0) -> Gate:
     return Gate("CNOT", (dst + offset + 1, src + offset + 1), f.subst_inv())
 
 
-def _css_phase(rows, width: int, side: str, gate):
-    """Decoding gates and Smith decomposition of one phase's rows, ``width`` wide.
+def _css_smith(rows, width: int) -> SmithDecomposition:
+    """Smith decomposition of one phase's rows, ``width`` wide.
 
-    Each column operation (src, dst, f) becomes ``gate(src, dst, f)``.  No
-    rows give no gates and the decomposition of one zero row, whose b is I.
-    The rows may hold Laurent entries.  Dependent rows are refused, and so
-    is an invariant factor that is not a monomial (a unit of the Laurent
-    ring), by name; the diagonal is at delay 0, so it names 1+D for 1+D^-1.
+    No rows give the decomposition of one zero row, which records no
+    operation and has rank 0.  The rows may hold Laurent entries.
     """
     if not rows:
-        return [], SmithDecomposition(((ZERO,) * width,), (), ())
-    sm = smith_normal_form(rows)
-    if sm.rank != len(rows):
+        return SmithDecomposition(((ZERO,) * width,), (), ())
+    return smith_normal_form(rows)
+
+
+def _css_phase(sm: SmithDecomposition, count: int, side: str, gate) -> list:
+    """Decoding gates of one phase of ``count`` rows, from their decomposition ``sm``.
+
+    Each column operation (src, dst, f) becomes ``gate(src, dst, f)``; the
+    encoder reads only the decomposition's ``col_ops``.  Dependent rows
+    are refused, and so is an invariant factor that is not a monomial (a
+    unit of the Laurent ring), by name; the diagonal is at delay 0, so it
+    names 1+D for 1+D^-1.
+    """
+    if sm.rank != count:
         raise SynthesisError(f"{side} check rows are linearly dependent")
-    factor = next((d for d in sm.diagonal if not d.is_monomial), None)
+    # a zero on the diagonal lies past the rank, which is count here
+    factor = next((d for d in sm.diagonal if d and not d.is_monomial), None)
     if factor is not None:
         raise CatastrophicCode(f"{side} check matrix is catastrophic "
                                f"(invariant factor {factor} is not a monomial)")
-    return [gate(*op) for op in sm.col_ops], sm
+    return [gate(*op) for op in sm.col_ops]
+
+
+def _pairing_by_col_ops(rows, col_ops) -> list:
+    """``pairing(rows, b)`` for the b whose inverse ``col_ops`` realize.
+
+    Each op (src, dst, f) is C = I + f E(src, dst), an involution, and
+    b = C_k ... C_1, so rows . b^T(D^-1) = rows . C_1^T(D^-1) ... C_k^T(D^-1):
+    in recorded order, column src += f(D^-1) * column dst of a copy of rows.
+    """
+    paired = [list(r) for r in rows]
+    for src, dst, f in col_ops:
+        add_column(paired, src, dst, f.subst_inv())
+    return paired
 
 
 def css_encoder(hx, hz) -> EncoderPlan:
@@ -316,11 +338,19 @@ def css_encoder(hx, hz) -> EncoderPlan:
 
     ``hx`` holds the X-type generator rows and ``hz`` the Z-type rows.
     One phase routine (``_css_phase``) runs on ``hx``, then on the Z rows
-    paired with the X phase's complement (the rows of its ``b`` below the
-    X check image); reversed, the two phases' gates decode the code back
-    to fresh ancillas.  The returned plan's gates, applied in order to the
-    unencoded stabilizer, produce a stabilizer row-space equivalent to
-    the code, and its encoding matrix is their ordered product.
+    paired with the X phase's complement; reversed, the two phases' gates
+    decode the code back to fresh ancillas.  The X phase's ``col_ops``
+    replayed on the columns of ``hz`` give its pairing with the X phase's
+    b (``_pairing_by_col_ops``).  Since hx = a . s . b with a unimodular
+    and s zero but for its first rank(hx) diagonal entries, all nonzero,
+    the pair is dual-containing exactly when the first rank(hx) columns
+    of that pairing are zero, whether or not the X phase accepts hx; when
+    it does, the rank is s_x and the other columns are the Z phase's
+    rows.  So the pair is refused as not dual-containing, then as
+    oversize, then by either phase.  The returned plan's gates, applied
+    in order to the unencoded stabilizer, produce a stabilizer row-space
+    equivalent to the code, and its encoding matrix is their ordered
+    product.
     """
     hx = [list(r) for r in hx]
     hz = [list(r) for r in hz]
@@ -335,16 +365,21 @@ def css_encoder(hx, hz) -> EncoderPlan:
         for e in r:
             if e and e.delay < 0:
                 raise SynthesisError("check matrices must be delay-free (no D^-k)")
-    if not dual_containing(hx, hz):
+
+    if not n:  # rows of no entries: the Smith form has nothing to work on
+        raise SynthesisError(f"{s_x}+{s_z} generators exceed 0 qubits")
+
+    sm_x = _css_smith(hx, n)
+    paired = _pairing_by_col_ops(hz, sm_x.col_ops)
+    if any(any(r[:sm_x.rank]) for r in paired):
         raise NotDualContaining(
             "H1(D) . H2^T(D^-1) != 0: check matrices are not dual-containing")
     if s_x + s_z > n:
         raise SynthesisError(f"{s_x}+{s_z} generators exceed {n} qubits")
-
-    decode_x, sm_x = _css_phase(hx, n, "X", _x_gate)
-    hhat = pairing(hz, sm_x.b[s_x:])
+    decode_x = _css_phase(sm_x, s_x, "X", _x_gate)
     # the pairing with the unimodular b is injective, so rank(hhat) = rank(hz)
-    decode_z, _ = _css_phase(hhat, n - s_x, "Z", partial(_z_gate, offset=s_x))
+    hhat = [r[s_x:] for r in paired]
+    decode_z = _css_phase(_css_smith(hhat, n - s_x), s_z, "Z", partial(_z_gate, offset=s_x))
     # every CNOT-type elementary gate is self-inverse over GF(2)
     encode_ops = tuple(reversed(decode_x + decode_z))
     b_overall = sequence_transfer(encode_ops, n)

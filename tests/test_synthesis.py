@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, RationalTransfer, parse_poly as pp, poly_divmod
 from qshift.symplectic import (
-    Gate, StabilizerMatrix, SympMatrix, add_column, add_row, gate_matrix, gates_commute,
-    row_space_equiv,
+    Gate, StabilizerMatrix, SympMatrix, add_column, add_row, dual_containing, gate_matrix,
+    gates_commute, pairing, row_space_equiv,
 )
 from qshift import circuit as circuit_mod, synthesis
 from qshift.circuit import (
@@ -504,6 +504,110 @@ def test_css_encoder_shape_refusals():
         css_encoder([[ONE, ONE]], [[ONE, ONE], [pp("D"), pp("D")]])
     with pytest.raises(ValueError, match="^empty matrix$"):
         smith_normal_form([])
+
+
+@pytest.mark.parametrize("hx, hz, refusal, message", [
+    # not dual-containing and X-catastrophic: the pairing is refused first
+    ([[pp("1+D"), ZERO]], [[ONE, ZERO]], NotDualContaining, "not dual-containing"),
+    # not dual-containing and X-dependent
+    ([[ONE, ONE], [ONE, ONE]], [[ONE, ZERO]], NotDualContaining, "not dual-containing"),
+    # dual-containing and oversize with dependent Z rows: the size before the Z phase
+    ([[ONE, ZERO, ZERO]], [[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ZERO, ONE, ONE]],
+     SynthesisError, "^1\\+3 generators exceed 3 qubits$"),
+    # dual-containing and oversize with dependent X rows: the size before the X phase
+    ([[ONE, ONE], [ONE, ONE]], [[ONE, ONE]], SynthesisError, "^2\\+1 generators exceed 2 qubits$"),
+    # one zero-width X row: the size before the Smith form refuses an empty matrix
+    ([[]], [], SynthesisError, "^1\\+0 generators exceed 0 qubits$"),
+])
+def test_css_encoder_refusal_order(hx, hz, refusal, message):
+    with pytest.raises(refusal, match=message):
+        css_encoder(hx, hz)
+
+
+def _two_sided_css_pairs():
+    """2,000 seeded random (hx, hz) pairs on 2 to 5 wires, entries over D^0..D^3.
+
+    Each entry has 0 to 2 terms, zero with odds 2 in 5; there are 0 to n X
+    rows and 0 to n - s_x + 1 Z rows, so some pairs are oversize and some
+    have no rows at all.
+    """
+    rng = random.Random("two-sided-css")
+    for _ in range(2000):
+        n = rng.randint(2, 5)
+
+        def row():
+            return [LaurentPoly(rng.sample(range(4), rng.choice((0, 0, 1, 1, 2))))
+                    for _ in range(n)]
+
+        s_x = rng.randint(0, n)
+        s_z = rng.randint(0, n - s_x + 1)
+        yield [row() for _ in range(s_x)], [row() for _ in range(s_z)]
+
+
+# sha256 over css_encoder's outcome on every two-sided pair: the plan's gate
+# list, memory bound and encoding matrix, or the refusal's class and message;
+# recorded while the encoder checked dual containment, sizes and the two
+# phases in separate passes
+TWO_SIDED_CSS_DIGEST = "7d6ecc0cd72a8bd2e31bdf1b89b6a409accd311d9858c45c0b24ef9f811f3032"
+
+
+def test_two_sided_css_outcomes_match_golden_digest():
+    digest = hashlib.sha256()
+    kinds = set()
+    for hx, hz in _two_sided_css_pairs():
+        try:
+            plan = css_encoder(hx, hz)
+        except SynthesisError as exc:
+            kinds.add(type(exc))
+            digest.update(f"rejected {type(exc).__name__} {exc}\n".encode())
+            continue
+        digest.update(f"{format_sequence(plan.ops)}\n{plan.memory_bound}\n"
+                      f"{plan.b_overall.to_text()}\n".encode())
+    assert kinds == {SynthesisError, NotDualContaining, CatastrophicCode}
+    assert digest.hexdigest() == TWO_SIDED_CSS_DIGEST
+
+
+_DELAY_FREE_ENTRY = st.sets(st.integers(0, 3), max_size=2).map(LaurentPoly)
+
+
+@st.composite
+def x_pairs(draw):
+    """(hx, Smith form of hx, hz) on 1 to 5 wires, with hx accepted or not by the X phase.
+
+    hx has 1 to n + 1 delay-free rows, and with even odds its last row is
+    the sum of the others, so that it is dependent; its invariant factors
+    may not be monomials.  hz is either random delay-free rows or, with
+    even odds, rows of the form [0 | y] . b^-T(D^-1) with rank(hx) zeros,
+    which pair to zero with hx.
+    """
+    n = draw(st.integers(1, 5))
+    s_x = draw(st.integers(1, n + 1))
+    hx = [[draw(_DELAY_FREE_ENTRY) for _ in range(n)] for _ in range(s_x)]
+    if s_x > 1 and draw(st.booleans()):
+        hx[-1] = [sum(col, ZERO) for col in zip(*hx[:-1])]
+    sm = smith_normal_form(hx)
+    s_z = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        hz = [[draw(_DELAY_FREE_ENTRY) for _ in range(n)] for _ in range(s_z)]
+    else:
+        ys = [[ZERO] * sm.rank + [draw(_ENTRY) for _ in range(n - sm.rank)]
+              for _ in range(s_z)]
+        hz = pairing(ys, _b_inverse(sm))
+    return hx, sm, hz
+
+
+@settings(max_examples=300, deadline=None)
+@given(x_pairs())
+@example(([[pp("1+D"), ZERO]], smith_normal_form([[pp("1+D"), ZERO]]), [[ONE, ZERO]]))
+@example(([[ONE, ONE], [ONE, ONE]], smith_normal_form([[ONE, ONE], [ONE, ONE]]), [[ONE, ONE]]))
+def test_pairing_by_col_ops_replays_b(case):
+    hx, sm, hz = case
+    paired = synthesis._pairing_by_col_ops(hz, sm.col_ops)
+    assert paired == pairing(hz, sm.b)
+    # hx = a . s . b with a unimodular and s zero but for its first rank(hx)
+    # diagonal entries: the pair is dual-containing exactly when the pairing
+    # through b is zero in its first rank(hx) columns, refused hx or not
+    assert (not any(any(r[:sm.rank]) for r in paired)) == dual_containing(hx, hz)
 
 
 def _random_css_code(rng, n, s_x, s_z, max_gates, max_exp):
