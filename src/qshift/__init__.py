@@ -15,7 +15,6 @@ from .gf2poly import (
     ZERO,
     parse_poly,
     poly_divmod,
-    poly_gcd,
     ratio,
     series_expand,
 )
@@ -23,9 +22,7 @@ from .symplectic import (
     Gate,
     StabilizerMatrix,
     SympMatrix,
-    dual_containing,
     gate_matrix,
-    lam,
     parse_gate,
     row_space_equiv,
 )
@@ -47,7 +44,6 @@ from .simulator import (
     reset_state,
     run,
     step,
-    symplectic_product,
 )
 from .synthesis import (
     CatastrophicCode,
@@ -68,17 +64,17 @@ from .synthesis import (
 __all__ = [
     # gf2poly
     "D", "LaurentPoly", "ONE", "ParseError", "RationalTransfer", "ZERO",
-    "parse_poly", "poly_divmod", "poly_gcd", "ratio", "series_expand",
+    "parse_poly", "poly_divmod", "ratio", "series_expand",
     # symplectic
-    "Gate", "StabilizerMatrix", "SympMatrix", "dual_containing", "gate_matrix",
-    "lam", "parse_gate", "row_space_equiv",
+    "Gate", "StabilizerMatrix", "SympMatrix", "gate_matrix", "parse_gate",
+    "row_space_equiv",
     # circuit
     "FiniteSection", "Placement", "ShiftRegisterCircuit", "build_from_gate",
     "cascade", "circuit_from_text", "circuit_to_text", "circuit_transfer",
     "identity_circuit",
     # simulator
     "PauliStream", "impulse_response", "recommended_horizon", "reset_state",
-    "run", "step", "symplectic_product",
+    "run", "step",
     # synthesis
     "CatastrophicCode", "NotDualContaining", "SynthesisError",
     "compile_sequence", "constraint_lengths", "css_encoder", "format_sequence",

@@ -70,10 +70,6 @@ def _read(path: str, report: RunReport) -> str:
     return text
 
 
-def _load_circuit(path: str, report: RunReport, declared=None) -> ShiftRegisterCircuit:
-    return circuit_from_text(_read(path, report), declared)
-
-
 def _emit(report: RunReport, circuit: ShiftRegisterCircuit, out) -> None:
     """Write the circuit's text to ``out``, or add it to the report."""
     text = circuit_to_text(circuit)
@@ -134,7 +130,7 @@ def cmd_synth(args) -> RunReport:
 def cmd_verify(args) -> RunReport:
     report = RunReport(command=f"verify {args.circuit} {args.expected}")
     declared = {}
-    circuit = _load_circuit(args.circuit, report, declared)
+    circuit = circuit_from_text(_read(args.circuit, report), declared)
     expected = SympMatrix.from_text(_read(args.expected, report))
     if expected.n != circuit.n:
         raise ParseError(f"matrix declares n {expected.n} but the circuit has "
@@ -155,7 +151,7 @@ def cmd_verify(args) -> RunReport:
 
 def cmd_simulate(args) -> RunReport:
     report = RunReport(command=f"simulate {args.circuit} {args.stream}")
-    circuit = _load_circuit(args.circuit, report)
+    circuit = circuit_from_text(_read(args.circuit, report))
     text = _read(args.stream, report)
     stream = PauliStream.from_text(text)
     first = min((p.delay for p in stream.zs + stream.xs if p), default=0)
@@ -174,7 +170,7 @@ def cmd_simulate(args) -> RunReport:
 
 def cmd_reduce(args) -> RunReport:
     report = RunReport(command=f"reduce {args.circuit}")
-    circuit = _load_circuit(args.circuit, report)
+    circuit = circuit_from_text(_read(args.circuit, report))
     reduced = reduce_memory(circuit)
     report.outputs.append(("memory frames", f"{circuit.m} -> {reduced.m}"))
     _emit(report, reduced, args.out)

@@ -332,13 +332,6 @@ def _gcd_bits(a: int, b: int) -> int:
     return a
 
 
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Greatest common divisor over GF(2)[D] (monic automatically)."""
-    if not b:
-        return a
-    return _poly(_gcd_bits(_ordinary_bits(a), _ordinary_bits(b)), 0)
-
-
 class RationalTransfer:
     """A reduced ratio of Laurent polynomials with delay-free denominator.
 

@@ -240,9 +240,6 @@ class PauliStream:
         exps = [p.deg for p in self.zs + self.xs if p]
         return max(exps, default=0)
 
-    def frame(self, t: int):
-        return [(p.coeff(t), q.coeff(t)) for p, q in zip(self.zs, self.xs)]
-
     def _columns(self, lo: int, hi: int):
         """Per cycle lo..hi, the bits of zs then xs as '0'/'1' characters.
 
@@ -412,8 +409,9 @@ def run(c: ShiftRegisterCircuit, stream: PauliStream, horizon: int) -> PauliStre
         raise ValueError("horizon must cover the input stream support")
     _check_size(c, horizon + 1)
     n = c.n
+    # inputs[t]: the (z, x) bits of every wire at cycle t
     inputs = [[(int(z), int(x)) for z, x in zip(col[:n], col[n:])]
-              for col in stream._columns(0, stream.max_exp)]  # inputs[t] == stream.frame(t)
+              for col in stream._columns(0, stream.max_exp)]
     _, _, (out,) = _output_masks(c, inputs, horizon + 1, 1)
     return PauliStream(tuple(_poly(m, 0) for m in out[:n]),
                        tuple(_poly(m, 0) for m in out[n:]))
@@ -471,13 +469,3 @@ def impulse_response(c: ShiftRegisterCircuit, horizon: int):
     lat = latency_exponent(c, absolute)
     return lat, _symp(n, [[_poly(m, -lat) if m else ZERO for m in row] for row in masks])
 
-
-def symplectic_product(a: PauliStream, b: PauliStream) -> int:
-    """0 if the two Pauli operator streams commute, 1 if they anticommute."""
-    if a.n != b.n:
-        raise ValueError("stream width mismatch")
-    acc = 0
-    for w in range(a.n):
-        acc ^= len(a.zs[w].support & b.xs[w].support) & 1
-        acc ^= len(a.xs[w].support & b.zs[w].support) & 1
-    return acc

@@ -261,20 +261,10 @@ class SympMatrix:
             raise ValueError("dimension mismatch")
         return SympMatrix(self.n, [row_times(r, other._rows) for r in self._rows])
 
-    def transpose_subst_inv(self) -> "SympMatrix":
-        """Substitute D -> D^-1 entrywise, then transpose."""
-        size = 2 * self.n
-        return SympMatrix(self.n, [[self._rows[j][i].subst_inv()
-                                    for j in range(size)] for i in range(size)])
-
     def shifted(self, c: int) -> "SympMatrix":
         if c == 0:
             return self
         return _symp(self.n, [[e.shift(c) for e in row] for row in self._rows])
-
-    def is_symplectic(self) -> bool:
-        lam_ = lam(self.n)
-        return (self @ lam_ @ self.transpose_subst_inv()) == lam_
 
     def abs_deg(self) -> int:
         """Max over entries of max{deg, |delay|}; entries must be polynomial.
@@ -368,15 +358,6 @@ class SympMatrix:
 
     def __str__(self) -> str:
         return _format_rows(self._rows, self.n)
-
-
-def lam(n: int) -> SympMatrix:
-    """The symplectic form [[0, I], [I, 0]]."""
-    rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = ONE
-        rows[n + i][i] = ONE
-    return SympMatrix(n, rows)
 
 
 def check_gate_wires(gate: Gate, n: int) -> None:
@@ -553,12 +534,6 @@ class StabilizerMatrix:
             raise ValueError("dimension mismatch")
         return StabilizerMatrix(self.n, [row_times(r, m.rows) for r in self._rows])
 
-    def commutation_ok(self) -> bool:
-        """Shift-invariant commutation for every row pair (self included)."""
-        n = self.n
-        swapped = [r[n:] + r[:n] for r in self._rows]  # b . L for each row b
-        return not any(any(row) for row in pairing(self._rows, swapped))
-
     def to_text(self) -> str:
         if self._css is None:
             raise ValueError("only CSS-form stabilizers have a text form")
@@ -601,61 +576,36 @@ class StabilizerMatrix:
         return _format_rows(self._rows, self.n)
 
 
-def pairing(a_rows, b_rows) -> list:
-    """The shift-invariant pairing a(D) . b^T(D^-1) of two row lists.
-
-    Entry (i, j) is the sum over k of a_i[k] * b_j[k](D^-1).
-    """
-    return [[sum((x * y.subst_inv() for x, y in zip(ra, rb) if x and y), ZERO)
-             for rb in b_rows] for ra in a_rows]
-
-
-def dual_containing(hx, hz) -> bool:
-    """True iff hx(D) . hz^T(D^-1) = 0."""
-    return not any(any(row) for row in pairing(hx, hz))
-
-
 def _solve_combination(basis_rows, target):
     """Solve sum_k c_k * basis_rows[k] == target over GF(2)(D).
 
     Returns the coefficient list (entries LaurentPoly or RationalTransfer)
-    or None when the target is outside the span.  Coefficients of free
-    pivots are set to zero.
+    or None when the target is outside the span.  The basis rows must be
+    linearly independent, so that the coefficients are unique; a basis row
+    without a pivot is refused.
     """
     m = len(basis_rows)
     width = len(target)
     # columns: unknown index k; rows: equation per vector coordinate
     aug = [[basis_rows[k][j] for k in range(m)] + [target[j]] for j in range(width)]
-    pivots = []
-    row_at = 0
-    for col in range(m):
-        sel = None
-        for r in range(row_at, width):
-            if aug[r][col]:
-                sel = r
-                break
+    for col in range(m):  # every unknown gets a pivot, in row col
+        sel = next((r for r in range(col, width) if aug[r][col]), None)
         if sel is None:
-            continue
-        aug[row_at], aug[sel] = aug[sel], aug[row_at]
-        piv = aug[row_at][col]
+            raise ValueError("generator rows are linearly dependent")
+        aug[col], aug[sel] = aug[sel], aug[col]
+        piv = aug[col][col]
         if isinstance(piv, LaurentPoly):
             inv = ratio(ONE, piv)
         else:
             inv = ratio(piv.den, piv.num)
-        aug[row_at] = [e * inv for e in aug[row_at]]
+        aug[col] = [e * inv for e in aug[col]]
         for r in range(width):
-            if r != row_at and aug[r][col]:
-                add_row(aug[r], aug[row_at], aug[r][col])
-        pivots.append((row_at, col))
-        row_at += 1
+            if r != col and aug[r][col]:
+                add_row(aug[r], aug[col], aug[r][col])
     # consistency: rows without pivots must have zero RHS
-    for r in range(row_at, width):
-        if aug[r][m]:
-            return None
-    coeffs = [ZERO] * m
-    for r, c in pivots:
-        coeffs[c] = aug[r][m]
-    return coeffs
+    if any(aug[r][m] for r in range(m, width)):
+        return None
+    return [aug[k][m] for k in range(m)]
 
 
 def _laurent_span_contains(container_rows, candidate_rows) -> bool:
@@ -675,6 +625,9 @@ def row_space_equiv(a: StabilizerMatrix, b: StabilizerMatrix) -> bool:
     Each row of one matrix must be a Laurent-polynomial combination of
     the rows of the other, in both directions; rational combinations
     with non-unit denominators do not preserve the generated group.
+    The rows of each set must be linearly independent: the combination is
+    then unique, so a rational one rules out a Laurent one.  Dependent rows
+    raise ``ValueError``.
     """
     if a.n != b.n or a.num_rows != b.num_rows:
         return False

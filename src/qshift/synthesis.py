@@ -86,50 +86,29 @@ def _pmat_identity(k):
 
 
 def _swap_adds(i: int, j: int) -> tuple:
-    """The three unit column adds that exchange columns i and j over GF(2)."""
+    """The three unit column adds that exchange columns i and j over GF(2).
+
+    A column swap of the Smith form, the Euclid candidate or the
+    swap-push tail is recorded as these adds; a row swap is not recorded.
+    """
     return ((i, j, ONE), (j, i, ONE), (i, j, ONE))
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """a . s . b == original matrix, exactly, over GF(2)[D, D^-1].
+    """The Smith form ``s`` of a matrix over GF(2)[D, D^-1] and its column record.
 
-    ``a`` and ``b`` are unimodular over the Laurent ring.  ``col_ops``
-    records every column operation as an add ``(src, dst, f)``, column
-    dst += f * column src with f nonzero, a swap as the three unit adds
-    of ``_swap_adds``; applying them in recorded order realizes b^-1.
-    ``row_ops`` records the row operations likewise, row dst += f * row
-    src, except that ``(i, i, D^-k)`` scales row i by the monomial D^-k,
-    a unit of the Laurent ring; applied in order they realize a^-1.
-    ``a`` and ``b`` are the inverses of the recorded operations
-    multiplied in reverse order, each built the first time it is read.
-    The encoder reads only ``col_ops`` (``css_encoder``); ``a`` and ``b``
-    are read only by the tests.
+    The matrix is a . s . b exactly, with ``a`` and ``b`` unimodular over
+    the Laurent ring.  ``col_ops`` records every column operation as an
+    add ``(src, dst, f)``, column dst += f * column src with f nonzero, a
+    swap as the three unit adds of ``_swap_adds``; applying them in
+    recorded order realizes b^-1.  The encoder reads only ``col_ops``,
+    ``diagonal`` and ``rank`` (``css_encoder``), so the row operations,
+    which make ``a``, are not recorded.
     """
 
     s: tuple
     col_ops: tuple
-    row_ops: tuple
-
-    @cached_property
-    def a(self) -> tuple:
-        """``row_ops`` replayed in order on I, each as the column operation it makes of a."""
-        a = _pmat_identity(len(self.s))
-        for src, dst, f in self.row_ops:
-            if src == dst:  # row src times D^-k: column src of a times D^k
-                for r in a:
-                    r[src] = r[src].shift(-f.delay)
-            else:  # row dst += f row src: column src += f column dst
-                add_column(a, src, dst, f)
-        return tuple(tuple(r) for r in a)
-
-    @cached_property
-    def b(self) -> tuple:
-        """``col_ops`` replayed in order on I, each as the row operation it makes of b."""
-        b = _pmat_identity(len(self.s[0]))
-        for src, dst, f in self.col_ops:  # column dst += f column src: row src += f row dst
-            add_row(b[src], b[dst], f)
-        return tuple(tuple(r) for r in b)
 
     @cached_property
     def diagonal(self):
@@ -164,7 +143,8 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     by a monomial changes none of these, so rows keep whatever delay the
     operations give them until the end, where each row is scaled to delay
     0.  A monomial is a unit of the Laurent ring, so that scaling is a row
-    operation (recorded in ``row_ops``) and records no column operation.
+    operation.  Only the column operations are recorded (``col_ops``); the
+    row operations, scalings included, change ``rows`` in place.
     The rows of the returned ``s`` are at delay 0, so a unit on its
     diagonal is 1.
     """
@@ -173,7 +153,6 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     nc = len(rows[0]) if nr else 0
     if nr == 0 or nc == 0:
         raise ValueError("empty matrix")
-    row_ops = []
     col_ops = []
     last = min(nr, nc)
     t = 0
@@ -196,7 +175,6 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         pi, pj = pivot
         if pi != t:
             rows[t], rows[pi] = rows[pi], rows[t]
-            row_ops.extend(_swap_adds(t, pi))
         if pj != t:
             for r in rows:
                 r[t], r[pj] = r[pj], r[t]
@@ -212,10 +190,8 @@ def smith_normal_form(matrix) -> SmithDecomposition:
                     q = _laurent_div(e, top[t])
                     if q:
                         add_row(rows[k], top, q)
-                        row_ops.append((t, k, q))
                     if rows[k][t]:
                         rows[t], rows[k] = rows[k], top
-                        row_ops.extend(_swap_adds(t, k))
                         break
             else:
                 for k in range(t + 1, nc):
@@ -243,7 +219,6 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             if culprit is not None:
                 f = LaurentPoly.monomial(d.delay - min(e.delay for e in rows[culprit] if e))
                 add_row(rows[t], rows[culprit], f)
-                row_ops.append((culprit, t, f))
                 continue
         t += 1
     # rows t and below are zero, and each row above t holds only its diagonal
@@ -252,8 +227,7 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         k = rows[i][i].delay
         if k:
             rows[i][i] = rows[i][i].shift(-k)
-            row_ops.append((i, i, LaurentPoly.monomial(-k)))
-    return SmithDecomposition(tuple(tuple(r) for r in rows), tuple(col_ops), tuple(row_ops))
+    return SmithDecomposition(tuple(tuple(r) for r in rows), tuple(col_ops))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +271,7 @@ def _css_smith(rows, width: int) -> SmithDecomposition:
     operation and has rank 0.  The rows may hold Laurent entries.
     """
     if not rows:
-        return SmithDecomposition(((ZERO,) * width,), (), ())
+        return SmithDecomposition(((ZERO,) * width,), ())
     return smith_normal_form(rows)
 
 
@@ -321,7 +295,7 @@ def _css_phase(sm: SmithDecomposition, count: int, side: str, gate) -> list:
 
 
 def _pairing_by_col_ops(rows, col_ops) -> list:
-    """``pairing(rows, b)`` for the b whose inverse ``col_ops`` realize.
+    """The pairing rows(D) . b^T(D^-1) with the b whose inverse ``col_ops`` realize.
 
     Each op (src, dst, f) is C = I + f E(src, dst), an involution, and
     b = C_k ... C_1, so rows . b^T(D^-1) = rows . C_1^T(D^-1) ... C_k^T(D^-1):

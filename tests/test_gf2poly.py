@@ -17,10 +17,10 @@ from qshift.gf2poly import (
     _poly,
     parse_poly,
     poly_divmod,
-    poly_gcd,
     ratio,
     series_expand,
 )
+from oracles import poly_gcd
 
 
 def pp(text):

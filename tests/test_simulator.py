@@ -27,12 +27,12 @@ from qshift.simulator import (
     responds_at_once,
     run,
     step,
-    symplectic_product,
     _output_masks,
     _settle_margin,
 )
 from qshift.synthesis import reduce_memory
 
+from oracles import stream_frame, symplectic_product
 from test_circuit import mixed_gate_lists
 
 
@@ -397,7 +397,7 @@ def _reference_run(c, stream, horizon):
     out_z = [set() for _ in range(c.n)]
     out_x = [set() for _ in range(c.n)]
     for t in range(horizon + 1):
-        frame = step(c, state, stream.frame(t))
+        frame = step(c, state, stream_frame(stream, t))
         for w, (z, x) in enumerate(frame):
             if z:
                 out_z[w].add(t)
@@ -494,7 +494,7 @@ def test_periodic_tail_through_long_horizons(kind, f):
     for response, reference, inputs, lanes in (
             (impulse_response, _reference_impulse_response, [impulses], 4),
             (lambda c, h: run(c, stream, h), lambda c, h: _reference_run(c, stream, h),
-             [stream.frame(t) for t in range(stream.max_exp + 1)], 1)):
+             [stream_frame(stream, t) for t in range(stream.max_exp + 1)], 1)):
         # cycles 0 .. stepped - 1 are stepped, the last of them repeats a state
         stepped, period, _ = _output_masks(circ, inputs, 5001, lanes)
         assert period > 0

@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from qshift.gf2poly import LaurentPoly, ONE, ZERO, RationalTransfer, parse_poly as pp, poly_divmod
 from qshift.symplectic import (
-    Gate, StabilizerMatrix, SympMatrix, add_column, add_row, dual_containing, gate_matrix,
-    gates_commute, pairing, row_space_equiv,
+    Gate, StabilizerMatrix, SympMatrix, add_column, add_row, gate_matrix, gates_commute,
+    row_space_equiv,
 )
 from qshift import circuit as circuit_mod, synthesis
 from qshift.circuit import (
@@ -47,6 +47,7 @@ from qshift.synthesis import (
 from qshift.synthesis import (
     _gate_is_identity, _laurent_divides, _merge_gates, _pmat_identity, _swap_adds,
 )
+from oracles import b_inverse, b_matrix, dual_containing, pairing
 from test_circuit import gate_lists_with_identities, mixed_gate_lists
 from test_symplectic import block_diag_zx
 
@@ -75,24 +76,15 @@ def pmat_mul(a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def _b_inverse(sm):
-    """Identity with the recorded column operations replayed in order."""
-    k = len(sm.b)
-    out = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
-    for src, dst, f in sm.col_ops:
-        for row in out:
-            if row[src]:
-                row[dst] = row[dst] + f * row[src]
-    return out
-
-
 def assert_decomposition(sm, original):
-    recon = pmat_mul(pmat_mul([list(r) for r in sm.a], [list(r) for r in sm.s]),
-                     [list(r) for r in sm.b])
+    """a . s . b == original, with a from the reference and b from sm's column record."""
+    ref = _smith_reference([list(r) for r in original])
+    assert sm.s == ref.s and sm.col_ops == ref.col_ops
+    b = b_matrix(sm)
+    recon = pmat_mul(pmat_mul([list(r) for r in ref.a], [list(r) for r in sm.s]), b)
     assert [tuple(r) for r in recon] == [tuple(r) for r in original]
-    # unimodularity: replaying the recorded self-inverse operations undoes a and b
-    b_inv = _b_inverse(sm)
-    ident = pmat_mul([list(r) for r in sm.b], b_inv)
+    # unimodularity: replaying the recorded self-inverse operations undoes b
+    ident = pmat_mul(b, b_inverse(sm))
     k = len(ident)
     assert ident == [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
 
@@ -102,24 +94,25 @@ def test_smith_single_row():
     sm = smith_normal_form(m)
     assert list(sm.diagonal) == [ONE]
     assert sm.s == ((ONE, ZERO, ZERO),)
-    assert sm.b[0] == (ONE, pp("D"), pp("1+D"))  # top row recovers the input
+    assert b_matrix(sm)[0] == [ONE, pp("D"), pp("1+D")]  # top row recovers the input
     assert_decomposition(sm, m)
 
 
 def test_smith_identity():
     m = pmat([["1", "0"], ["0", "1"]])
     sm = smith_normal_form(m)
-    assert [list(r) for r in sm.a] == m
+    assert sm.col_ops == ()
+    assert [list(r) for r in _smith_reference(m).a] == m
     assert [list(r) for r in sm.s] == m
-    assert [list(r) for r in sm.b] == m
+    assert b_matrix(sm) == m
 
 
 def test_smith_1x1_monomial():
     # D is a unit of GF(2)[D, D^-1]: the row scaling goes into a, no column op
     sm = smith_normal_form(pmat([["D"]]))
     assert sm.s == ((ONE,),)
-    assert sm.a == ((pp("D"),),) and sm.b == ((ONE,),)
     assert sm.col_ops == ()
+    assert _smith_reference(pmat([["D"]])).a == ((pp("D"),),) and b_matrix(sm) == [[ONE]]
 
 
 def test_smith_divisibility_chain():
@@ -182,7 +175,7 @@ def test_smith_col_ops_are_the_gates_actions():
         if not any(any(r) for r in m):
             continue
         sm = smith_normal_form(m)
-        b_inv = _b_inverse(sm)
+        b_inv = b_inverse(sm)
         x_side = sequence_transfer([synthesis._x_gate(*op) for op in sm.col_ops], nc)
         z_side = sequence_transfer([synthesis._z_gate(*op) for op in sm.col_ops], nc)
         assert x_side.x_block() == b_inv
@@ -200,11 +193,11 @@ def test_smith_laurent_normalization():
 # ---------------------------------------------------------------------------
 # The Smith form as it stood before the one-loop rewrite, copied unchanged
 # with its quotient rule and its (a, s, col_ops) result: the rewrite must
-# make the same pivots, quotients, swaps and row scalings, so its s,
-# col_ops and a equal these
+# make the same pivots, quotients, swaps and row scalings, so its s and
+# col_ops equal these, and these a with its b give back the input
 
 
-SmithDecomposition = namedtuple("SmithDecomposition", "a s col_ops")
+RefSmith = namedtuple("RefSmith", "a s col_ops")
 
 
 def _laurent_div(b: LaurentPoly, a: LaurentPoly) -> LaurentPoly:
@@ -214,7 +207,7 @@ def _laurent_div(b: LaurentPoly, a: LaurentPoly) -> LaurentPoly:
     return q.shift(sb - sa)
 
 
-def _smith_reference(matrix) -> SmithDecomposition:
+def _smith_reference(matrix) -> RefSmith:
     """Diagonalize a matrix over GF(2)[D, D^-1] with recorded elementary operations.
 
     Pivots are the nonzero entries of least span (deg - delay; ties
@@ -306,7 +299,7 @@ def _smith_reference(matrix) -> SmithDecomposition:
             for r in a:
                 r[i] = r[i].shift(k)
 
-    return SmithDecomposition(
+    return RefSmith(
         tuple(tuple(r) for r in a),
         tuple(tuple(r) for r in rows),
         tuple(col_ops),
@@ -348,11 +341,8 @@ def smith_inputs(draw):
 @example(pmat([["1+D", "0"], ["0", "1+D+D^2"]]))  # 1+D does not divide 1+D+D^2
 @example(pmat([["1", "D^-1"], ["D", "1"]]))  # rank 1
 def test_smith_matches_reference(m):
-    ref = _smith_reference([row[:] for row in m])
-    sm = smith_normal_form(m)
-    assert sm.s == ref.s
-    assert sm.col_ops == ref.col_ops
-    assert sm.a == ref.a
+    # equal s and col_ops, and the reference's a with the replayed b give back m
+    assert_decomposition(smith_normal_form(m), m)
 
 
 def test_unencoded_stabilizer():
@@ -592,7 +582,7 @@ def x_pairs(draw):
     else:
         ys = [[ZERO] * sm.rank + [draw(_ENTRY) for _ in range(n - sm.rank)]
               for _ in range(s_z)]
-        hz = pairing(ys, _b_inverse(sm))
+        hz = pairing(ys, b_inverse(sm))
     return hx, sm, hz
 
 
@@ -603,7 +593,7 @@ def x_pairs(draw):
 def test_pairing_by_col_ops_replays_b(case):
     hx, sm, hz = case
     paired = synthesis._pairing_by_col_ops(hz, sm.col_ops)
-    assert paired == pairing(hz, sm.b)
+    assert paired == pairing(hz, b_matrix(sm))
     # hx = a . s . b with a unimodular and s zero but for its first rank(hx)
     # diagonal entries: the pair is dual-containing exactly when the pairing
     # through b is zero in its first rank(hx) columns, refused hx or not

@@ -12,6 +12,7 @@ from qshift.circuit import build_from_gate, cascade, circuit_from_text, circuit_
 from qshift.simulator import PauliStream
 from qshift.synthesis import format_sequence, parse_sequence, sequence_transfer
 
+from oracles import stream_frame
 from test_circuit import mixed_gate_lists
 
 
@@ -95,7 +96,7 @@ def _frame_text(stream):
     parts = [p for p in stream.zs + stream.xs if p]
     if parts:
         for t in range(min(0, min(p.delay for p in parts)), stream.max_exp + 1):
-            frame = stream.frame(t)
+            frame = stream_frame(stream, t)
             if any(z or x for z, x in frame):
                 zbits = "".join(str(z) for z, _ in frame)
                 xbits = "".join(str(x) for _, x in frame)
